@@ -177,14 +177,20 @@ main(int argc, char **argv)
     else if (toolName != "none")
         usage("unknown tool");
 
-    core::PathExpanderEngine engine(program, cfg, detector.get());
-    auto r = engine.run(input);
+    try {
+        core::PathExpanderEngine engine(program, cfg, detector.get());
+        auto r = engine.run(input);
 
-    std::cout << r.io.charOutput;
-    if (!r.io.charOutput.empty() && r.io.charOutput.back() != '\n')
-        std::cout << "\n";
+        std::cout << r.io.charOutput;
+        if (!r.io.charOutput.empty() && r.io.charOutput.back() != '\n')
+            std::cout << "\n";
 
-    std::cerr << "---\n";
-    r.printSummary(std::cerr);
-    return r.programCrashed ? 1 : 0;
+        std::cerr << "---\n";
+        r.printSummary(std::cerr);
+        return r.programCrashed ? 1 : 0;
+    } catch (const FatalError &e) {
+        // A program the machine layout cannot hold, for one.
+        std::cerr << e.what() << "\n";
+        return 1;
+    }
 }

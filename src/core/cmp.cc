@@ -289,7 +289,7 @@ PathExpanderEngine::runCmp(RunState &state)
         mem::MemCtx ctx(state.memory, task.buf.get());
         sim::IoChannel &ntIo =
             task.specIo ? *task.specIo : result.io;
-        sim::StepResult res = sim::step(program, task.cpu, ctx, ntIo,
+        sim::StepResult res = sim::step(decoded, task.cpu, ctx, ntIo,
                                         /*allowIo=*/cfg.sandboxIo,
                                         cfg.layout);
         if (res.crashed()) {
@@ -379,7 +379,7 @@ PathExpanderEngine::runCmp(RunState &state)
             }
         }
         mem::MemCtx ctx(state.memory, currentPrimaryBuf());
-        sim::StepResult res = sim::step(program, primary, ctx, result.io,
+        sim::StepResult res = sim::step(decoded, primary, ctx, result.io,
                                         /*allowIo=*/true, cfg.layout);
         if (res.crashed()) {
             result.programCrashed = true;

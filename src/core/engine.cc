@@ -304,7 +304,7 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
             }
         }
         sim::StepResult res =
-            sim::step(program, core, ctx, ntIo, allowIo, cfg.layout);
+            sim::step(decoded, core, ctx, ntIo, allowIo, cfg.layout);
         if (res.crashed()) {
             // The exception is swallowed, never delivered to the OS.
             record.cause = NtStopCause::Crash;
@@ -476,7 +476,7 @@ PathExpanderEngine::runInline(RunState &state)
             }
         }
 
-        sim::StepResult res = sim::step(program, core, ctx, result.io,
+        sim::StepResult res = sim::step(decoded, core, ctx, result.io,
                                         /*allowIo=*/true, cfg.layout);
         if (res.crashed()) {
             result.programCrashed = true;

@@ -9,7 +9,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
 
+#include "src/isa/regs.hh"
 #include "src/support/faultinject.hh"
 #include "src/support/status.hh"
 
@@ -103,6 +105,36 @@ getCount(std::istream &is, const char *what)
     return n;
 }
 
+/**
+ * Decode instruction @p index, refusing what the simulator cannot
+ * run: an opcode byte past the ISA, a register field naming one of
+ * the 6-bit encoding's registers 32-63, or an unknown syscall.
+ */
+Instruction
+decodeChecked(uint64_t word, uint32_t index)
+{
+    const unsigned opByte = static_cast<unsigned>(word >> 56);
+    if (opByte >= static_cast<unsigned>(Opcode::NumOpcodes)) {
+        pe_fatal("object file instruction ", index, ": opcode byte ",
+                 opByte, " out of range");
+    }
+    const Instruction inst = decode(word);
+    for (auto [field, r] : {std::pair{"rd", inst.rd}, {"rs1", inst.rs1},
+                            {"rs2", inst.rs2}}) {
+        if (r >= numRegs) {
+            pe_fatal("object file instruction ", index, ": ", field,
+                     " register ", static_cast<int>(r), " out of range");
+        }
+    }
+    if (inst.op == Opcode::Sys &&
+        (inst.imm < 0 ||
+         inst.imm >= static_cast<int32_t>(Syscall::NumSyscalls))) {
+        pe_fatal("object file instruction ", index, ": sys selector ",
+                 inst.imm, " unknown");
+    }
+    return inst;
+}
+
 } // namespace
 
 void
@@ -161,7 +193,7 @@ loadObject(std::istream &is)
     uint32_t n = getCount(is, "code");
     p.code.reserve(n);
     for (uint32_t i = 0; i < n; ++i)
-        p.code.push_back(decode(getU64(is)));
+        p.code.push_back(decodeChecked(getU64(is), i));
 
     n = getCount(is, "locs");
     p.locs.reserve(n);
@@ -195,6 +227,11 @@ loadObject(std::istream &is)
 
     if (p.entry > p.code.size())
         pe_fatal("object file entry out of range");
+    if (uint64_t{p.dataBase} + p.dataInit.size() > p.heapBase) {
+        pe_fatal("object file dataBase ", p.dataBase, " + ",
+                 p.dataInit.size(), " data words overlap heapBase ",
+                 p.heapBase);
+    }
     return p;
 }
 

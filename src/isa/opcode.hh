@@ -74,6 +74,7 @@ enum class Syscall : int32_t
     PrintChar,          //!< output regs[rs1] as a character
     ReadInt,            //!< rd <- next input word (or -1 at EOF)
     ReadChar,           //!< rd <- next input word (or -1 at EOF)
+    NumSyscalls
 };
 
 /** Human-readable mnemonic for @p op. */

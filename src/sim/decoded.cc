@@ -1,6 +1,6 @@
 /**
  * @file
- * Program pre-decode and the block-stepped execution loop.
+ * Program pre-decode.
  */
 
 #include "src/sim/decoded.hh"
@@ -9,8 +9,6 @@
 #include <limits>
 
 #include "src/analysis/cfg.hh"
-#include "src/coverage/coverage.hh"
-#include "src/sim/arith.hh"
 
 namespace pe::sim
 {
@@ -18,108 +16,47 @@ namespace pe::sim
 namespace
 {
 
-/**
- * Classify one instruction.  Anything that touches memory, resolves a
- * conditional branch, raises detector events, performs I/O or can
- * crash in a way the block loop does not pre-check is `Surface`.
- * Jmp/Jal with a statically invalid target also surface, so the
- * legacy step path produces the BadJump crash with identical
- * semantics (PC left at the faulting instruction).
- */
-HandlerKind
-classify(const isa::Instruction &inst, size_t codeSize)
-{
-    using isa::Opcode;
-
-    // Single source of truth shared with the analysis CFG: decode
-    // and static analysis can never disagree on target validity.
-    auto staticTargetValid = [&] {
-        return analysis::staticTargetValid(inst, codeSize);
-    };
-
-    switch (inst.op) {
-      case Opcode::Nop:  return HandlerKind::Nop;
-      case Opcode::Add:  return HandlerKind::Add;
-      case Opcode::Sub:  return HandlerKind::Sub;
-      case Opcode::Mul:  return HandlerKind::Mul;
-      case Opcode::Div:  return HandlerKind::Div;
-      case Opcode::Rem:  return HandlerKind::Rem;
-      case Opcode::And:  return HandlerKind::And;
-      case Opcode::Or:   return HandlerKind::Or;
-      case Opcode::Xor:  return HandlerKind::Xor;
-      case Opcode::Shl:  return HandlerKind::Shl;
-      case Opcode::Shr:  return HandlerKind::Shr;
-      case Opcode::Sra:  return HandlerKind::Sra;
-      case Opcode::Slt:  return HandlerKind::Slt;
-      case Opcode::Sle:  return HandlerKind::Sle;
-      case Opcode::Seq:  return HandlerKind::Seq;
-      case Opcode::Sne:  return HandlerKind::Sne;
-      case Opcode::Sgt:  return HandlerKind::Sgt;
-      case Opcode::Sge:  return HandlerKind::Sge;
-      case Opcode::Addi: return HandlerKind::Addi;
-      case Opcode::Andi: return HandlerKind::Andi;
-      case Opcode::Ori:  return HandlerKind::Ori;
-      case Opcode::Xori: return HandlerKind::Xori;
-      case Opcode::Shli: return HandlerKind::Shli;
-      case Opcode::Shri: return HandlerKind::Shri;
-      case Opcode::Slti: return HandlerKind::Slti;
-      case Opcode::Li:   return HandlerKind::Li;
-      case Opcode::Jmp:
-        return staticTargetValid() ? HandlerKind::Jmp
-                                   : HandlerKind::Surface;
-      case Opcode::Jal:
-        return staticTargetValid() ? HandlerKind::Jal
-                                   : HandlerKind::Surface;
-      case Opcode::Jr:     return HandlerKind::Jr;
-      case Opcode::Pfix:   return HandlerKind::Pfix;
-      case Opcode::Pfixst: return HandlerKind::Pfixst;
-      case Opcode::Chkb:   return HandlerKind::Chkb;
-      case Opcode::Assert: return HandlerKind::Assert;
-      // Branches with a statically invalid target surface so the
-      // slim path raises the BadJump crash identically.
-      case Opcode::Beq:
-        return staticTargetValid() ? HandlerKind::Beq
-                                   : HandlerKind::Surface;
-      case Opcode::Bne:
-        return staticTargetValid() ? HandlerKind::Bne
-                                   : HandlerKind::Surface;
-      case Opcode::Blt:
-        return staticTargetValid() ? HandlerKind::Blt
-                                   : HandlerKind::Surface;
-      case Opcode::Bge:
-        return staticTargetValid() ? HandlerKind::Bge
-                                   : HandlerKind::Surface;
-      case Opcode::Ble:
-        return staticTargetValid() ? HandlerKind::Ble
-                                   : HandlerKind::Surface;
-      case Opcode::Bgt:
-        return staticTargetValid() ? HandlerKind::Bgt
-                                   : HandlerKind::Surface;
-      default:             return HandlerKind::Surface;
-    }
-}
+/** The opcode-table class of every opcode, indexed by isa::Opcode. */
+constexpr OpClass kOpClass[] = {
+#define PE_CLASS(op, cls, ...) OpClass::cls,
+    PE_OPCODE_TABLE(PE_CLASS, PE_CLASS)
+#undef PE_CLASS
+};
 
 } // namespace
 
 DecodedProgram::DecodedProgram(const isa::Program &program,
                                const TimingConfig &timing)
 {
-    insts.reserve(program.code.size());
+    const size_t codeSize = program.code.size();
+    insts.reserve(codeSize);
     for (const isa::Instruction &inst : program.code) {
         DecodedInst di;
         di.imm = inst.imm;
+        di.op = inst.op;
         di.rd = inst.rd;
         di.rs1 = inst.rs1;
         di.rs2 = inst.rs2;
-        di.kind = classify(inst, program.code.size());
-        uint64_t cost = opcodeCost(timing, inst.op);
-        if (cost > std::numeric_limits<uint32_t>::max()) {
-            // Absurd configured cost: fall back to the slim path,
-            // whose 64-bit accounting handles it exactly.
-            di.kind = HandlerKind::Surface;
-            cost = 0;
+        const OpClass cls = inst.op < isa::Opcode::NumOpcodes
+                                ? kOpClass[static_cast<uint8_t>(inst.op)]
+                                : OpClass::Surface;
+        di.cls = cls;
+        const bool staticTarget = cls == OpClass::Branch ||
+                                  cls == OpClass::Jump ||
+                                  cls == OpClass::Link;
+        const uint64_t cost = opcodeCost(timing, inst.op);
+        // Besides Surface-class opcodes, two cases surface: a
+        // statically invalid target (checked with the analysis CFG's
+        // predicate, so decode and static analysis never disagree),
+        // where step() raises BadJump with the PC on the faulting
+        // instruction; and an absurd configured cost, which only the
+        // slim path's 64-bit accounting handles exactly.
+        if (cls != OpClass::Surface &&
+            cost <= std::numeric_limits<uint32_t>::max() &&
+            (!staticTarget || analysis::staticTargetValid(inst, codeSize))) {
+            di.kind = handlerKind(inst.op);
+            di.cost = static_cast<uint32_t>(cost);
         }
-        di.cost = static_cast<uint32_t>(cost);
         insts.push_back(di);
     }
 }
@@ -130,381 +67,6 @@ DecodedProgram::markNoSpawn(uint32_t startPc, uint32_t endPc)
     endPc = std::min<uint32_t>(endPc, static_cast<uint32_t>(insts.size()));
     for (uint32_t pc = startPc; pc < endPc; ++pc)
         insts[pc].flags |= DecodedInst::FlagNoSpawn;
-}
-
-namespace
-{
-
-/**
- * NT-entrance predicate handling, shared by both dispatch variants.
- * While the predicate is set, only the leading run of predicated-fix
- * instructions executes here: Pfix performs its write, Pfixst (a
- * potential memory write) surfaces.  The first non-fixing
- * block-safe instruction clears the predicate — exactly the per-step
- * rule — and falls through to the fast loop.
- *
- * @return true when the block must stop here (surface or budget).
- */
-bool
-predicatedPrologue(const DecodedInst *insts, uint32_t codeSize,
-                   Core &core, uint32_t &pc, uint64_t &left,
-                   uint64_t &cycles, uint64_t cycleBudget,
-                   uint64_t perInstExtra)
-{
-    for (;;) {
-        if (left == 0 || pc >= codeSize || cycles > cycleBudget)
-            return true;
-        const DecodedInst &di = insts[pc];
-        switch (di.kind) {
-          case HandlerKind::Pfix:
-            core.writeReg(di.rd, di.imm);
-            --left;
-            cycles += di.cost + perInstExtra;
-            ++pc;
-            break;
-          case HandlerKind::Pfixst:
-          case HandlerKind::Surface:
-            return true;
-          default:
-            core.ntEntryPred = false;
-            return false;
-        }
-    }
-}
-
-} // namespace
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PE_COMPUTED_GOTO 1
-#endif
-
-BlockOut
-runBlock(const DecodedProgram &decoded, Core &core,
-         uint64_t maxInstructions, uint64_t cycleBudget,
-         uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
-         bool inertChecks)
-{
-    BlockOut out;
-    const DecodedInst *const insts = decoded.data();
-    const uint32_t codeSize = decoded.size();
-    uint32_t pc = core.pc;
-    uint64_t left = maxInstructions;
-    // Accumulates effective cycles (base cost + perInstExtra); the
-    // extra share is subtracted once at the end so BlockOut reports
-    // base cost only.
-    uint64_t cycles = 0;
-
-    if (core.ntEntryPred) [[unlikely]] {
-        if (predicatedPrologue(insts, codeSize, core, pc, left,
-                               cycles, cycleBudget, perInstExtra)) {
-            core.pc = pc;
-            out.instructions = maxInstructions - left;
-            out.cycles = cycles - perInstExtra * out.instructions;
-            return out;
-        }
-    }
-
-    const DecodedInst *di;
-
-// RETIRE charges the current instruction and redirects to NEXT.
-#define PE_RETIRE(NEXT)                                                 \
-    do {                                                                \
-        --left;                                                         \
-        cycles += di->cost + perInstExtra;                              \
-        pc = (NEXT);                                                    \
-    } while (0)
-
-#ifdef PE_COMPUTED_GOTO
-
-    // One label per HandlerKind, indexed by its enumerator value.
-    // Pfix/Pfixst reach H_Nop: with the predicate clear (guaranteed
-    // past the prologue) they execute as fixCost NOPs.
-    static const void *const kDispatch[] = {
-        &&H_Surface, &&H_Nop,
-        &&H_Add, &&H_Sub, &&H_Mul, &&H_Div, &&H_Rem,
-        &&H_And, &&H_Or, &&H_Xor, &&H_Shl, &&H_Shr, &&H_Sra,
-        &&H_Slt, &&H_Sle, &&H_Seq, &&H_Sne, &&H_Sgt, &&H_Sge,
-        &&H_Addi, &&H_Andi, &&H_Ori, &&H_Xori, &&H_Shli, &&H_Shri,
-        &&H_Slti, &&H_Li,
-        &&H_Jmp, &&H_Jal, &&H_Jr,
-        &&H_Nop /* Pfix */, &&H_Nop /* Pfixst */,
-        &&H_Inert /* Chkb */, &&H_Inert /* Assert */,
-        &&H_Beq, &&H_Bne, &&H_Blt, &&H_Bge, &&H_Ble, &&H_Bgt,
-    };
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                  static_cast<size_t>(HandlerKind::NumHandlerKinds));
-
-#define PE_DISPATCH()                                                   \
-    do {                                                                \
-        if (left == 0 || pc >= codeSize || cycles > cycleBudget)        \
-            goto H_Done;                                                \
-        di = insts + pc;                                                \
-        goto *kDispatch[static_cast<uint8_t>(di->kind)];                \
-    } while (0)
-
-#define PE_BINOP(EXPR)                                                  \
-    do {                                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = core.readReg(di->rs2);                              \
-        core.writeReg(di->rd, (EXPR));                                  \
-        PE_RETIRE(pc + 1);                                              \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-// Without a sink the branch surfaces (pc untouched, nothing charged).
-// The null check lives in the branch handlers, so straight-line
-// instructions pay nothing for it.
-#define PE_BRANCH(COND)                                                 \
-    do {                                                                \
-        if (!branchSink)                                                \
-            goto H_Done;                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = core.readReg(di->rs2);                              \
-        bool taken = (COND);                                            \
-        branchSink->onTakenEdge(pc, taken);                             \
-        PE_RETIRE(taken ? static_cast<uint32_t>(di->imm) : pc + 1);     \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-#define PE_IMMOP(EXPR)                                                  \
-    do {                                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = di->imm;                                            \
-        (void)b;                                                        \
-        core.writeReg(di->rd, (EXPR));                                  \
-        PE_RETIRE(pc + 1);                                              \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-    PE_DISPATCH();
-
-  H_Nop:
-    PE_RETIRE(pc + 1);
-    PE_DISPATCH();
-
-  H_Add: PE_BINOP(wrapAdd(a, b));
-  H_Sub: PE_BINOP(wrapSub(a, b));
-  H_Mul: PE_BINOP(wrapMul(a, b));
-  H_Div: {
-        int32_t b = core.readReg(di->rs2);
-        if (b == 0)
-            goto H_Done;    // surfaces: step() raises DivByZero
-        core.writeReg(di->rd, safeDiv(core.readReg(di->rs1), b));
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-  H_Rem: {
-        int32_t b = core.readReg(di->rs2);
-        if (b == 0)
-            goto H_Done;
-        core.writeReg(di->rd, safeRem(core.readReg(di->rs1), b));
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-  H_And: PE_BINOP(a & b);
-  H_Or:  PE_BINOP(a | b);
-  H_Xor: PE_BINOP(a ^ b);
-  H_Shl: PE_BINOP(static_cast<int32_t>(static_cast<uint32_t>(a)
-                                       << (b & 31)));
-  H_Shr: PE_BINOP(static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                       (b & 31)));
-  H_Sra: PE_BINOP(a >> (b & 31));
-  H_Slt: PE_BINOP(a < b ? 1 : 0);
-  H_Sle: PE_BINOP(a <= b ? 1 : 0);
-  H_Seq: PE_BINOP(a == b ? 1 : 0);
-  H_Sne: PE_BINOP(a != b ? 1 : 0);
-  H_Sgt: PE_BINOP(a > b ? 1 : 0);
-  H_Sge: PE_BINOP(a >= b ? 1 : 0);
-
-  H_Addi: PE_IMMOP(wrapAdd(a, b));
-  H_Andi: PE_IMMOP(a & b);
-  H_Ori:  PE_IMMOP(a | b);
-  H_Xori: PE_IMMOP(a ^ b);
-  H_Shli: PE_IMMOP(static_cast<int32_t>(static_cast<uint32_t>(a)
-                                        << (b & 31)));
-  H_Shri: PE_IMMOP(static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                        (b & 31)));
-  H_Slti: PE_IMMOP(a < b ? 1 : 0);
-  H_Li: {
-        core.writeReg(di->rd, di->imm);
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-
-  H_Jmp:
-    PE_RETIRE(static_cast<uint32_t>(di->imm));   // validated at decode
-    PE_DISPATCH();
-  H_Jal:
-    core.writeReg(di->rd, static_cast<int32_t>(pc + 1));
-    PE_RETIRE(static_cast<uint32_t>(di->imm));
-    PE_DISPATCH();
-  H_Jr: {
-        int32_t target = core.readReg(di->rs1);
-        if (target < 0 || static_cast<uint32_t>(target) >= codeSize)
-            goto H_Done;    // surfaces: step() raises BadJump
-        PE_RETIRE(static_cast<uint32_t>(target));
-        PE_DISPATCH();
-    }
-
-  H_Inert:
-    // Chkb/Assert: with no detector in the run, nothing consumes
-    // their events, so they are opcode-cost NOPs.
-    if (!inertChecks)
-        goto H_Done;
-    PE_RETIRE(pc + 1);
-    PE_DISPATCH();
-
-  H_Beq: PE_BRANCH(a == b);
-  H_Bne: PE_BRANCH(a != b);
-  H_Blt: PE_BRANCH(a < b);
-  H_Bge: PE_BRANCH(a >= b);
-  H_Ble: PE_BRANCH(a <= b);
-  H_Bgt: PE_BRANCH(a > b);
-
-  H_Surface:
-  H_Done:;
-
-#undef PE_DISPATCH
-#undef PE_BINOP
-#undef PE_BRANCH
-#undef PE_IMMOP
-
-#else // !PE_COMPUTED_GOTO — portable switch dispatch
-
-    for (;;) {
-        if (left == 0 || pc >= codeSize || cycles > cycleBudget)
-            break;
-        di = insts + pc;
-        const int32_t a = core.readReg(di->rs1);
-        bool stop = false;
-        switch (di->kind) {
-          case HandlerKind::Surface:
-            stop = true;
-            break;
-          case HandlerKind::Nop:
-          case HandlerKind::Pfix:       // predicate clear: NOP
-          case HandlerKind::Pfixst:
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Div:
-          case HandlerKind::Rem: {
-            int32_t b = core.readReg(di->rs2);
-            if (b == 0) {
-                stop = true;
-                break;
-            }
-            core.writeReg(di->rd, di->kind == HandlerKind::Div
-                                      ? safeDiv(a, b)
-                                      : safeRem(a, b));
-            PE_RETIRE(pc + 1);
-            break;
-          }
-          case HandlerKind::Jmp:
-            PE_RETIRE(static_cast<uint32_t>(di->imm));
-            break;
-          case HandlerKind::Jal:
-            core.writeReg(di->rd, static_cast<int32_t>(pc + 1));
-            PE_RETIRE(static_cast<uint32_t>(di->imm));
-            break;
-          case HandlerKind::Jr: {
-            int32_t target = a;
-            if (target < 0 ||
-                static_cast<uint32_t>(target) >= codeSize) {
-                stop = true;
-                break;
-            }
-            PE_RETIRE(static_cast<uint32_t>(target));
-            break;
-          }
-          case HandlerKind::Li:
-            core.writeReg(di->rd, di->imm);
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Chkb:
-          case HandlerKind::Assert:
-            if (!inertChecks) {
-                stop = true;
-                break;
-            }
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Beq: case HandlerKind::Bne:
-          case HandlerKind::Blt: case HandlerKind::Bge:
-          case HandlerKind::Ble: case HandlerKind::Bgt: {
-            if (!branchSink) {
-                stop = true;     // surfaces: PE-on branch semantics
-                break;
-            }
-            int32_t b = core.readReg(di->rs2);
-            bool taken = false;
-            switch (di->kind) {
-              case HandlerKind::Beq: taken = a == b; break;
-              case HandlerKind::Bne: taken = a != b; break;
-              case HandlerKind::Blt: taken = a < b; break;
-              case HandlerKind::Bge: taken = a >= b; break;
-              case HandlerKind::Ble: taken = a <= b; break;
-              case HandlerKind::Bgt: taken = a > b; break;
-              default: break;
-            }
-            branchSink->onTakenEdge(pc, taken);
-            PE_RETIRE(taken ? static_cast<uint32_t>(di->imm)
-                            : pc + 1);
-            break;
-          }
-          default: {
-            const bool immOp = di->kind >= HandlerKind::Addi &&
-                               di->kind <= HandlerKind::Slti;
-            const int32_t b =
-                immOp ? di->imm : core.readReg(di->rs2);
-            int32_t v = 0;
-            switch (di->kind) {
-              case HandlerKind::Add:
-              case HandlerKind::Addi: v = wrapAdd(a, b); break;
-              case HandlerKind::Sub:  v = wrapSub(a, b); break;
-              case HandlerKind::Mul:  v = wrapMul(a, b); break;
-              case HandlerKind::And:
-              case HandlerKind::Andi: v = a & b; break;
-              case HandlerKind::Or:
-              case HandlerKind::Ori:  v = a | b; break;
-              case HandlerKind::Xor:
-              case HandlerKind::Xori: v = a ^ b; break;
-              case HandlerKind::Shl:
-              case HandlerKind::Shli:
-                v = static_cast<int32_t>(static_cast<uint32_t>(a)
-                                         << (b & 31));
-                break;
-              case HandlerKind::Shr:
-              case HandlerKind::Shri:
-                v = static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                         (b & 31));
-                break;
-              case HandlerKind::Sra:  v = a >> (b & 31); break;
-              case HandlerKind::Slt:
-              case HandlerKind::Slti: v = a < b ? 1 : 0; break;
-              case HandlerKind::Sle:  v = a <= b ? 1 : 0; break;
-              case HandlerKind::Seq:  v = a == b ? 1 : 0; break;
-              case HandlerKind::Sne:  v = a != b ? 1 : 0; break;
-              case HandlerKind::Sgt:  v = a > b ? 1 : 0; break;
-              case HandlerKind::Sge:  v = a >= b ? 1 : 0; break;
-              default: break;
-            }
-            core.writeReg(di->rd, v);
-            PE_RETIRE(pc + 1);
-            break;
-          }
-        }
-        if (stop)
-            break;
-    }
-
-#endif // PE_COMPUTED_GOTO
-
-#undef PE_RETIRE
-
-    core.pc = pc;
-    out.instructions = maxInstructions - left;
-    out.cycles = cycles - perInstExtra * out.instructions;
-    return out;
 }
 
 } // namespace pe::sim

@@ -1,39 +1,31 @@
 /**
  * @file
- * The pre-decoded program and the block-stepped execution loop.
+ * The pre-decoded program, the only decoder of the simulator.
  *
- * Every simulated instruction used to pay the full `sim::step()` tax:
- * a cold switch over `isa::Opcode`, per-step branch-target
- * revalidation, construction of a fat `StepResult` and an engine
- * round-trip even when nothing detector-relevant happened.  The
- * decode layer moves everything that is knowable once per program out
- * of the per-step path:
+ * Everything knowable once per program moves out of the per-step
+ * path: each `isa::Instruction` becomes a 16-byte DecodedInst with
+ * its opcode-table HandlerKind (optable.hh), static branch and jump
+ * targets are validated, the base cycle cost is precomputed, and the
+ * engine's no-spawn ranges and doomed NT edges fold into per-PC flags.
  *
- *  - each `isa::Instruction` is classified into a HandlerKind once;
- *  - static branch/jump targets are validated at decode time;
- *  - the per-opcode base cycle cost is precomputed per instruction;
- *  - the engine's no-spawn function ranges are folded into a per-PC
- *    flag, so the spawn decision is one bit test instead of a linear
- *    range scan.
+ * Three tiers execute the image.  `sim::step` (interpreter.hh) runs
+ * any instruction and reports a StepResult.  The two bulk tiers share
+ * one dispatch loop (dispatch.cc) and run block-safe instructions
+ * without a StepResult, stopping *before* the first instruction the
+ * engine must observe — memory ops, detector hooks with a detector
+ * attached, syscalls, anything that would crash — which surfaces to
+ * `sim::step`, so results are bit-identical to the per-step loop by
+ * construction:
  *
- * `runBlock()` then executes straight-line work — ALU, immediates,
- * unconditional jumps, predicated fixes — in a tight dispatch loop
- * (computed goto under GCC/Clang, switch fallback) without
- * materializing a StepResult, and stops *before* the first
- * instruction the engine must observe: conditional branches, memory
- * ops, detector ops (Chkb/Assert/Regobj/Unregobj/Alloc), syscalls and
- * anything that can crash.  Those surface to the unchanged slim-path
- * semantics (`sim::step` plus the engine's event routing), so results
- * are bit-identical to the legacy per-step loop by construction.
+ *  - the block tier, `runBlock` below, with a cycle budget, the
+ *    NT-entry predicate prologue and, when PathExpander is off, an
+ *    optional branch-coverage sink that runs conditional branches
+ *    in-block;
+ *  - the superblock tier, `runSuperblock` (superblock.hh), over a
+ *    self-pruned image whose saturated branches run with no coverage
+ *    write or counter bump.
  *
- * One opt-in extension of that boundary: when PathExpander is off, a
- * conditional branch's entire architectural effect is its opcode cost
- * plus one branch-coverage bit — no BTB update, no spawn decision, no
- * detector or software-cost interaction.  A caller in that regime may
- * pass a BranchCoverage sink and the loop executes statically valid
- * conditional branches in-block too, recording edges exactly as the
- * engine would.  With no sink (any PE-on context), branches surface
- * as before.
+ * The dispatch loop uses computed goto, so it needs GCC or Clang.
  */
 
 #ifndef PE_SIM_DECODED_HH
@@ -44,6 +36,7 @@
 
 #include "src/isa/program.hh"
 #include "src/sim/core.hh"
+#include "src/sim/optable.hh"
 #include "src/sim/timing.hh"
 
 namespace pe::coverage
@@ -55,44 +48,46 @@ namespace pe::sim
 {
 
 /**
- * How the block loop executes one instruction.  `Surface` marks
- * everything the loop refuses to execute (the engine runs it through
- * `sim::step` instead): memory traffic, conditional branches,
- * detector hooks, syscalls, statically invalid jump targets and
- * unknown opcodes.  The enumerators are dense: they index the
- * computed-goto table.
+ * How the bulk tiers execute one instruction: `Surface`, or the kind
+ * of its own opcode, one per opcode-table row.  Surface marks what the
+ * tiers never run, which the engine runs through `sim::step` instead:
+ * Surface-class opcodes and statically invalid branch and jump
+ * targets.  Dense: the kinds index the dispatch loop's label table.
  */
 enum class HandlerKind : uint8_t
 {
     Surface = 0,
-    Nop,
-    Add, Sub, Mul, Div, Rem,
-    And, Or, Xor, Shl, Shr, Sra,
-    Slt, Sle, Seq, Sne, Sgt, Sge,
-    Addi, Andi, Ori, Xori, Shli, Shri, Slti, Li,
-    Jmp,        //!< statically valid target only
-    Jal,        //!< statically valid target only
-    Jr,         //!< target checked at run time; invalid surfaces
-    Pfix,       //!< predicated fix: executes only at an NT entrance
-    Pfixst,     //!< surfaces while the predicate is set (memory write)
-    // Detector hooks that are architecturally inert when no detector
-    // is attached (chargeStep and routeEvents both gate on one):
-    // in-block they retire as opcode-cost NOPs iff the caller says
-    // the run has no detector; otherwise they surface.
-    Chkb, Assert,
-    // Conditional branches (statically valid target only).  They
-    // execute in-block only when the caller provides a
-    // branch-coverage sink, and surface otherwise.
-    Beq, Bne, Blt, Bge, Ble, Bgt,
+#define PE_KIND(op, ...) op,
+    PE_OPCODE_TABLE(PE_KIND, PE_KIND)
+#undef PE_KIND
     NumHandlerKinds
 };
+
+/** The kind of a bulk-executable instruction with opcode @p op. */
+constexpr HandlerKind
+handlerKind(isa::Opcode op)
+{
+    return static_cast<HandlerKind>(static_cast<uint8_t>(op) + 1);
+}
+
+// One opcode-table row per isa::Opcode, in opcode order.
+static_assert(static_cast<size_t>(HandlerKind::NumHandlerKinds) ==
+                  static_cast<size_t>(isa::Opcode::NumOpcodes) + 1,
+              "one opcode-table row per isa::Opcode");
+#define PE_IN_ORDER(op, ...)                                            \
+    static_assert(HandlerKind::op == handlerKind(isa::Opcode::op),      \
+                  "opcode-table rows follow isa::Opcode order");
+PE_OPCODE_TABLE(PE_IN_ORDER, PE_IN_ORDER)
+#undef PE_IN_ORDER
 
 /** One pre-decoded instruction (16 bytes; hot-loop friendly). */
 struct DecodedInst
 {
     int32_t imm = 0;
-    uint32_t cost = 0;          //!< opcodeCost(timing, op), precomputed
+    uint32_t cost = 0;          //!< opcodeCost(timing, op); 0 if Surface
     HandlerKind kind = HandlerKind::Surface;
+    isa::Opcode op = isa::Opcode::Nop;  //!< what sim::step executes
+    OpClass cls = OpClass::Surface;     //!< op's class, kept when Surface
     uint8_t rd = 0;
     uint8_t rs1 = 0;
     uint8_t rs2 = 0;
@@ -107,9 +102,9 @@ struct DecodedInst
 };
 
 // The decoded array is the hottest data structure in the simulator:
-// both runBlock and runSuperblock stream it.  Pin the 16-byte layout
-// so a future field can't silently fatten every program image and
-// halve the instructions per cache line.
+// every tier streams it.  Pin the 16-byte layout so a future field
+// can't silently fatten every program image and halve the
+// instructions per cache line.
 static_assert(sizeof(DecodedInst) == 16,
               "DecodedInst must stay 16 bytes (hot-loop array)");
 
@@ -169,12 +164,10 @@ class DecodedProgram
     {
         if (pc >= insts.size())
             return false;
-        HandlerKind k = insts[pc].kind;
-        if (k == HandlerKind::Surface)
-            return false;
-        if (k < HandlerKind::Chkb)
-            return true;
-        return k < HandlerKind::Beq ? inertChecks : execBranches;
+        const DecodedInst &di = insts[pc];
+        return di.kind != HandlerKind::Surface &&
+               (di.cls != OpClass::Check || inertChecks) &&
+               (di.cls != OpClass::Branch || execBranches);
     }
 
     uint32_t size() const { return static_cast<uint32_t>(insts.size()); }
@@ -192,7 +185,7 @@ struct BlockOut
 };
 
 /**
- * Execute consecutive block-safe instructions starting at
+ * The block tier: execute consecutive block-safe instructions from
  * @p core.pc, stopping *before* the first instruction that must
  * surface to the engine and after at most @p maxInstructions.
  *

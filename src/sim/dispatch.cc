@@ -1,0 +1,229 @@
+/**
+ * @file
+ * The bulk dispatch loop, shared by the block and superblock tiers.
+ *
+ * One computed-goto loop with one label per opcode-table row runs
+ * every block-safe instruction; execute() gives each table class its
+ * semantics.  A tier policy supplies what differs between the tiers:
+ *
+ *  - BlockTier (runBlock): a cycle budget with a per-instruction
+ *    extra, the NT-entry predicate prologue, and an optional
+ *    branch-coverage sink without which branches surface;
+ *  - SuperTier (runSuperblock): the pruned image, whose branch kinds
+ *    are all promoted and so execute, counted; no budget.
+ */
+
+#include <iterator>
+
+#include "src/coverage/coverage.hh"
+#include "src/sim/superblock.hh"
+#include "src/support/status.hh"
+
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bulk dispatch loop needs labels-as-values (GCC or Clang)"
+#endif
+
+namespace pe::sim
+{
+
+namespace
+{
+
+struct BlockTier
+{
+    static constexpr bool predicated = true;
+    uint64_t cycleBudget;
+    uint64_t perInstExtra;
+    coverage::BranchCoverage *branchSink;
+    bool inertChecks;
+
+    bool overBudget(uint64_t cycles) const { return cycles > cycleBudget; }
+    bool runsBranches() const { return branchSink != nullptr; }
+    void onBranch(uint32_t pc, bool taken) const
+    {
+        branchSink->onTakenEdge(pc, taken);
+    }
+    /** BlockOut reports base cost only: drop the extra share once. */
+    BlockOut out(uint64_t n, uint64_t cycles, uint64_t) const
+    {
+        return {n, cycles - perInstExtra * n};
+    }
+};
+
+// A promoted branch's whole effect is resolve, redirect, charge: the
+// promotion predicate proved its coverage write and counter bumps
+// no-ops, so the tier leaves both untouched.  The pruned path only
+// runs on the taken path, never at an NT entrance.
+struct SuperTier
+{
+    static constexpr bool predicated = false;
+    static constexpr uint64_t perInstExtra = 0;
+    bool inertChecks;
+
+    static bool overBudget(uint64_t) { return false; }
+    static bool runsBranches() { return true; }
+    static void onBranch(uint32_t, bool) {}
+    static SuperOut out(uint64_t n, uint64_t cycles, uint64_t branches)
+    {
+        return {n, cycles, branches};
+    }
+};
+
+/**
+ * Execute @p di, whose opcode-table class is C, and advance @p pc —
+ * or change nothing and return false when it must surface.  Pfix and
+ * Pfixst reach here only with the NT-entry predicate clear, where
+ * they retire as opcode-cost NOPs.
+ */
+template <OpClass C, class Tier, class Expr>
+[[gnu::always_inline]] inline bool
+execute(const Tier &tier, Core &core, const DecodedInst &di,
+        uint32_t codeSize, uint32_t &pc, Expr expr)
+{
+    auto a = [&] { return core.readReg(di.rs1); };
+    auto b = [&] {
+        return C == OpClass::Imm ? di.imm : core.readReg(di.rs2);
+    };
+    uint32_t next = pc + 1;
+    if constexpr (C == OpClass::Surface) {
+        return false;
+    } else if constexpr (C == OpClass::Alu || C == OpClass::Imm) {
+        core.writeReg(di.rd, expr(a(), b()));
+    } else if constexpr (C == OpClass::Trap) {
+        const int32_t divisor = b();
+        if (divisor == 0)
+            return false;       // step() raises DivByZero
+        core.writeReg(di.rd, expr(a(), divisor));
+    } else if constexpr (C == OpClass::Branch) {
+        if (!tier.runsBranches())
+            return false;
+        const bool taken = expr(a(), b());
+        tier.onBranch(pc, taken);
+        if (taken)
+            next = static_cast<uint32_t>(di.imm);   // valid: decode
+    } else if constexpr (C == OpClass::Jump || C == OpClass::Link) {
+        if constexpr (C == OpClass::Link)
+            core.writeReg(di.rd, static_cast<int32_t>(pc + 1));
+        next = static_cast<uint32_t>(di.imm);       // valid: decode
+    } else if constexpr (C == OpClass::JumpReg) {
+        const int32_t target = a();
+        if (target < 0 || static_cast<uint32_t>(target) >= codeSize)
+            return false;       // step() raises BadJump
+        next = static_cast<uint32_t>(target);
+    } else if constexpr (C == OpClass::Check) {
+        // Nothing consumes Chkb/Assert events without a detector.
+        if (!tier.inertChecks)
+            return false;
+    }
+    pc = next;
+    return true;
+}
+
+/**
+ * Run @p image from @p core.pc under the Tier built from @p params
+ * until an instruction surfaces, @p maxInstructions have retired, the
+ * tier's budget is spent or the PC leaves the code; @p core.pc is
+ * left on the first unexecuted instruction.  Its parameter list is
+ * the tier's public entry point's, so that entry point is a tail call.
+ */
+template <class Tier, class Image, class... Params>
+auto
+dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
+         const Params... params)
+{
+    const Tier tier{params...};
+    const DecodedInst *const insts = image.data();
+    const uint32_t codeSize = image.size();
+    uint64_t left = maxInstructions;
+    uint32_t pc = core.pc;
+    uint64_t cycles = 0;
+    uint64_t branches = 0;
+    const DecodedInst *di;
+
+    static const void *const kLabels[] = {
+        &&H_Surface,
+#define PE_LABEL(op, ...) &&H_##op,
+        PE_OPCODE_TABLE(PE_LABEL, PE_LABEL)
+#undef PE_LABEL
+    };
+    static_assert(std::size(kLabels) ==
+                  static_cast<size_t>(HandlerKind::NumHandlerKinds));
+
+#define PE_NEXT()                                                       \
+    do {                                                                \
+        if (left == 0 || pc >= codeSize || tier.overBudget(cycles))     \
+            goto H_Surface;                                             \
+        di = insts + pc;                                                \
+        goto *kLabels[static_cast<uint8_t>(di->kind)];                  \
+    } while (0)
+
+    // NT-entrance prologue: while the predicate is set only the
+    // leading predicated fixes run — Pfix performs its write, Pfixst
+    // (a potential memory write) surfaces — and the first other
+    // instruction clears it, exactly the per-step rule.
+    if constexpr (Tier::predicated) {
+        while (core.ntEntryPred) [[unlikely]] {
+            if (left == 0 || pc >= codeSize || tier.overBudget(cycles))
+                goto H_Surface;
+            di = insts + pc;
+            if (di->kind == HandlerKind::Surface ||
+                di->cls == OpClass::FixStore) {
+                goto H_Surface;
+            }
+            if (di->cls != OpClass::Fix) {
+                core.ntEntryPred = false;
+                break;
+            }
+            core.writeReg(di->rd, di->imm);
+            --left;
+            cycles += di->cost + tier.perInstExtra;
+            ++pc;
+        }
+    } else {
+        pe_assert(!core.ntEntryPred, "NT entrance in an unpredicated tier");
+    }
+
+    PE_NEXT();
+
+#define PE_HANDLER(op, cls, field, ...)                                 \
+  H_##op:                                                               \
+    if (!execute<OpClass::cls>(                                         \
+            tier, core, *di, codeSize, pc,                              \
+            []([[maybe_unused]] int32_t a, [[maybe_unused]] int32_t b) { \
+                return __VA_ARGS__;                                     \
+            }))                                                         \
+        goto H_Surface;                                                 \
+    --left;                                                             \
+    cycles += di->cost + tier.perInstExtra;                             \
+    branches += OpClass::cls == OpClass::Branch;                        \
+    PE_NEXT();
+
+    PE_OPCODE_TABLE(PE_HANDLER, PE_HANDLER)
+#undef PE_HANDLER
+#undef PE_NEXT
+
+  H_Surface:
+    core.pc = pc;
+    return tier.out(maxInstructions - left, cycles, branches);
+}
+
+} // namespace
+
+BlockOut
+runBlock(const DecodedProgram &decoded, Core &core,
+         uint64_t maxInstructions, uint64_t cycleBudget,
+         uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
+         bool inertChecks)
+{
+    return dispatch<BlockTier>(decoded, core, maxInstructions, cycleBudget,
+                               perInstExtra, branchSink, inertChecks);
+}
+
+SuperOut
+runSuperblock(const SuperblockCache &cache, Core &core,
+              uint64_t maxInstructions, bool inertChecks)
+{
+    return dispatch<SuperTier>(cache, core, maxInstructions, inertChecks);
+}
+
+} // namespace pe::sim

@@ -9,7 +9,6 @@
 #include <span>
 
 #include "src/isa/regs.hh"
-#include "src/sim/arith.hh"
 #include "src/support/status.hh"
 
 namespace pe::sim
@@ -32,12 +31,14 @@ void
 loadProgram(const isa::Program &program, mem::MainMemory &memory,
             Core &core, const MachineLayout &layout)
 {
-    pe_assert(program.dataBase + program.dataInit.size() <=
-                  layout.heapLimit(),
-              "data segment does not fit below the heap limit");
-    pe_assert(program.heapBase >= program.dataBase +
-                  program.dataInit.size(),
-              "heap overlaps the data segment");
+    const uint64_t dataEnd =
+        uint64_t{program.dataBase} + program.dataInit.size();
+    if (dataEnd > layout.heapLimit() || dataEnd > program.heapBase) {
+        pe_fatal("program '", program.name, "': data segment at dataBase ",
+                 program.dataBase, " does not fit below heapBase ",
+                 program.heapBase, " and the heap limit ",
+                 layout.heapLimit());
+    }
 
     std::span<int32_t> image = memory.words();
     pe_assert(program.dataBase + program.dataInit.size() <= image.size(),
@@ -54,7 +55,7 @@ loadProgram(const isa::Program &program, mem::MainMemory &memory,
 }
 
 StepResult
-step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
+step(const DecodedProgram &decoded, Core &core, mem::MemCtx &ctx,
      IoChannel &io, bool allowIo, const MachineLayout &layout)
 {
     using isa::Opcode;
@@ -62,12 +63,12 @@ step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
     StepResult res;
     res.pc = core.pc;
 
-    if (core.pc >= program.code.size()) {
+    if (core.pc >= decoded.size()) {
         res.crash = CrashKind::BadJump;
         return res;
     }
 
-    const isa::Instruction &inst = program.code[core.pc];
+    const DecodedInst &inst = decoded.data()[core.pc];
     res.op = inst.op;
 
     // The NT-entry predicate holds only through the leading run of
@@ -81,106 +82,44 @@ step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
 
     auto validCode = [&](int32_t target) {
         return target >= 0 &&
-               static_cast<uint32_t>(target) < program.code.size();
+               static_cast<uint32_t>(target) < decoded.size();
     };
 
     uint32_t nextPc = core.pc + 1;
 
     switch (inst.op) {
+// ALU, immediate, trapping and branch rows: the table's expression.
+#define PE_STEP_CASE(op, cls, field, expr)                              \
+      case Opcode::op: {                                                \
+        constexpr OpClass c = OpClass::cls;                             \
+        [[maybe_unused]] const int32_t a = rs1();                       \
+        const int32_t b = c == OpClass::Imm ? inst.imm : rs2();         \
+        if (c == OpClass::Trap && b == 0) {                             \
+            res.crash = CrashKind::DivByZero;                           \
+            return res;                                                 \
+        }                                                               \
+        const int32_t v = (expr);                                       \
+        if (c != OpClass::Branch) {                                     \
+            core.writeReg(inst.rd, v);                                  \
+            break;                                                      \
+        }                                                               \
+        if (!validCode(inst.imm)) {                                     \
+            res.crash = CrashKind::BadJump;                             \
+            return res;                                                 \
+        }                                                               \
+        res.branch = true;                                              \
+        res.branchTaken = v != 0;                                       \
+        res.branchTarget = static_cast<uint32_t>(inst.imm);             \
+        res.branchFallthrough = core.pc + 1;                            \
+        nextPc = v ? res.branchTarget : res.branchFallthrough;          \
+        break;                                                          \
+      }
+#define PE_STEP_BY_HAND(op, cls, field)
+      PE_OPCODE_TABLE(PE_STEP_CASE, PE_STEP_BY_HAND)
+#undef PE_STEP_CASE
+#undef PE_STEP_BY_HAND
+
       case Opcode::Nop:
-        break;
-
-      case Opcode::Add:
-        core.writeReg(inst.rd, wrapAdd(rs1(), rs2()));
-        break;
-      case Opcode::Sub:
-        core.writeReg(inst.rd, wrapSub(rs1(), rs2()));
-        break;
-      case Opcode::Mul:
-        core.writeReg(inst.rd, wrapMul(rs1(), rs2()));
-        break;
-      case Opcode::Div: {
-        int32_t divisor = rs2();
-        if (divisor == 0) {
-            res.crash = CrashKind::DivByZero;
-            return res;
-        }
-        core.writeReg(inst.rd, safeDiv(rs1(), divisor));
-        break;
-      }
-      case Opcode::Rem: {
-        int32_t divisor = rs2();
-        if (divisor == 0) {
-            res.crash = CrashKind::DivByZero;
-            return res;
-        }
-        core.writeReg(inst.rd, safeRem(rs1(), divisor));
-        break;
-      }
-      case Opcode::And:
-        core.writeReg(inst.rd, rs1() & rs2());
-        break;
-      case Opcode::Or:
-        core.writeReg(inst.rd, rs1() | rs2());
-        break;
-      case Opcode::Xor:
-        core.writeReg(inst.rd, rs1() ^ rs2());
-        break;
-      case Opcode::Shl:
-        core.writeReg(inst.rd, static_cast<int32_t>(
-            static_cast<uint32_t>(rs1()) << (rs2() & 31)));
-        break;
-      case Opcode::Shr:
-        core.writeReg(inst.rd, static_cast<int32_t>(
-            static_cast<uint32_t>(rs1()) >> (rs2() & 31)));
-        break;
-      case Opcode::Sra:
-        core.writeReg(inst.rd, rs1() >> (rs2() & 31));
-        break;
-      case Opcode::Slt:
-        core.writeReg(inst.rd, rs1() < rs2() ? 1 : 0);
-        break;
-      case Opcode::Sle:
-        core.writeReg(inst.rd, rs1() <= rs2() ? 1 : 0);
-        break;
-      case Opcode::Seq:
-        core.writeReg(inst.rd, rs1() == rs2() ? 1 : 0);
-        break;
-      case Opcode::Sne:
-        core.writeReg(inst.rd, rs1() != rs2() ? 1 : 0);
-        break;
-      case Opcode::Sgt:
-        core.writeReg(inst.rd, rs1() > rs2() ? 1 : 0);
-        break;
-      case Opcode::Sge:
-        core.writeReg(inst.rd, rs1() >= rs2() ? 1 : 0);
-        break;
-
-      case Opcode::Addi:
-        core.writeReg(inst.rd, wrapAdd(rs1(), inst.imm));
-        break;
-      case Opcode::Andi:
-        core.writeReg(inst.rd, rs1() & inst.imm);
-        break;
-      case Opcode::Ori:
-        core.writeReg(inst.rd, rs1() | inst.imm);
-        break;
-      case Opcode::Xori:
-        core.writeReg(inst.rd, rs1() ^ inst.imm);
-        break;
-      case Opcode::Shli:
-        core.writeReg(inst.rd, static_cast<int32_t>(
-            static_cast<uint32_t>(rs1()) << (inst.imm & 31)));
-        break;
-      case Opcode::Shri:
-        core.writeReg(inst.rd, static_cast<int32_t>(
-            static_cast<uint32_t>(rs1()) >> (inst.imm & 31)));
-        break;
-      case Opcode::Slti:
-        core.writeReg(inst.rd, rs1() < inst.imm ? 1 : 0);
-        break;
-      case Opcode::Li:
-        core.writeReg(inst.rd, inst.imm);
         break;
 
       case Opcode::Ld: {
@@ -203,32 +142,6 @@ step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
             return res;
         }
         res.memWrite = true;
-        break;
-      }
-
-      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
-      case Opcode::Bge: case Opcode::Ble: case Opcode::Bgt: {
-        int32_t a = rs1();
-        int32_t b = rs2();
-        bool taken = false;
-        switch (inst.op) {
-          case Opcode::Beq: taken = a == b; break;
-          case Opcode::Bne: taken = a != b; break;
-          case Opcode::Blt: taken = a < b; break;
-          case Opcode::Bge: taken = a >= b; break;
-          case Opcode::Ble: taken = a <= b; break;
-          case Opcode::Bgt: taken = a > b; break;
-          default: break;
-        }
-        if (!validCode(inst.imm)) {
-            res.crash = CrashKind::BadJump;
-            return res;
-        }
-        res.branch = true;
-        res.branchTaken = taken;
-        res.branchTarget = static_cast<uint32_t>(inst.imm);
-        res.branchFallthrough = core.pc + 1;
-        nextPc = taken ? static_cast<uint32_t>(inst.imm) : core.pc + 1;
         break;
       }
 

@@ -1,8 +1,14 @@
 /**
  * @file
- * The PE-RISC interpreter: executes one instruction at a time against
- * a Core, a (possibly versioned) memory view and an I/O channel, and
- * reports what happened as a StepResult.
+ * The PE-RISC per-step interpreter: executes one pre-decoded
+ * instruction against a Core, a (possibly versioned) memory view and
+ * an I/O channel, and reports what happened as a StepResult.
+ *
+ * `step` is the tier that runs everything: memory traffic, syscalls,
+ * detector hooks and crashes are handled here and nowhere else, while
+ * its ALU, immediate, trapping and branch cases are generated from
+ * the opcode table (optable.hh) that the bulk tiers (decoded.hh,
+ * superblock.hh) dispatch through too.
  *
  * The interpreter is deliberately policy-free; PathExpander policy
  * (NT-Path selection, sandboxing, termination, detector invocation,
@@ -15,6 +21,7 @@
 #include "src/isa/program.hh"
 #include "src/mem/versioned_buffer.hh"
 #include "src/sim/core.hh"
+#include "src/sim/decoded.hh"
 #include "src/sim/events.hh"
 #include "src/sim/io.hh"
 
@@ -39,7 +46,7 @@ void loadProgram(const isa::Program &program, mem::MainMemory &memory,
                  Core &core, const MachineLayout &layout);
 
 /**
- * Execute the instruction at @p core.pc.
+ * Execute the instruction of @p decoded at @p core.pc.
  *
  * @param allowIo false while running an NT-Path: a non-Exit syscall
  *                then becomes an unsafe event (no side effect, PC not
@@ -47,8 +54,9 @@ void loadProgram(const isa::Program &program, mem::MainMemory &memory,
  * @return the event record; on crash or unsafe event the PC is left
  *         at the faulting instruction.
  */
-StepResult step(const isa::Program &program, Core &core, mem::MemCtx &ctx,
-                IoChannel &io, bool allowIo, const MachineLayout &layout);
+StepResult step(const DecodedProgram &decoded, Core &core,
+                mem::MemCtx &ctx, IoChannel &io, bool allowIo,
+                const MachineLayout &layout);
 
 } // namespace pe::sim
 

@@ -1,13 +1,11 @@
 /**
  * @file
- * The pruned re-decode image and the uninstrumented superblock loop.
+ * The pruned re-decode image.
  */
 
 #include "src/sim/superblock.hh"
 
 #include "src/support/status.hh"
-
-#include "src/sim/arith.hh"
 
 namespace pe::sim
 {
@@ -20,9 +18,10 @@ SuperblockCache::SuperblockCache(const DecodedProgram &decoded,
       promotedBits(decoded.size(), false)
 {
     for (uint32_t pc = 0; pc < pruned.size(); ++pc) {
-        HandlerKind k = pruned[pc].kind;
-        if (k < HandlerKind::Beq)
+        if (pruned[pc].kind == HandlerKind::Surface ||
+            pruned[pc].cls != OpClass::Branch) {
             continue;
+        }
         // Every conditional branch starts demoted: the instrumented
         // path owns it until runtime saturation promotes it.
         pruned[pc].kind = HandlerKind::Surface;
@@ -49,322 +48,6 @@ SuperblockCache::demoteAll(uint64_t newEpoch)
     }
     promotedPcs.clear();
     curEpoch = newEpoch;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PE_COMPUTED_GOTO 1
-#endif
-
-SuperOut
-runSuperblock(const SuperblockCache &cache, Core &core,
-              uint64_t maxInstructions, bool inertChecks)
-{
-    // The pruned path never runs at an NT entrance, so the predicated
-    // prologue of runBlock has nothing to do here.
-    pe_assert(!core.ntEntryPred, "superblock at an NT entrance");
-
-    SuperOut out;
-    const DecodedInst *const insts = cache.data();
-    const uint32_t codeSize = cache.size();
-    uint32_t pc = core.pc;
-    uint64_t left = maxInstructions;
-    uint64_t cycles = 0;
-    uint64_t branches = 0;
-
-    const DecodedInst *di;
-
-#define PE_RETIRE(NEXT)                                                 \
-    do {                                                                \
-        --left;                                                         \
-        cycles += di->cost;                                             \
-        pc = (NEXT);                                                    \
-    } while (0)
-
-#ifdef PE_COMPUTED_GOTO
-
-    // Indexed by HandlerKind, like runBlock's table.  Pfix/Pfixst
-    // dispatch to H_Nop (the predicate is clear by the assertion
-    // above); branch kinds only appear in the pruned image while
-    // promoted, and then execute unconditionally.
-    static const void *const kDispatch[] = {
-        &&H_Surface, &&H_Nop,
-        &&H_Add, &&H_Sub, &&H_Mul, &&H_Div, &&H_Rem,
-        &&H_And, &&H_Or, &&H_Xor, &&H_Shl, &&H_Shr, &&H_Sra,
-        &&H_Slt, &&H_Sle, &&H_Seq, &&H_Sne, &&H_Sgt, &&H_Sge,
-        &&H_Addi, &&H_Andi, &&H_Ori, &&H_Xori, &&H_Shli, &&H_Shri,
-        &&H_Slti, &&H_Li,
-        &&H_Jmp, &&H_Jal, &&H_Jr,
-        &&H_Nop /* Pfix */, &&H_Nop /* Pfixst */,
-        &&H_Inert /* Chkb */, &&H_Inert /* Assert */,
-        &&H_Beq, &&H_Bne, &&H_Blt, &&H_Bge, &&H_Ble, &&H_Bgt,
-    };
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                  static_cast<size_t>(HandlerKind::NumHandlerKinds));
-
-#define PE_DISPATCH()                                                   \
-    do {                                                                \
-        if (left == 0 || pc >= codeSize)                                \
-            goto H_Done;                                                \
-        di = insts + pc;                                                \
-        goto *kDispatch[static_cast<uint8_t>(di->kind)];                \
-    } while (0)
-
-#define PE_BINOP(EXPR)                                                  \
-    do {                                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = core.readReg(di->rs2);                              \
-        core.writeReg(di->rd, (EXPR));                                  \
-        PE_RETIRE(pc + 1);                                              \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-// A promoted branch's entire architectural effect: resolve, redirect,
-// charge base opcode cost.  Coverage and BTB stay untouched — the
-// promotion predicate proved every elided write a no-op.
-#define PE_BRANCH(COND)                                                 \
-    do {                                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = core.readReg(di->rs2);                              \
-        bool taken = (COND);                                            \
-        ++branches;                                                     \
-        PE_RETIRE(taken ? static_cast<uint32_t>(di->imm) : pc + 1);     \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-#define PE_IMMOP(EXPR)                                                  \
-    do {                                                                \
-        int32_t a = core.readReg(di->rs1);                              \
-        int32_t b = di->imm;                                            \
-        (void)b;                                                        \
-        core.writeReg(di->rd, (EXPR));                                  \
-        PE_RETIRE(pc + 1);                                              \
-        PE_DISPATCH();                                                  \
-    } while (0)
-
-    PE_DISPATCH();
-
-  H_Nop:
-    PE_RETIRE(pc + 1);
-    PE_DISPATCH();
-
-  H_Add: PE_BINOP(wrapAdd(a, b));
-  H_Sub: PE_BINOP(wrapSub(a, b));
-  H_Mul: PE_BINOP(wrapMul(a, b));
-  H_Div: {
-        int32_t b = core.readReg(di->rs2);
-        if (b == 0)
-            goto H_Done;    // surfaces: step() raises DivByZero
-        core.writeReg(di->rd, safeDiv(core.readReg(di->rs1), b));
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-  H_Rem: {
-        int32_t b = core.readReg(di->rs2);
-        if (b == 0)
-            goto H_Done;
-        core.writeReg(di->rd, safeRem(core.readReg(di->rs1), b));
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-  H_And: PE_BINOP(a & b);
-  H_Or:  PE_BINOP(a | b);
-  H_Xor: PE_BINOP(a ^ b);
-  H_Shl: PE_BINOP(static_cast<int32_t>(static_cast<uint32_t>(a)
-                                       << (b & 31)));
-  H_Shr: PE_BINOP(static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                       (b & 31)));
-  H_Sra: PE_BINOP(a >> (b & 31));
-  H_Slt: PE_BINOP(a < b ? 1 : 0);
-  H_Sle: PE_BINOP(a <= b ? 1 : 0);
-  H_Seq: PE_BINOP(a == b ? 1 : 0);
-  H_Sne: PE_BINOP(a != b ? 1 : 0);
-  H_Sgt: PE_BINOP(a > b ? 1 : 0);
-  H_Sge: PE_BINOP(a >= b ? 1 : 0);
-
-  H_Addi: PE_IMMOP(wrapAdd(a, b));
-  H_Andi: PE_IMMOP(a & b);
-  H_Ori:  PE_IMMOP(a | b);
-  H_Xori: PE_IMMOP(a ^ b);
-  H_Shli: PE_IMMOP(static_cast<int32_t>(static_cast<uint32_t>(a)
-                                        << (b & 31)));
-  H_Shri: PE_IMMOP(static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                        (b & 31)));
-  H_Slti: PE_IMMOP(a < b ? 1 : 0);
-  H_Li: {
-        core.writeReg(di->rd, di->imm);
-        PE_RETIRE(pc + 1);
-        PE_DISPATCH();
-    }
-
-  H_Jmp:
-    PE_RETIRE(static_cast<uint32_t>(di->imm));   // validated at decode
-    PE_DISPATCH();
-  H_Jal:
-    core.writeReg(di->rd, static_cast<int32_t>(pc + 1));
-    PE_RETIRE(static_cast<uint32_t>(di->imm));
-    PE_DISPATCH();
-  H_Jr: {
-        int32_t target = core.readReg(di->rs1);
-        if (target < 0 || static_cast<uint32_t>(target) >= codeSize)
-            goto H_Done;    // surfaces: step() raises BadJump
-        PE_RETIRE(static_cast<uint32_t>(target));
-        PE_DISPATCH();
-    }
-
-  H_Inert:
-    if (!inertChecks)
-        goto H_Done;
-    PE_RETIRE(pc + 1);
-    PE_DISPATCH();
-
-  H_Beq: PE_BRANCH(a == b);
-  H_Bne: PE_BRANCH(a != b);
-  H_Blt: PE_BRANCH(a < b);
-  H_Bge: PE_BRANCH(a >= b);
-  H_Ble: PE_BRANCH(a <= b);
-  H_Bgt: PE_BRANCH(a > b);
-
-  H_Surface:
-  H_Done:;
-
-#undef PE_DISPATCH
-#undef PE_BINOP
-#undef PE_BRANCH
-#undef PE_IMMOP
-
-#else // !PE_COMPUTED_GOTO — portable switch dispatch
-
-    for (;;) {
-        if (left == 0 || pc >= codeSize)
-            break;
-        di = insts + pc;
-        const int32_t a = core.readReg(di->rs1);
-        bool stop = false;
-        switch (di->kind) {
-          case HandlerKind::Surface:
-            stop = true;
-            break;
-          case HandlerKind::Nop:
-          case HandlerKind::Pfix:       // predicate clear: NOP
-          case HandlerKind::Pfixst:
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Div:
-          case HandlerKind::Rem: {
-            int32_t b = core.readReg(di->rs2);
-            if (b == 0) {
-                stop = true;
-                break;
-            }
-            core.writeReg(di->rd, di->kind == HandlerKind::Div
-                                      ? safeDiv(a, b)
-                                      : safeRem(a, b));
-            PE_RETIRE(pc + 1);
-            break;
-          }
-          case HandlerKind::Jmp:
-            PE_RETIRE(static_cast<uint32_t>(di->imm));
-            break;
-          case HandlerKind::Jal:
-            core.writeReg(di->rd, static_cast<int32_t>(pc + 1));
-            PE_RETIRE(static_cast<uint32_t>(di->imm));
-            break;
-          case HandlerKind::Jr: {
-            int32_t target = a;
-            if (target < 0 ||
-                static_cast<uint32_t>(target) >= codeSize) {
-                stop = true;
-                break;
-            }
-            PE_RETIRE(static_cast<uint32_t>(target));
-            break;
-          }
-          case HandlerKind::Li:
-            core.writeReg(di->rd, di->imm);
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Chkb:
-          case HandlerKind::Assert:
-            if (!inertChecks) {
-                stop = true;
-                break;
-            }
-            PE_RETIRE(pc + 1);
-            break;
-          case HandlerKind::Beq: case HandlerKind::Bne:
-          case HandlerKind::Blt: case HandlerKind::Bge:
-          case HandlerKind::Ble: case HandlerKind::Bgt: {
-            int32_t b = core.readReg(di->rs2);
-            bool taken = false;
-            switch (di->kind) {
-              case HandlerKind::Beq: taken = a == b; break;
-              case HandlerKind::Bne: taken = a != b; break;
-              case HandlerKind::Blt: taken = a < b; break;
-              case HandlerKind::Bge: taken = a >= b; break;
-              case HandlerKind::Ble: taken = a <= b; break;
-              case HandlerKind::Bgt: taken = a > b; break;
-              default: break;
-            }
-            ++branches;
-            PE_RETIRE(taken ? static_cast<uint32_t>(di->imm)
-                            : pc + 1);
-            break;
-          }
-          default: {
-            const bool immOp = di->kind >= HandlerKind::Addi &&
-                               di->kind <= HandlerKind::Slti;
-            const int32_t b =
-                immOp ? di->imm : core.readReg(di->rs2);
-            int32_t v = 0;
-            switch (di->kind) {
-              case HandlerKind::Add:
-              case HandlerKind::Addi: v = wrapAdd(a, b); break;
-              case HandlerKind::Sub:  v = wrapSub(a, b); break;
-              case HandlerKind::Mul:  v = wrapMul(a, b); break;
-              case HandlerKind::And:
-              case HandlerKind::Andi: v = a & b; break;
-              case HandlerKind::Or:
-              case HandlerKind::Ori:  v = a | b; break;
-              case HandlerKind::Xor:
-              case HandlerKind::Xori: v = a ^ b; break;
-              case HandlerKind::Shl:
-              case HandlerKind::Shli:
-                v = static_cast<int32_t>(static_cast<uint32_t>(a)
-                                         << (b & 31));
-                break;
-              case HandlerKind::Shr:
-              case HandlerKind::Shri:
-                v = static_cast<int32_t>(static_cast<uint32_t>(a) >>
-                                         (b & 31));
-                break;
-              case HandlerKind::Sra:  v = a >> (b & 31); break;
-              case HandlerKind::Slt:
-              case HandlerKind::Slti: v = a < b ? 1 : 0; break;
-              case HandlerKind::Sle:  v = a <= b ? 1 : 0; break;
-              case HandlerKind::Seq:  v = a == b ? 1 : 0; break;
-              case HandlerKind::Sne:  v = a != b ? 1 : 0; break;
-              case HandlerKind::Sgt:  v = a > b ? 1 : 0; break;
-              case HandlerKind::Sge:  v = a >= b ? 1 : 0; break;
-              default: break;
-            }
-            core.writeReg(di->rd, v);
-            PE_RETIRE(pc + 1);
-            break;
-          }
-        }
-        if (stop)
-            break;
-    }
-
-#endif // PE_COMPUTED_GOTO
-
-#undef PE_RETIRE
-
-    core.pc = pc;
-    out.instructions = maxInstructions - left;
-    out.cycles = cycles;
-    out.branches = branches;
-    return out;
 }
 
 } // namespace pe::sim

@@ -1,7 +1,7 @@
 /**
  * @file
  * Self-pruning instrumentation: the saturated-region superblock cache
- * and its uninstrumented execution loop.
+ * and the superblock tier that runs it.
  *
  * PathExpander pays a per-branch tax on the taken path forever —
  * surface to the engine, write a coverage bit, bump a BTB exercise
@@ -10,15 +10,15 @@
  * write is an idempotent no-op), the consulted counters at their
  * saturation cap (the bump is a value no-op and the spawn compare can
  * never pass), and every remaining NT edge statically waived (tagged
- * no-spawn or prior-doomed).  The superblock cache re-decodes such
- * *saturated* branches into directly executable form: a per-run copy
- * of the engine's `DecodedProgram` image in which every conditional
- * branch starts demoted to `Surface`, and a runtime *promotion* flips
- * a saturated branch back to its executable kind.  `runSuperblock`
- * then streams straight-line work *and promoted branches* in one
- * tight dispatch loop — no StepResult, no coverage writes, no counter
- * bumps, no spawn checks — so consecutive saturated regions chain
- * into superblocks bounded only by the caller's budget.
+ * no-spawn or prior-doomed).  The superblock cache keeps a per-run
+ * copy of the engine's `DecodedProgram` image in which every
+ * conditional branch starts demoted to `Surface`; a runtime
+ * *promotion* flips a saturated branch back to its opcode's kind.
+ * `runSuperblock` is the shared dispatch loop (dispatch.cc) under the
+ * superblock tier policy: straight-line work *and promoted branches*,
+ * no StepResult, no coverage writes, no counter bumps, no spawn
+ * checks, no cycle budget — so consecutive saturated regions chain
+ * into superblocks bounded only by the caller's instruction budget.
  *
  * Invalidation is by counter-reset epoch: `Btb::resetCounters` bumps
  * an epoch, the engine passes the current epoch to `syncEpoch` once
@@ -113,12 +113,9 @@ class SuperblockCache
     {
         if (pc >= pruned.size())
             return false;
-        HandlerKind k = pruned[pc].kind;
-        if (k == HandlerKind::Surface)
-            return false;
-        if (k == HandlerKind::Chkb || k == HandlerKind::Assert)
-            return inertChecks;
-        return true;
+        const DecodedInst &di = pruned[pc];
+        return di.kind != HandlerKind::Surface &&
+               (di.cls != OpClass::Check || inertChecks);
     }
 
     uint32_t size() const { return static_cast<uint32_t>(pruned.size()); }
@@ -139,15 +136,15 @@ class SuperblockCache
 };
 
 /**
- * Execute instructions from @p cache's pruned image starting at
- * @p core.pc: straight-line work exactly as `runBlock` would run it,
- * plus promoted conditional branches executed inline (resolve,
- * redirect, charge base opcode cost — nothing else).  Stops before
- * the first Surface-kind instruction (memory ops, syscalls,
- * unpromoted branches, detector ops unless @p inertChecks, runtime
- * Div/Rem-by-zero and invalid Jr, which surface so the instrumented
- * path raises the crash identically) and after at most
- * @p maxInstructions.
+ * The superblock tier: execute instructions from @p cache's pruned
+ * image starting at @p core.pc — straight-line work exactly as
+ * `runBlock` would run it, plus promoted conditional branches
+ * executed inline (resolve, redirect, charge base opcode cost —
+ * nothing else).  Stops before the first Surface-kind instruction
+ * (memory ops, syscalls, unpromoted branches, detector ops unless
+ * @p inertChecks, runtime Div/Rem-by-zero and invalid Jr, which
+ * surface so the instrumented path raises the crash identically) and
+ * after at most @p maxInstructions.
  *
  * The caller guarantees the NT-entry predicate is clear (the pruned
  * path runs only on the primary taken path, never at an NT entrance),

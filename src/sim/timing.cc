@@ -1,9 +1,11 @@
 /**
  * @file
- * Opcode cost table.
+ * Opcode costs, read from the opcode table's cost column.
  */
 
 #include "src/sim/timing.hh"
+
+#include "src/sim/optable.hh"
 
 namespace pe::sim
 {
@@ -11,28 +13,12 @@ namespace pe::sim
 uint64_t
 opcodeCost(const TimingConfig &t, isa::Opcode op)
 {
-    using isa::Opcode;
     switch (op) {
-      case Opcode::Mul:
-        return t.mulCost;
-      case Opcode::Div:
-      case Opcode::Rem:
-        return t.divCost;
-      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
-      case Opcode::Bge: case Opcode::Ble: case Opcode::Bgt:
-        return t.branchCost;
-      case Opcode::Jmp: case Opcode::Jal: case Opcode::Jr:
-        return t.jumpCost;
-      case Opcode::Sys:
-        return t.sysCost;
-      case Opcode::Alloc:
-        return t.allocCost;
-      case Opcode::Regobj: case Opcode::Unregobj:
-        return t.regObjCost;
-      case Opcode::Pfix: case Opcode::Pfixst:
-        return t.fixCost;
-      default:
-        return t.aluCost;
+#define PE_COST(opcode, cls, cost, ...)                                 \
+      case isa::Opcode::opcode: return t.cost;
+      PE_OPCODE_TABLE(PE_COST, PE_COST)
+#undef PE_COST
+      default: return t.aluCost;
     }
 }
 

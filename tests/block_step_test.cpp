@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,60 +23,15 @@
 #include "src/detect/detector.hh"
 #include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
-#include "src/support/rng.hh"
 #include "src/workloads/workload.hh"
+#include "tier_identity.hh"
 
 namespace
 {
 
 using namespace pe;
-
-void
-expectIdentical(const core::RunResult &blk, const core::RunResult &leg)
-{
-    EXPECT_EQ(blk.programCrashed, leg.programCrashed);
-    EXPECT_EQ(blk.programCrashKind, leg.programCrashKind);
-    EXPECT_EQ(blk.hitInstructionLimit, leg.hitInstructionLimit);
-    EXPECT_EQ(blk.takenInstructions, leg.takenInstructions);
-    EXPECT_EQ(blk.ntInstructions, leg.ntInstructions);
-    EXPECT_EQ(blk.cycles, leg.cycles);
-    EXPECT_EQ(blk.ntPathsSpawned, leg.ntPathsSpawned);
-    EXPECT_EQ(blk.ntPathsSkippedBusy, leg.ntPathsSkippedBusy);
-    EXPECT_EQ(blk.l2ContentionCycles, leg.l2ContentionCycles);
-    EXPECT_EQ(blk.coreCycles, leg.coreCycles);
-    EXPECT_EQ(blk.memoryDigest, leg.memoryDigest);
-    EXPECT_EQ(blk.io.intOutput, leg.io.intOutput);
-    EXPECT_EQ(blk.io.charOutput, leg.io.charOutput);
-    EXPECT_EQ(blk.io.inputPos, leg.io.inputPos);
-    EXPECT_EQ(blk.coverage.takenWords(), leg.coverage.takenWords());
-    EXPECT_EQ(blk.coverage.ntWords(), leg.coverage.ntWords());
-
-    ASSERT_EQ(blk.ntRecords.size(), leg.ntRecords.size());
-    for (size_t i = 0; i < blk.ntRecords.size(); ++i) {
-        SCOPED_TRACE("ntRecord " + std::to_string(i));
-        const auto &a = blk.ntRecords[i];
-        const auto &b = leg.ntRecords[i];
-        EXPECT_EQ(a.spawnBranchPc, b.spawnBranchPc);
-        EXPECT_EQ(a.spawnEdgeTaken, b.spawnEdgeTaken);
-        EXPECT_EQ(a.length, b.length);
-        EXPECT_EQ(a.cause, b.cause);
-        EXPECT_EQ(a.crashKind, b.crashKind);
-    }
-
-    ASSERT_EQ(blk.monitor.reports().size(), leg.monitor.reports().size());
-    for (size_t i = 0; i < blk.monitor.reports().size(); ++i) {
-        SCOPED_TRACE("report " + std::to_string(i));
-        const auto &a = blk.monitor.reports()[i];
-        const auto &b = leg.monitor.reports()[i];
-        EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.addr, b.addr);
-        EXPECT_EQ(a.assertId, b.assertId);
-        EXPECT_EQ(a.fromNtPath, b.fromNtPath);
-        EXPECT_EQ(a.ntSpawnPc, b.ntSpawnPc);
-        EXPECT_EQ(a.site, b.site);
-    }
-}
+using test::expectIdentical;
+using test::generateProgram;
 
 /**
  * Run @p program on @p input under @p cfg twice — block-stepped and
@@ -242,97 +196,12 @@ TEST(BlockStepCorners, InstructionLimit)
 }
 
 // ---------------------------------------------------------------------
-// Random programs.  The generator mixes plain ALU runs (the block fast
-// path), div/rem by a possibly-zero register (crash-capable: must
-// surface so the legacy step reproduces the fault at the same PC),
-// masked loads/stores and forward branches, inside a counted loop.
+// Random programs from the shared generator (tier_identity.hh).  It
+// mixes plain ALU runs (the block fast path), div/rem by a
+// possibly-zero register (crash-capable: must surface so the legacy
+// step reproduces the fault at the same PC), masked loads/stores and
+// forward branches, inside a counted loop.
 // ---------------------------------------------------------------------
-
-std::string
-generateProgram(uint64_t seed)
-{
-    Rng rng(seed);
-    std::ostringstream out;
-    out << ".data acc 0\n.array buf 16\n";
-
-    for (int r = 8; r <= 15; ++r)
-        out << "li r" << r << ", " << rng.nextRange(-50, 50) << "\n";
-    out << "li r20, " << rng.nextRange(2, 5) << "\n";
-    out << "outer:\n";
-
-    int blocks = static_cast<int>(rng.nextRange(4, 8));
-    for (int b = 0; b < blocks; ++b) {
-        int ops = static_cast<int>(rng.nextRange(3, 8));
-        for (int i = 0; i < ops; ++i) {
-            int rd = static_cast<int>(rng.nextRange(8, 15));
-            int rs1 = static_cast<int>(rng.nextRange(8, 15));
-            int rs2 = static_cast<int>(rng.nextRange(8, 15));
-            switch (rng.nextBelow(9)) {
-              case 0:
-                out << "add r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 1:
-                out << "sub r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 2:
-                out << "mul r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 3:
-                out << "xor r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 4:
-                out << "slt r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 5:
-                // Crash-capable: rs2 may hold zero on some path.
-                out << "div r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 6:
-                out << "rem r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 7: {
-                out << "andi r28, r" << rs1 << ", 15\n"
-                    << "li r29, buf\n"
-                    << "add r28, r28, r29\n"
-                    << "st r" << rs2 << ", 0(r28)\n";
-                break;
-              }
-              default: {
-                out << "andi r28, r" << rs1 << ", 15\n"
-                    << "li r29, buf\n"
-                    << "add r28, r28, r29\n"
-                    << "ld r" << rd << ", 0(r28)\n";
-                break;
-              }
-            }
-        }
-        int rs1 = static_cast<int>(rng.nextRange(8, 15));
-        int rs2 = static_cast<int>(rng.nextRange(8, 15));
-        const char *cond =
-            (const char *[]){"beq", "bne", "blt", "bge"}[rng.nextBelow(
-                4)];
-        out << cond << " r" << rs1 << ", r" << rs2 << ", blk" << seed
-            << "_" << b + 1 << "\n";
-        out << "addi r" << rs1 << ", r" << rs1 << ", 1\n";
-        out << "blk" << seed << "_" << b + 1 << ":\n";
-    }
-
-    out << "addi r20, r20, -1\n"
-        << "bgt r20, r0, outer\n";
-    out << "li r21, 0\n";
-    for (int r = 8; r <= 15; ++r)
-        out << "xor r21, r21, r" << r << "\n";
-    out << "sys print_int r21\n"
-        << "sys exit\n";
-    return out.str();
-}
 
 TEST(BlockStepRandom, SeedSweepIsBitIdentical)
 {
@@ -340,7 +209,7 @@ TEST(BlockStepRandom, SeedSweepIsBitIdentical)
     for (uint64_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto program =
-            isa::assemble(generateProgram(seed),
+            isa::assemble(generateProgram(seed, 2, 5),
                           "blockstep_" + std::to_string(seed));
         for (auto mode : {core::PeMode::Off, core::PeMode::Standard,
                           core::PeMode::Cmp}) {

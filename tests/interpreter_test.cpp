@@ -26,6 +26,7 @@ struct Rig
     {
         program.code = std::move(code);
         program.heapBase = 64;
+        decoded = DecodedProgram(program, TimingConfig{});
         loadProgram(program, memory, core, layout);
         io.input = std::move(input);
     }
@@ -33,7 +34,7 @@ struct Rig
     StepResult stepOnce(bool allowIo = true)
     {
         mem::MemCtx ctx(memory, buf);
-        return step(program, core, ctx, io, allowIo, layout);
+        return step(decoded, core, ctx, io, allowIo, layout);
     }
 
     /** Run to exit/crash, with a step limit. */
@@ -51,6 +52,7 @@ struct Rig
 
     MachineLayout layout;
     isa::Program program;
+    DecodedProgram decoded;
     mem::MainMemory memory;
     Core core;
     IoChannel io;

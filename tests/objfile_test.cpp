@@ -2,11 +2,13 @@
  * @file
  * Object-format tests: round-tripping every workload program through
  * the binary encoding preserves behaviour bit-for-bit, and malformed
- * inputs produce clean diagnostics.
+ * inputs produce clean diagnostics — including fields that decode but
+ * that the simulator cannot run.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "src/core/engine.hh"
@@ -117,6 +119,87 @@ TEST(ObjFile, RejectsTruncation)
         EXPECT_THROW(isa::loadObject(truncated), FatalError)
             << "cut at " << cut;
     }
+}
+
+/** The saved bytes of a tiny program, with @p patch applied. */
+std::string
+patchedObject(const std::function<void(std::string &)> &patch)
+{
+    isa::Program program;
+    program.name = "p";
+    program.code = {isa::makeLi(8, 1), isa::makeR(isa::Opcode::Add, 9, 8, 8),
+                    isa::makeSys(isa::Syscall::Exit)};
+    program.dataInit = {5, 6};
+    program.heapBase = program.dataBase + 2;
+    std::stringstream buf;
+    isa::saveObject(program, buf);
+    std::string bytes = buf.str();
+    patch(bytes);
+    return bytes;
+}
+
+// magic (8) + name (4 + 1) + dataBase, heapBase, entry, blankAddr +
+// code count (4): the first code word starts here.
+constexpr size_t kDataBaseAt = 8 + 4 + 1;
+constexpr size_t kCodeAt = kDataBaseAt + 4 * 4 + 4;
+
+void
+putLe(std::string &bytes, size_t at, uint64_t v, int width)
+{
+    for (int i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/** Loading @p bytes throws a FatalError whose message names @p what. */
+void
+expectRefused(const std::string &bytes, const std::string &what)
+{
+    std::stringstream in(bytes);
+    try {
+        isa::loadObject(in);
+        ADD_FAILURE() << "loaded a malformed object; expected: " << what;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ObjFile, RejectsOpcodeOutOfRange)
+{
+    // Instruction 1's opcode byte (the top byte of its code word).
+    expectRefused(patchedObject([](std::string &b) {
+                      putLe(b, kCodeAt + 8 + 7, 200, 1);
+                  }),
+                  "instruction 1: opcode byte 200");
+}
+
+TEST(ObjFile, RejectsRegisterOutOfRange)
+{
+    // Instruction 1 (add r9, r8, r8) with rd = 40: bits [55:50].
+    isa::Instruction add = isa::makeR(isa::Opcode::Add, 9, 8, 8);
+    uint64_t word = isa::encode(add);
+    word = (word & ~(uint64_t{0x3f} << 50)) | (uint64_t{40} << 50);
+    expectRefused(patchedObject([&](std::string &b) {
+                      putLe(b, kCodeAt + 8, word, 8);
+                  }),
+                  "instruction 1: rd register 40");
+}
+
+TEST(ObjFile, RejectsUnknownSyscall)
+{
+    // Instruction 2 (sys exit) with selector 9: the immediate.
+    expectRefused(patchedObject([](std::string &b) {
+                      putLe(b, kCodeAt + 16, 9, 4);
+                  }),
+                  "instruction 2: sys selector 9");
+}
+
+TEST(ObjFile, RejectsDataSegmentPastTheHeap)
+{
+    expectRefused(patchedObject([](std::string &b) {
+                      putLe(b, kDataBaseAt, 0xfffff000u, 4);
+                  }),
+                  "dataBase 4294963200");
 }
 
 TEST(ObjFile, FileRoundTrip)

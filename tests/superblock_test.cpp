@@ -31,62 +31,15 @@
 #include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
 #include "src/sim/superblock.hh"
-#include "src/support/rng.hh"
 #include "src/workloads/workload.hh"
+#include "tier_identity.hh"
 
 namespace
 {
 
 using namespace pe;
-
-/** Field-by-field identity, excluding the prunedInstructions diagnostic. */
-void
-expectIdentical(const core::RunResult &pruned, const core::RunResult &plain)
-{
-    EXPECT_EQ(pruned.programCrashed, plain.programCrashed);
-    EXPECT_EQ(pruned.programCrashKind, plain.programCrashKind);
-    EXPECT_EQ(pruned.hitInstructionLimit, plain.hitInstructionLimit);
-    EXPECT_EQ(pruned.takenInstructions, plain.takenInstructions);
-    EXPECT_EQ(pruned.ntInstructions, plain.ntInstructions);
-    EXPECT_EQ(pruned.cycles, plain.cycles);
-    EXPECT_EQ(pruned.ntPathsSpawned, plain.ntPathsSpawned);
-    EXPECT_EQ(pruned.ntPathsSkippedBusy, plain.ntPathsSkippedBusy);
-    EXPECT_EQ(pruned.l2ContentionCycles, plain.l2ContentionCycles);
-    EXPECT_EQ(pruned.coreCycles, plain.coreCycles);
-    EXPECT_EQ(pruned.memoryDigest, plain.memoryDigest);
-    EXPECT_EQ(pruned.io.intOutput, plain.io.intOutput);
-    EXPECT_EQ(pruned.io.charOutput, plain.io.charOutput);
-    EXPECT_EQ(pruned.io.inputPos, plain.io.inputPos);
-    EXPECT_EQ(pruned.coverage.takenWords(), plain.coverage.takenWords());
-    EXPECT_EQ(pruned.coverage.ntWords(), plain.coverage.ntWords());
-
-    ASSERT_EQ(pruned.ntRecords.size(), plain.ntRecords.size());
-    for (size_t i = 0; i < pruned.ntRecords.size(); ++i) {
-        SCOPED_TRACE("ntRecord " + std::to_string(i));
-        const auto &a = pruned.ntRecords[i];
-        const auto &b = plain.ntRecords[i];
-        EXPECT_EQ(a.spawnBranchPc, b.spawnBranchPc);
-        EXPECT_EQ(a.spawnEdgeTaken, b.spawnEdgeTaken);
-        EXPECT_EQ(a.length, b.length);
-        EXPECT_EQ(a.cause, b.cause);
-        EXPECT_EQ(a.crashKind, b.crashKind);
-    }
-
-    ASSERT_EQ(pruned.monitor.reports().size(),
-              plain.monitor.reports().size());
-    for (size_t i = 0; i < pruned.monitor.reports().size(); ++i) {
-        SCOPED_TRACE("report " + std::to_string(i));
-        const auto &a = pruned.monitor.reports()[i];
-        const auto &b = plain.monitor.reports()[i];
-        EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.addr, b.addr);
-        EXPECT_EQ(a.assertId, b.assertId);
-        EXPECT_EQ(a.fromNtPath, b.fromNtPath);
-        EXPECT_EQ(a.ntSpawnPc, b.ntSpawnPc);
-        EXPECT_EQ(a.site, b.site);
-    }
-}
+using test::expectIdentical;
+using test::generateProgram;
 
 /**
  * Run @p program on @p input under @p cfg twice — selfPrune on and
@@ -366,97 +319,11 @@ TEST(SelfPruneCorners, DetectorKeepsChecksSurfacing)
 }
 
 // ---------------------------------------------------------------------
-// Random programs: same generator family as the block-step sweep
-// (ALU runs, div/rem by possibly-zero registers, masked loads/stores,
+// Random programs: the block-step sweep's generator (tier_identity.hh:
+// ALU runs, div/rem by possibly-zero registers, masked loads/stores,
 // forward branches in a counted loop), but iterated enough for
 // counters to cap so promotions actually happen.
 // ---------------------------------------------------------------------
-
-std::string
-generateProgram(uint64_t seed)
-{
-    Rng rng(seed);
-    std::ostringstream out;
-    out << ".data acc 0\n.array buf 16\n";
-
-    for (int r = 8; r <= 15; ++r)
-        out << "li r" << r << ", " << rng.nextRange(-50, 50) << "\n";
-    out << "li r20, " << rng.nextRange(40, 80) << "\n";
-    out << "outer:\n";
-
-    int blocks = static_cast<int>(rng.nextRange(4, 8));
-    for (int b = 0; b < blocks; ++b) {
-        int ops = static_cast<int>(rng.nextRange(3, 8));
-        for (int i = 0; i < ops; ++i) {
-            int rd = static_cast<int>(rng.nextRange(8, 15));
-            int rs1 = static_cast<int>(rng.nextRange(8, 15));
-            int rs2 = static_cast<int>(rng.nextRange(8, 15));
-            switch (rng.nextBelow(9)) {
-              case 0:
-                out << "add r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 1:
-                out << "sub r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 2:
-                out << "mul r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 3:
-                out << "xor r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 4:
-                out << "slt r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 5:
-                // Crash-capable: rs2 may hold zero on some path.
-                out << "div r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 6:
-                out << "rem r" << rd << ", r" << rs1 << ", r" << rs2
-                    << "\n";
-                break;
-              case 7: {
-                out << "andi r28, r" << rs1 << ", 15\n"
-                    << "li r29, buf\n"
-                    << "add r28, r28, r29\n"
-                    << "st r" << rs2 << ", 0(r28)\n";
-                break;
-              }
-              default: {
-                out << "andi r28, r" << rs1 << ", 15\n"
-                    << "li r29, buf\n"
-                    << "add r28, r28, r29\n"
-                    << "ld r" << rd << ", 0(r28)\n";
-                break;
-              }
-            }
-        }
-        int rs1 = static_cast<int>(rng.nextRange(8, 15));
-        int rs2 = static_cast<int>(rng.nextRange(8, 15));
-        const char *cond =
-            (const char *[]){"beq", "bne", "blt", "bge"}[rng.nextBelow(
-                4)];
-        out << cond << " r" << rs1 << ", r" << rs2 << ", blk" << seed
-            << "_" << b + 1 << "\n";
-        out << "addi r" << rs1 << ", r" << rs1 << ", 1\n";
-        out << "blk" << seed << "_" << b + 1 << ":\n";
-    }
-
-    out << "addi r20, r20, -1\n"
-        << "bgt r20, r0, outer\n";
-    out << "li r21, 0\n";
-    for (int r = 8; r <= 15; ++r)
-        out << "xor r21, r21, r" << r << "\n";
-    out << "sys print_int r21\n"
-        << "sys exit\n";
-    return out.str();
-}
 
 TEST(SelfPruneRandom, SeedSweepIsBitIdentical)
 {
@@ -465,7 +332,7 @@ TEST(SelfPruneRandom, SeedSweepIsBitIdentical)
     for (uint64_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto program =
-            isa::assemble(generateProgram(seed),
+            isa::assemble(generateProgram(seed, 40, 80),
                           "selfprune_" + std::to_string(seed));
         auto cfg = saturatingConfig();
         cfg.maxTakenInstructions = 50'000;

@@ -1,0 +1,631 @@
+/**
+ * @file
+ * Edge operands through every execution tier.
+ *
+ * Every opcode runs through `sim::step`, through the block tier —
+ * without a branch sink, with one, and one instruction per dispatch
+ * under a zero cycle budget — and through the superblock tier with its
+ * branch promoted.  ALU, immediate and branch opcodes take every pair
+ * of INT32_MIN, INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and
+ * -1.  Each result is checked against a value computed here from
+ * first principles (64-bit arithmetic, floor division), never from the
+ * simulator's opcode table, which every tier shares: this is what
+ * keeps the per-step loop an independent oracle for the bulk tiers.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <set>
+#include <vector>
+
+#include "src/core/engine.hh"
+#include "src/coverage/coverage.hh"
+#include "src/isa/instruction.hh"
+#include "src/sim/interpreter.hh"
+#include "src/sim/superblock.hh"
+#include "tier_identity.hh"
+
+namespace
+{
+
+using namespace pe;
+using isa::Opcode;
+
+constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+
+/** First operands: the edges of the int32 range. */
+const std::vector<int32_t> kEdges = {kMin, kMax, -1, 0, 1};
+/** Second operands: the edges plus the shift amounts 31, 32 and -1. */
+const std::vector<int32_t> kSecond = {kMin, kMax, -1, 0, 1, 31, 32};
+
+const std::vector<Opcode> kAluOps = {
+    Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Div, Opcode::Rem,
+    Opcode::And, Opcode::Or,  Opcode::Xor, Opcode::Shl, Opcode::Shr,
+    Opcode::Sra, Opcode::Slt, Opcode::Sle, Opcode::Seq, Opcode::Sne,
+    Opcode::Sgt, Opcode::Sge};
+const std::vector<Opcode> kImmOps = {
+    Opcode::Addi, Opcode::Andi, Opcode::Ori, Opcode::Xori,
+    Opcode::Shli, Opcode::Shri, Opcode::Slti, Opcode::Li};
+const std::vector<Opcode> kBranchOps = {
+    Opcode::Beq, Opcode::Bne, Opcode::Blt,
+    Opcode::Bge, Opcode::Ble, Opcode::Bgt};
+/** Opcodes with a test of their own below. */
+const std::vector<Opcode> kOtherOps = {
+    Opcode::Nop,    Opcode::Jmp,    Opcode::Jal,      Opcode::Jr,
+    Opcode::Chkb,   Opcode::Assert, Opcode::Pfix,     Opcode::Pfixst,
+    Opcode::Ld,     Opcode::St,     Opcode::Alloc,    Opcode::Regobj,
+    Opcode::Unregobj, Opcode::Sys};
+
+/** Floor of @p x / 2^@p s. */
+int64_t
+floorShift(int64_t x, unsigned s)
+{
+    const int64_t d = int64_t{1} << s;
+    int64_t q = x / d;
+    if (x % d != 0 && x < 0)
+        --q;
+    return q;
+}
+
+/**
+ * The architectural result of @p op on @p a and @p b (the immediate
+ * for immediate opcodes); nullopt when the opcode traps.  Narrowing
+ * from 64 bits is modular; shifts use the amount's low five bits.
+ */
+std::optional<int32_t>
+reference(Opcode op, int32_t a, int32_t b)
+{
+    const int64_t x = a;
+    const int64_t y = b;
+    const unsigned s = static_cast<uint32_t>(b) % 32;
+    switch (op) {
+      case Opcode::Add: case Opcode::Addi:
+        return static_cast<int32_t>(x + y);
+      case Opcode::Sub: return static_cast<int32_t>(x - y);
+      case Opcode::Mul: return static_cast<int32_t>(x * y);
+      case Opcode::Div:
+        if (b == 0)
+            return std::nullopt;
+        return static_cast<int32_t>(x / y);
+      case Opcode::Rem:
+        if (b == 0)
+            return std::nullopt;
+        return static_cast<int32_t>(x % y);
+      case Opcode::And: case Opcode::Andi: return a & b;
+      case Opcode::Or: case Opcode::Ori: return a | b;
+      case Opcode::Xor: case Opcode::Xori: return a ^ b;
+      case Opcode::Shl: case Opcode::Shli:
+        return static_cast<int32_t>(
+            static_cast<uint64_t>(static_cast<uint32_t>(a)) << s);
+      case Opcode::Shr: case Opcode::Shri:
+        return static_cast<int32_t>(
+            floorShift(static_cast<uint32_t>(a), s));
+      case Opcode::Sra: return static_cast<int32_t>(floorShift(x, s));
+      case Opcode::Slt: case Opcode::Slti: return x < y;
+      case Opcode::Sle: return x <= y;
+      case Opcode::Seq: return x == y;
+      case Opcode::Sne: return x != y;
+      case Opcode::Sgt: return x > y;
+      case Opcode::Sge: return x >= y;
+      case Opcode::Li: return b;
+      default:
+        ADD_FAILURE() << "no reference for " << isa::opcodeName(op);
+        return std::nullopt;
+    }
+}
+
+bool
+branchTaken(Opcode op, int32_t a, int32_t b)
+{
+    switch (op) {
+      case Opcode::Beq: return a == b;
+      case Opcode::Bne: return a != b;
+      case Opcode::Blt: return a < b;
+      case Opcode::Bge: return !(a < b);
+      case Opcode::Ble: return !(b < a);
+      case Opcode::Bgt: return b < a;
+      default:
+        ADD_FAILURE() << "not a branch: " << isa::opcodeName(op);
+        return false;
+    }
+}
+
+/** One loaded program and the state every tier runs against. */
+struct Machine
+{
+    explicit Machine(std::vector<isa::Instruction> code)
+        : memory(layout.memWords)
+    {
+        program.code = std::move(code);
+        program.heapBase = 64;
+        decoded = sim::DecodedProgram(program, sim::TimingConfig{});
+        sim::loadProgram(program, memory, core, layout);
+    }
+
+    /** sim::step until exit, crash or @p limit steps; the last result. */
+    sim::StepResult
+    stepRun(int limit = 64)
+    {
+        sim::StepResult res;
+        for (int i = 0; i < limit; ++i) {
+            mem::MemCtx ctx(memory, buf);
+            res = sim::step(decoded, core, ctx, io, true, layout);
+            if (res.crashed() || res.exited)
+                break;
+        }
+        return res;
+    }
+
+    /** The first step result that resolved a branch. */
+    sim::StepResult
+    stepToBranch()
+    {
+        sim::StepResult res;
+        for (int i = 0; i < 64 && !res.branch; ++i) {
+            mem::MemCtx ctx(memory, buf);
+            res = sim::step(decoded, core, ctx, io, true, layout);
+        }
+        return res;
+    }
+
+    sim::BlockOut
+    block(coverage::BranchCoverage *sink = nullptr, bool inert = true)
+    {
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, sink,
+                             inert);
+    }
+
+    /**
+     * The block tier one instruction per dispatch: a zero cycle budget
+     * admits only the first instruction of each call.  Returns the
+     * instructions retired; fails if any call retires more than one.
+     */
+    uint64_t
+    budgetBlocks(coverage::BranchCoverage *sink)
+    {
+        uint64_t total = 0;
+        for (int i = 0; i < 64; ++i) {
+            sim::BlockOut out =
+                sim::runBlock(decoded, core, 100, 0, 1, sink, true);
+            EXPECT_LE(out.instructions, 1u);
+            if (out.instructions == 0)
+                break;
+            total += out.instructions;
+        }
+        return total;
+    }
+
+    /** The superblock tier, with the branch at @p promotePc promoted. */
+    sim::SuperOut
+    superblock(std::optional<uint32_t> promotePc = std::nullopt)
+    {
+        std::vector<bool> eligible(program.code.size(), true);
+        sim::SuperblockCache cache(decoded, eligible);
+        if (promotePc)
+            cache.promote(*promotePc);
+        return sim::runSuperblock(cache, core, 100, true);
+    }
+
+    int32_t reg(uint8_t r) const { return core.readReg(r); }
+
+    sim::MachineLayout layout;
+    isa::Program program;
+    sim::DecodedProgram decoded;
+    mem::MainMemory memory;
+    sim::Core core;
+    sim::IoChannel io;
+    mem::VersionedBuffer *buf = nullptr;
+};
+
+std::string
+caseName(Opcode op, int32_t a, int32_t b)
+{
+    return std::string(isa::opcodeName(op)) + " " + std::to_string(a) +
+           ", " + std::to_string(b);
+}
+
+/** li r8, a; li r9, b; op r10, r8, r9|b; sys exit. */
+std::vector<isa::Instruction>
+aluProgram(Opcode op, bool imm, int32_t a, int32_t b)
+{
+    return {isa::makeLi(8, a), isa::makeLi(9, b),
+            imm ? isa::makeI(op, 10, 8, b) : isa::makeR(op, 10, 8, 9),
+            isa::makeSys(isa::Syscall::Exit)};
+}
+
+void
+checkAluOnEveryTier(Opcode op, bool imm)
+{
+    for (int32_t a : kEdges) {
+        for (int32_t b : kSecond) {
+            SCOPED_TRACE(caseName(op, a, b));
+            const std::optional<int32_t> want = reference(op, a, b);
+            // A trap surfaces from the bulk tiers before the opcode.
+            const uint64_t bulkCount = want ? 3 : 2;
+            const int32_t bulkR10 = want ? *want : 0;
+            {
+                Machine m(aluProgram(op, imm, a, b));
+                sim::StepResult res = m.stepRun();
+                if (want) {
+                    EXPECT_TRUE(res.exited);
+                    EXPECT_EQ(m.reg(10), *want);
+                } else {
+                    EXPECT_EQ(res.crash, sim::CrashKind::DivByZero);
+                    EXPECT_EQ(res.pc, 2u);
+                }
+            }
+            for (bool withSink : {false, true}) {
+                SCOPED_TRACE(withSink ? "block, sink" : "block");
+                Machine m(aluProgram(op, imm, a, b));
+                coverage::BranchCoverage cov(m.program);
+                sim::BlockOut out = m.block(withSink ? &cov : nullptr);
+                EXPECT_EQ(out.instructions, bulkCount);
+                EXPECT_EQ(m.core.pc, bulkCount);
+                EXPECT_EQ(m.reg(10), bulkR10);
+            }
+            {
+                SCOPED_TRACE("block, zero cycle budget");
+                Machine m(aluProgram(op, imm, a, b));
+                EXPECT_EQ(m.budgetBlocks(nullptr), bulkCount);
+                EXPECT_EQ(m.reg(10), bulkR10);
+            }
+            {
+                SCOPED_TRACE("superblock");
+                Machine m(aluProgram(op, imm, a, b));
+                sim::SuperOut out = m.superblock();
+                EXPECT_EQ(out.instructions, bulkCount);
+                EXPECT_EQ(out.branches, 0u);
+                EXPECT_EQ(m.reg(10), bulkR10);
+            }
+        }
+    }
+}
+
+TEST(TierEdgeOperands, AluOpcodes)
+{
+    for (Opcode op : kAluOps)
+        checkAluOnEveryTier(op, /*imm=*/false);
+}
+
+TEST(TierEdgeOperands, ImmediateOpcodes)
+{
+    for (Opcode op : kImmOps)
+        checkAluOnEveryTier(op, /*imm=*/true);
+}
+
+/**
+ * li r8, a; li r9, b; op r8, r9, 5; li r10, 1; sys exit;
+ * li r10, 2; sys exit.
+ */
+std::vector<isa::Instruction>
+branchProgram(Opcode op, int32_t a, int32_t b)
+{
+    return {isa::makeLi(8, a),         isa::makeLi(9, b),
+            isa::makeBranch(op, 8, 9, 5), isa::makeLi(10, 1),
+            isa::makeSys(isa::Syscall::Exit), isa::makeLi(10, 2),
+            isa::makeSys(isa::Syscall::Exit)};
+}
+
+TEST(TierEdgeOperands, BranchOpcodes)
+{
+    const uint32_t branchPc = 2;
+    for (Opcode op : kBranchOps) {
+        for (int32_t a : kEdges) {
+            for (int32_t b : kSecond) {
+                SCOPED_TRACE(caseName(op, a, b));
+                const bool taken = branchTaken(op, a, b);
+                const int32_t want = taken ? 2 : 1;
+                const uint32_t endPc = taken ? 6 : 4;
+                {
+                    Machine m(branchProgram(op, a, b));
+                    sim::StepResult res = m.stepToBranch();
+                    EXPECT_EQ(res.pc, branchPc);
+                    EXPECT_EQ(res.branchTaken, taken);
+                    m.stepRun();
+                    EXPECT_EQ(m.reg(10), want);
+                }
+                {
+                    SCOPED_TRACE("block without a sink surfaces");
+                    Machine m(branchProgram(op, a, b));
+                    EXPECT_EQ(m.block().instructions, 2u);
+                    EXPECT_EQ(m.core.pc, branchPc);
+                }
+                for (bool budget : {false, true}) {
+                    SCOPED_TRACE(budget ? "block, sink, zero budget"
+                                        : "block, sink");
+                    Machine m(branchProgram(op, a, b));
+                    coverage::BranchCoverage cov(m.program);
+                    const uint64_t n = budget ? m.budgetBlocks(&cov)
+                                              : m.block(&cov).instructions;
+                    EXPECT_EQ(n, 4u);
+                    EXPECT_EQ(m.core.pc, endPc);
+                    EXPECT_EQ(m.reg(10), want);
+                    EXPECT_TRUE(cov.takenEdgeCovered(branchPc, taken));
+                    EXPECT_FALSE(cov.takenEdgeCovered(branchPc, !taken));
+                }
+                {
+                    SCOPED_TRACE("superblock, not promoted");
+                    Machine m(branchProgram(op, a, b));
+                    EXPECT_EQ(m.superblock().instructions, 2u);
+                    EXPECT_EQ(m.core.pc, branchPc);
+                }
+                {
+                    SCOPED_TRACE("superblock, promoted");
+                    Machine m(branchProgram(op, a, b));
+                    sim::SuperOut out = m.superblock(branchPc);
+                    EXPECT_EQ(out.instructions, 4u);
+                    EXPECT_EQ(out.branches, 1u);
+                    EXPECT_EQ(m.core.pc, endPc);
+                    EXPECT_EQ(m.reg(10), want);
+                }
+            }
+        }
+    }
+}
+
+/** Each bulk tier retires exactly @p n instructions of @p code. */
+void
+expectBulkRetires(const std::vector<isa::Instruction> &code, uint64_t n,
+                  bool inert = true)
+{
+    Machine blk(code);
+    EXPECT_EQ(blk.block(nullptr, inert).instructions, n);
+    Machine sup(code);
+    std::vector<bool> eligible(code.size(), true);
+    sim::SuperblockCache cache(sup.decoded, eligible);
+    EXPECT_EQ(sim::runSuperblock(cache, sup.core, 100, inert).instructions,
+              n);
+}
+
+TEST(TierEdgeOperands, NopAndDirectJumps)
+{
+    expectBulkRetires({isa::Instruction{}, isa::makeSys(isa::Syscall::Exit)},
+                      1);
+
+    // jmp/jal 3 over "li r10, 1"; jal links pc + 1 into r3.
+    for (Opcode op : {Opcode::Jmp, Opcode::Jal}) {
+        SCOPED_TRACE(isa::opcodeName(op));
+        auto jump = [&](int32_t target) {
+            return op == Opcode::Jmp ? isa::makeJmp(target)
+                                     : isa::makeJal(3, target);
+        };
+        std::vector<isa::Instruction> code = {
+            isa::makeLi(8, 7), jump(3), isa::makeLi(10, 1),
+            isa::makeLi(10, 2), isa::makeSys(isa::Syscall::Exit)};
+        Machine m(code);
+        m.stepRun();
+        EXPECT_EQ(m.reg(10), 2);
+        EXPECT_EQ(m.reg(3), op == Opcode::Jal ? 2 : 0);
+        Machine b(code);
+        EXPECT_EQ(b.block().instructions, 3u);
+        EXPECT_EQ(b.reg(10), 2);
+        EXPECT_EQ(b.reg(3), op == Opcode::Jal ? 2 : 0);
+        expectBulkRetires(code, 3);
+
+        // Invalid static targets surface; step raises BadJump there.
+        for (int32_t target : {kMin, kMax, -1, 5}) {
+            SCOPED_TRACE(target);
+            code[1] = jump(target);
+            Machine bad(code);
+            sim::StepResult res = bad.stepRun();
+            EXPECT_EQ(res.crash, sim::CrashKind::BadJump);
+            EXPECT_EQ(res.pc, 1u);
+            expectBulkRetires(code, 1);
+        }
+    }
+}
+
+TEST(TierEdgeOperands, RegisterJump)
+{
+    // li r8, target; jr r8; li r10, 1; sys exit; li r10, 2; sys exit.
+    auto program = [](int32_t target) {
+        return std::vector<isa::Instruction>{
+            isa::makeLi(8, target), isa::makeJr(8), isa::makeLi(10, 1),
+            isa::makeSys(isa::Syscall::Exit), isa::makeLi(10, 2),
+            isa::makeSys(isa::Syscall::Exit)};
+    };
+    Machine m(program(4));
+    m.stepRun();
+    EXPECT_EQ(m.reg(10), 2);
+    Machine b(program(4));
+    EXPECT_EQ(b.block().instructions, 3u);
+    EXPECT_EQ(b.reg(10), 2);
+    expectBulkRetires(program(4), 3);
+
+    for (int32_t target : {kMin, kMax, -1, 6}) {
+        SCOPED_TRACE(target);
+        Machine bad(program(target));
+        sim::StepResult res = bad.stepRun();
+        EXPECT_EQ(res.crash, sim::CrashKind::BadJump);
+        EXPECT_EQ(res.pc, 1u);
+        expectBulkRetires(program(target), 1);
+    }
+}
+
+TEST(TierEdgeOperands, DetectorHooks)
+{
+    for (int32_t a : kEdges) {
+        for (int32_t imm : {kMin, kMax, -1, 0, 1}) {
+            SCOPED_TRACE(std::to_string(a) + " " + std::to_string(imm));
+            std::vector<isa::Instruction> code = {
+                isa::makeLi(8, a),
+                isa::Instruction{Opcode::Chkb, 0, 8, 0, imm},
+                isa::Instruction{Opcode::Assert, 0, 8, 0, imm},
+                isa::makeSys(isa::Syscall::Exit)};
+            Machine m(code);
+            mem::MemCtx ctx(m.memory, nullptr);
+            sim::step(m.decoded, m.core, ctx, m.io, true, m.layout);
+            sim::StepResult chk =
+                sim::step(m.decoded, m.core, ctx, m.io, true, m.layout);
+            EXPECT_TRUE(chk.boundsCheck);
+            EXPECT_EQ(chk.checkAddr,
+                      static_cast<uint32_t>(int64_t{a} + imm));
+            sim::StepResult as =
+                sim::step(m.decoded, m.core, ctx, m.io, true, m.layout);
+            EXPECT_EQ(as.assertFired, a == 0);
+            EXPECT_EQ(as.assertId, a == 0 ? imm : 0);
+
+            // Inert without a detector; surfacing with one.
+            expectBulkRetires(code, 3, /*inert=*/true);
+            expectBulkRetires(code, 1, /*inert=*/false);
+        }
+    }
+}
+
+TEST(TierEdgeOperands, PredicatedFixes)
+{
+    for (int32_t imm : kEdges) {
+        SCOPED_TRACE(imm);
+        // pfix r10, imm; pfixst r9, 0(r8); li r11, 1; sys exit.
+        std::vector<isa::Instruction> code = {
+            isa::Instruction{Opcode::Pfix, 10, 0, 0, imm},
+            isa::Instruction{Opcode::Pfixst, 0, 8, 9, 40},
+            isa::makeLi(11, 1), isa::makeSys(isa::Syscall::Exit)};
+
+        // Predicate clear: both are NOPs on every tier.
+        Machine m(code);
+        m.core.regs[9] = imm;
+        m.stepRun();
+        EXPECT_EQ(m.reg(10), 0);
+        EXPECT_EQ(m.memory.read(40), 0);
+        expectBulkRetires(code, 3);
+
+        // Predicate set: step writes both; the block prologue runs
+        // pfix and surfaces at pfixst, predicate still set.
+        Machine s(code);
+        s.core.ntEntryPred = true;
+        s.core.regs[9] = imm;
+        s.stepRun();
+        EXPECT_EQ(s.reg(10), imm);
+        EXPECT_EQ(s.memory.read(40), imm);
+        EXPECT_FALSE(s.core.ntEntryPred);
+
+        Machine b(code);
+        b.core.ntEntryPred = true;
+        EXPECT_EQ(b.block().instructions, 1u);
+        EXPECT_EQ(b.reg(10), imm);
+        EXPECT_EQ(b.core.pc, 1u);
+        EXPECT_TRUE(b.core.ntEntryPred);
+
+        // Past the fixes, the first other instruction clears it.
+        Machine c({isa::Instruction{Opcode::Pfix, 10, 0, 0, imm},
+                   isa::makeLi(11, 1), isa::makeSys(isa::Syscall::Exit)});
+        c.core.ntEntryPred = true;
+        EXPECT_EQ(c.block().instructions, 2u);
+        EXPECT_EQ(c.reg(10), imm);
+        EXPECT_FALSE(c.core.ntEntryPred);
+    }
+}
+
+TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
+{
+    for (int32_t v : kEdges) {
+        SCOPED_TRACE(v);
+        // st r9, 40(r0); ld r10, 40(r0); li r8, 4; alloc r11, r8;
+        // regobj r11, r8; unregobj r11; sys print_int r9; sys exit.
+        std::vector<isa::Instruction> code = {
+            isa::Instruction{Opcode::St, 0, 0, 9, 40},
+            isa::Instruction{Opcode::Ld, 10, 0, 0, 40},
+            isa::makeLi(8, 4),
+            isa::Instruction{Opcode::Alloc, 11, 8, 0, 0},
+            isa::Instruction{Opcode::Regobj, 0, 11, 8, 2},
+            isa::Instruction{Opcode::Unregobj, 0, 11, 0, 0},
+            isa::makeSys(isa::Syscall::PrintInt, 0, 9),
+            isa::makeSys(isa::Syscall::Exit)};
+        Machine m(code);
+        m.core.regs[9] = v;
+        sim::StepResult res = m.stepRun();
+        EXPECT_TRUE(res.exited);
+        EXPECT_EQ(m.reg(10), v);
+        EXPECT_EQ(m.reg(11), 64);           // the heap base
+        EXPECT_EQ(m.io.intOutput, std::vector<int32_t>{v});
+
+        // Every bulk tier surfaces at each of them.
+        for (uint32_t pc : {0u, 1u, 3u, 4u, 5u, 6u, 7u}) {
+            SCOPED_TRACE(pc);
+            Machine b(code);
+            b.core.pc = pc;
+            EXPECT_FALSE(b.decoded.startsBlock(pc, true, true));
+            EXPECT_EQ(b.block().instructions, 0u);
+            EXPECT_EQ(b.superblock().instructions, 0u);
+        }
+    }
+}
+
+TEST(TierEdgeOperands, EveryOpcodeIsCovered)
+{
+    std::set<Opcode> covered;
+    for (const auto *ops : {&kAluOps, &kImmOps, &kBranchOps, &kOtherOps})
+        covered.insert(ops->begin(), ops->end());
+    EXPECT_EQ(covered.size(), static_cast<size_t>(Opcode::NumOpcodes));
+}
+
+/**
+ * One program chaining every ALU, immediate and branch opcode over
+ * the edge operands, each result printed: the engine's per-step,
+ * block-stepped and self-pruned runs must agree bit for bit and print
+ * the reference values.
+ */
+TEST(TierEdgeOperands, EngineTiersAgreeOnEdgeProgram)
+{
+    std::vector<isa::Instruction> code;
+    std::vector<int32_t> want;
+    auto emit = [&](isa::Instruction inst) { code.push_back(inst); };
+    for (int32_t a : kEdges) {
+        for (int32_t b : kSecond) {
+            for (const auto *ops : {&kAluOps, &kImmOps}) {
+                for (Opcode op : *ops) {
+                    std::optional<int32_t> v = reference(op, a, b);
+                    if (!v)
+                        continue;
+                    for (auto inst : aluProgram(op, ops == &kImmOps, a, b))
+                        if (inst.op != Opcode::Sys)
+                            emit(inst);
+                    emit(isa::makeSys(isa::Syscall::PrintInt, 0, 10));
+                    want.push_back(*v);
+                }
+            }
+            for (Opcode op : kBranchOps) {
+                const auto base = static_cast<int32_t>(code.size());
+                emit(isa::makeLi(8, a));
+                emit(isa::makeLi(9, b));
+                emit(isa::makeBranch(op, 8, 9, base + 6));
+                emit(isa::makeLi(10, 1));
+                emit(isa::makeSys(isa::Syscall::PrintInt, 0, 10));
+                emit(isa::makeJmp(base + 8));
+                emit(isa::makeLi(10, 2));
+                emit(isa::makeSys(isa::Syscall::PrintInt, 0, 10));
+                want.push_back(branchTaken(op, a, b) ? 2 : 1);
+            }
+        }
+    }
+    emit(isa::makeSys(isa::Syscall::Exit));
+    isa::Program program;
+    program.code = code;
+    program.heapBase = 64;
+
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = 50;
+        auto runWith = [&](bool legacy, bool prune) {
+            core::PeConfig c = cfg;
+            c.legacyStepLoop = legacy;
+            c.selfPrune = prune;
+            core::PathExpanderEngine engine(program, c, nullptr);
+            return engine.run({});
+        };
+        core::RunResult legacy = runWith(true, false);
+        EXPECT_EQ(legacy.io.intOutput, want);
+        test::expectIdentical(runWith(false, false), legacy);
+        test::expectIdentical(runWith(false, true), legacy);
+    }
+}
+
+} // namespace
