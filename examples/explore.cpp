@@ -478,8 +478,13 @@ main(int argc, char **argv)
                   << ", mode " << core::peModeName(opts.config.mode)
                   << ", budget " << opts.budget.maxRuns << " runs)\n";
 
-        auto result =
-            fleet::runFleet(program, workload.benignInputs, fopts);
+        fleet::FleetResult result;
+        try {
+            result = fleet::runFleet(program, workload.benignInputs, fopts);
+        } catch (const FatalError &err) {
+            std::cerr << "explore: " << err.what() << "\n";
+            return 1;
+        }
 
         std::cerr << "\nstopped: " << fleet::fleetStopName(result.stop)
                   << " after " << result.runs << " runs / "
@@ -512,7 +517,13 @@ main(int argc, char **argv)
               << opts.budget.maxRuns << " runs)\n";
 
     explore::Explorer explorer(program, workload.benignInputs, opts);
-    auto result = explorer.run();
+    explore::ExploreResult result;
+    try {
+        result = explorer.run();
+    } catch (const FatalError &err) {
+        std::cerr << "explore: " << err.what() << "\n";
+        return 1;
+    }
     if (verbose)
         std::cerr << "\n";
 

@@ -13,6 +13,7 @@
 #include "src/analysis/dataflow.hh"
 #include "src/isa/instruction.hh"
 #include "src/isa/regs.hh"
+#include "src/support/fnv.hh"
 
 namespace pe::analysis
 {
@@ -411,20 +412,13 @@ verifyProgram(const isa::Program &program)
 uint64_t
 programFingerprint(const isa::Program &program)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001b3ull;
-        }
-    };
+    uint64_t h = kFnvOffset;
     for (const isa::Instruction &inst : program.code)
-        mix(isa::encode(inst));
-    mix(program.entry);
-    mix(program.dataBase);
-    mix(program.heapBase);
-    mix(program.dataInit.size());
-    return h;
+        h = fnvMix(h, isa::encode(inst));
+    h = fnvMix(h, program.entry);
+    h = fnvMix(h, program.dataBase);
+    h = fnvMix(h, program.heapBase);
+    return fnvMix(h, program.dataInit.size());
 }
 
 const VerifyReport &

@@ -7,6 +7,7 @@
 
 #include <bit>
 
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 
 namespace pe::coverage
@@ -17,16 +18,6 @@ namespace
 
 /** Fold-walker step bound: replay can never exceed a real run. */
 constexpr uint64_t kMaxFoldSteps = 1ull << 22;
-
-uint64_t
-fnvMix(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -293,14 +284,6 @@ PathCoverage::mergeWords(const std::vector<uint64_t> &incoming)
         bits[i] |= incoming[i];
 }
 
-void
-PathCoverage::restoreWords(const std::vector<uint64_t> &saved)
-{
-    pe_assert(saved.size() == bits.size(),
-              "restoring path words of a different path-id space");
-    bits = saved;
-}
-
 uint64_t
 PathCoverage::completedCount() const
 {
@@ -350,8 +333,7 @@ PathCoverage::coverAdjacency(const std::vector<uint64_t> &takenWords,
 uint64_t
 PathCoverage::digest() const
 {
-    uint64_t h = 14695981039346656037ull;
-    h = fnvMix(h, pathCount);
+    uint64_t h = fnvMix(kFnvOffset, pathCount);
     for (uint64_t w : bits)
         h = fnvMix(h, w);
     return h;
@@ -376,9 +358,12 @@ PathCoverage::decodeState(wire::Decoder &dec)
     const uint64_t overflow = dec.u64("path match overflows");
     std::vector<uint64_t> saved = dec.u64vec("path words");
     if (saved.size() != bits.size()) {
-        throw wire::WireError(wire::WireErrorKind::Mismatch,
-                              "path completion word count mismatch",
-                              bits.size(), saved.size());
+        throw wire::WireError(
+            wire::WireErrorKind::Mismatch,
+            detail::concat("path completion words size mismatch: "
+                           "expected ",
+                           bits.size(), ", found ", saved.size()),
+            bits.size(), saved.size());
     }
     statFolded = folded;
     statTruncated = truncatedRuns;

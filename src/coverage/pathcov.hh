@@ -97,9 +97,6 @@ class PathCoverage
     /** OR a raw completion-word vector in (fleet frames). */
     void mergeWords(const std::vector<uint64_t> &incoming);
 
-    /** Replace the completion words (checkpoint restore). */
-    void restoreWords(const std::vector<uint64_t> &saved);
-
     const std::vector<uint64_t> &words() const { return bits; }
 
     uint32_t numPaths() const { return pathCount; }

@@ -1,215 +1,110 @@
 /**
  * @file
- * Fleet checkpoint serialization (see checkpoint.hh for the why).
+ * Fleet checkpoint layout (see checkpoint.hh for the why).
  */
 
 #include "src/fleet/checkpoint.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "src/explore/serialize.hh"
-#include "src/fleet/wire.hh"
-#include "src/support/faultinject.hh"
 #include "src/support/status.hh"
-#include "src/support/strutil.hh"
 
 namespace pe::fleet
 {
 
-namespace
-{
-
-constexpr char magic[8] = {'P', 'E', 'F', 'C', 'K', 'P', '1', '\0'};
-
-/**
- * Version 1: the PR 9 durable-session format.  Version 2: the merged
- * prime-path completion words follow the entry origins (empty vector
- * when the tracker is off).  Older files are refused with both
- * numbers reported.
- */
-constexpr uint32_t checkpointVersion = 2;
-
 void
-encodeShard(wire::Encoder &enc, const ShardCheckpoint &s)
+saveFleetCheckpoint(const std::string &path, const FleetCheckpoint &ckpt)
 {
-    enc.u32(s.summary.shard);
-    enc.u64(s.summary.runs);
-    enc.u64(s.summary.assigned);
-    enc.u64(s.summary.admittedGlobal);
-    enc.u64(s.summary.newEdges);
-    enc.u32(s.summary.dryRounds);
-    enc.u8(s.summary.alive ? 1 : 0);
-    enc.u8(s.summary.exhausted ? 1 : 0);
-    enc.u64vec(s.sentTaken);
-    enc.u64vec(s.sentNt);
-    enc.u64(s.entryMark);
-    enc.u8(s.gotForeign ? 1 : 0);
-    enc.u64(s.replayRound);
-    enc.str(s.replayPayload);
-}
+    explore::writeStateFile(
+        path, explore::StateKind::Fleet, "fleet.checkpoint_write",
+        [&](wire::Encoder &enc) {
+            explore::encodeIdentity(enc, ckpt.id);
+            enc.u64(ckpt.rounds);
+            enc.u64(ckpt.runs);
+            enc.u64(ckpt.instructions);
+            enc.u64(ckpt.ntSpawned);
+            enc.u64(ckpt.failedJobs);
+            enc.u64(ckpt.stolenRuns);
+            enc.u32(ckpt.lostWorkers);
+            enc.u32(ckpt.reconnects);
+            enc.u32(ckpt.globalDryRounds);
+            explore::encodeCorpusState(enc, ckpt.corpus);
+            enc.u32vec(ckpt.origins);
 
-ShardCheckpoint
-decodeShard(wire::Decoder &dec)
-{
-    ShardCheckpoint s;
-    s.summary.shard = dec.u32("shard id");
-    s.summary.runs = dec.u64("shard runs");
-    s.summary.assigned = dec.u64("shard assigned");
-    s.summary.admittedGlobal = dec.u64("shard admitted");
-    s.summary.newEdges = dec.u64("shard new edges");
-    s.summary.dryRounds = dec.u32("shard dry rounds");
-    s.summary.alive = dec.u8("shard alive") != 0;
-    s.summary.exhausted = dec.u8("shard exhausted") != 0;
-    s.sentTaken = dec.u64vec("shard sent taken words");
-    s.sentNt = dec.u64vec("shard sent nt words");
-    s.entryMark = dec.u64("shard entry mark");
-    s.gotForeign = dec.u8("shard got foreign") != 0;
-    s.replayRound = dec.u64("shard replay round");
-    s.replayPayload = dec.str("shard replay payload");
-    return s;
-}
-
-} // namespace
-
-void
-saveFleetCheckpoint(const std::string &path,
-                    const FleetCheckpoint &ckpt)
-{
-    fault::site("fleet.checkpoint_write");
-
-    wire::Encoder enc;
-    enc.bytes(magic, sizeof(magic));
-    enc.u32(checkpointVersion);
-    enc.u64(ckpt.configHash);
-    enc.u64(ckpt.masterSeed);
-    enc.u32(ckpt.shards);
-    enc.u64(ckpt.planDigest);
-    enc.u64(ckpt.programFp);
-    enc.u64(ckpt.sessionWord);
-    enc.u64(ckpt.seedsDigest);
-
-    enc.u64(ckpt.rounds);
-    enc.u64(ckpt.runs);
-    enc.u64(ckpt.instructions);
-    enc.u64(ckpt.ntSpawned);
-    enc.u64(ckpt.failedJobs);
-    enc.u64(ckpt.stolenRuns);
-    enc.u32(ckpt.lostWorkers);
-    enc.u32(ckpt.reconnects);
-    enc.u32(ckpt.globalDryRounds);
-
-    enc.u64vec(ckpt.frontierTaken);
-    enc.u64vec(ckpt.frontierNt);
-    enc.u32vec(ckpt.exerciseCounts);
-    enc.u64(ckpt.exerciseRuns);
-
-    pe_assert(ckpt.origins.size() == ckpt.entries.size(),
-              "fleet checkpoint: origins out of step with entries");
-    enc.u32(static_cast<uint32_t>(ckpt.entries.size()));
-    for (const explore::CorpusEntry &e : ckpt.entries)
-        explore::encodeEntry(enc, e);
-    enc.u32vec(ckpt.origins);
-    enc.u64vec(ckpt.pathWords);
-
-    enc.u32(static_cast<uint32_t>(ckpt.shardStates.size()));
-    for (const ShardCheckpoint &s : ckpt.shardStates)
-        encodeShard(enc, s);
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            pe_fatal("cannot write fleet checkpoint '", tmp, "'");
-        os.write(enc.buffer().data(),
-                 static_cast<std::streamsize>(enc.size()));
-        os.flush();
-        if (!os)
-            pe_fatal("write to fleet checkpoint '", tmp, "' failed");
-    }
-
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        pe_fatal("cannot rename fleet checkpoint '", tmp, "' to '",
-                 path, "'");
-    }
+            enc.u32(static_cast<uint32_t>(ckpt.shardStates.size()));
+            for (const ShardCheckpoint &s : ckpt.shardStates) {
+                enc.u32(s.summary.shard);
+                enc.u64(s.summary.runs);
+                enc.u64(s.summary.assigned);
+                enc.u64(s.summary.admittedGlobal);
+                enc.u64(s.summary.newEdges);
+                enc.u32(s.summary.dryRounds);
+                enc.u8(s.summary.alive ? 1 : 0);
+                enc.u8(s.summary.exhausted ? 1 : 0);
+                enc.u64vec(s.sentTaken);
+                enc.u64vec(s.sentNt);
+                enc.u64(s.entryMark);
+                enc.u8(s.gotForeign ? 1 : 0);
+                enc.u64(s.replayRound);
+                enc.str(s.replayPayload);
+            }
+        });
 }
 
 FleetCheckpoint
-loadFleetCheckpoint(const std::string &path,
-                    const isa::Program &program)
+loadFleetCheckpoint(const std::string &path, const isa::Program &program)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        pe_fatal("cannot open fleet checkpoint '", path, "'");
-    std::ostringstream raw;
-    raw << is.rdbuf();
-    const std::string bytes = raw.str();
-
     FleetCheckpoint ckpt;
-    try {
-        wire::Decoder dec(bytes);
+    explore::readStateFile(
+        path, explore::StateKind::Fleet, [&](wire::Decoder &dec) {
+            ckpt.id = explore::decodeIdentity(dec);
+            ckpt.rounds = dec.u64("rounds");
+            ckpt.runs = dec.u64("runs");
+            ckpt.instructions = dec.u64("instructions");
+            ckpt.ntSpawned = dec.u64("nt spawned");
+            ckpt.failedJobs = dec.u64("failed jobs");
+            ckpt.stolenRuns = dec.u64("stolen runs");
+            ckpt.lostWorkers = dec.u32("lost workers");
+            ckpt.reconnects = dec.u32("reconnects");
+            ckpt.globalDryRounds = dec.u32("global dry rounds");
+            ckpt.corpus = explore::decodeCorpusState(dec, program);
+            const size_t entries = ckpt.corpus.entries.size();
+            const size_t words = ckpt.corpus.frontierTaken.size();
+            ckpt.origins = dec.u32vec("entry origins");
+            explore::checkSize("entry origins", entries,
+                               ckpt.origins.size());
 
-        char m[8];
-        for (size_t i = 0; i < sizeof(m); ++i)
-            m[i] = static_cast<char>(dec.u8("checkpoint magic"));
-        if (std::string(m, sizeof(m)) !=
-            std::string(magic, sizeof(magic))) {
-            pe_fatal("'", path, "' is not a fleet checkpoint");
-        }
-        uint32_t version = dec.u32("checkpoint version");
-        if (version != checkpointVersion) {
-            pe_fatal("fleet checkpoint '", path,
-                     "' version mismatch: expected ",
-                     checkpointVersion, ", found ", version);
-        }
-        ckpt.configHash = dec.u64("config hash");
-        ckpt.masterSeed = dec.u64("master seed");
-        ckpt.shards = dec.u32("shards");
-        ckpt.planDigest = dec.u64("plan digest");
-        ckpt.programFp = dec.u64("program fingerprint");
-        ckpt.sessionWord = dec.u64("session word");
-        ckpt.seedsDigest = dec.u64("seeds digest");
-
-        ckpt.rounds = dec.u64("rounds");
-        ckpt.runs = dec.u64("runs");
-        ckpt.instructions = dec.u64("instructions");
-        ckpt.ntSpawned = dec.u64("nt spawned");
-        ckpt.failedJobs = dec.u64("failed jobs");
-        ckpt.stolenRuns = dec.u64("stolen runs");
-        ckpt.lostWorkers = dec.u32("lost workers");
-        ckpt.reconnects = dec.u32("reconnects");
-        ckpt.globalDryRounds = dec.u32("global dry rounds");
-
-        ckpt.frontierTaken = dec.u64vec("frontier taken words");
-        ckpt.frontierNt = dec.u64vec("frontier nt words");
-        ckpt.exerciseCounts = dec.u32vec("exercise counts");
-        ckpt.exerciseRuns = dec.u64("exercise runs");
-
-        uint32_t nEntries = dec.count("corpus entries");
-        ckpt.entries.reserve(nEntries);
-        for (uint32_t i = 0; i < nEntries; ++i)
-            ckpt.entries.push_back(
-                explore::decodeEntry(dec, program));
-        ckpt.origins = dec.u32vec("entry origins");
-        ckpt.pathWords = dec.u64vec("path completion words");
-        if (ckpt.origins.size() != ckpt.entries.size()) {
-            pe_fatal("fleet checkpoint '", path,
-                     "' is inconsistent: ", ckpt.entries.size(),
-                     " entries but ", ckpt.origins.size(),
-                     " origins");
-        }
-
-        uint32_t nShards = dec.count("shard states");
-        ckpt.shardStates.reserve(nShards);
-        for (uint32_t i = 0; i < nShards; ++i)
-            ckpt.shardStates.push_back(decodeShard(dec));
-
-        dec.expectEnd("fleet checkpoint");
-    } catch (const wire::WireError &err) {
-        pe_fatal("fleet checkpoint '", path, "' unreadable (",
-                 wireErrorKindName(err.kind()), "): ", err.what());
-    }
+            uint32_t n = dec.count("shard states");
+            explore::checkSize("shard states", ckpt.id.shards, n);
+            for (uint32_t i = 0; i < n; ++i) {
+                ShardCheckpoint &s = ckpt.shardStates.emplace_back();
+                s.summary.shard = dec.u32("shard id");
+                s.summary.runs = dec.u64("shard runs");
+                s.summary.assigned = dec.u64("shard assigned");
+                s.summary.admittedGlobal = dec.u64("shard admitted");
+                s.summary.newEdges = dec.u64("shard new edges");
+                s.summary.dryRounds = dec.u32("shard dry rounds");
+                s.summary.alive = dec.u8("shard alive") != 0;
+                s.summary.exhausted = dec.u8("shard exhausted") != 0;
+                s.sentTaken = dec.u64vec("shard sent taken words");
+                explore::checkSize("shard sent taken words", words,
+                                   s.sentTaken.size());
+                s.sentNt = dec.u64vec("shard sent nt words");
+                explore::checkSize("shard sent nt words", words,
+                                   s.sentNt.size());
+                s.entryMark = dec.u64("shard entry mark");
+                if (s.entryMark > entries)
+                    throw wire::WireError(
+                        wire::WireErrorKind::Mismatch,
+                        detail::concat("shard entry mark past the "
+                                       "corpus: expected at most ",
+                                       entries, ", found ",
+                                       s.entryMark),
+                        entries, s.entryMark);
+                s.gotForeign = dec.u8("shard got foreign") != 0;
+                s.replayRound = dec.u64("shard replay round");
+                s.replayPayload = dec.str("shard replay payload");
+            }
+            dec.expectEnd("fleet checkpoint");
+        });
     return ckpt;
 }
 

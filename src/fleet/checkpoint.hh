@@ -1,16 +1,15 @@
 /**
  * @file
- * Durable fleet sessions: the coordinator's checkpoint format.
+ * Durable fleet sessions: the coordinator's checkpoint.
  *
  * The fleet's bit-reproducibility contract says the merged frontier
  * and corpus after round R are pure functions of the shard plan and
  * the round count.  That makes the coordinator checkpointable with
- * the same guarantee PR 4 gave the single-process explorer: persist
- * everything round R's future depends on — the merged corpus +
- * frontier + exercise counts, the aggregate counters, and each
- * shard's broadcast bookkeeping — and a restarted coordinator
- * continues byte-identically while the TCP workers redial through
- * the ordinary reconnect path.
+ * the same guarantee the single-process explorer has: persist
+ * everything round R's future depends on — the merged corpus section,
+ * the aggregate counters, and each shard's broadcast bookkeeping — and
+ * a restarted coordinator continues byte-identically while the TCP
+ * workers redial through the ordinary reconnect path.
  *
  * Two shard-side fields deserve their exact-bytes treatment:
  *
@@ -28,16 +27,21 @@
  *  - `replayPayload` is round R's RoundStart, exact encoded bytes.
  *    It cannot be re-encoded on resume: payload generation advances
  *    the cursors above, so a second encoding would diff against the
- *    *post*-R snapshot and produce different (wrong) bytes.  The
- *    checkpoint therefore stores the encoded string verbatim, same
- *    as the in-memory replay buffer it restores.
+ *    *post*-R snapshot and produce different (wrong) bytes.
  *
- * Layout: magic + version + identity header (validated field by
- * field on resume, mismatches fatal with expected/found values),
- * then the body in serialize.hh vocabulary.  Writes go temp +
- * atomic-rename so a crash mid-write leaves the previous checkpoint
- * intact; the `fleet.checkpoint_write` fault site lets chaos tests
- * pin that invariant.
+ * The file is a serialize.hh state file of kind Fleet, on the same
+ * writer, reader and corpus section as the explorer's checkpoint:
+ *
+ *     header | identity | fleet counters | corpus section |
+ *     entry origins | shard states
+ *
+ * The loader checks every size against the program and the identity's
+ * plan — frontier words, exercise counts, entry bitmaps, one origin
+ * per entry, one state per shard, cursor widths, entry marks — before
+ * anything is restored, and refuses a wrong one with a FatalError
+ * naming the field.  The writer hits the `fleet.checkpoint_write`
+ * fault site first, so chaos tests can pin the temp + rename
+ * guarantee.
  */
 
 #ifndef PE_FLEET_CHECKPOINT_HH
@@ -47,38 +51,18 @@
 #include <string>
 #include <vector>
 
-#include "src/explore/corpus.hh"
+#include "src/explore/serialize.hh"
 #include "src/fleet/coordinator.hh"
 #include "src/isa/program.hh"
 
 namespace pe::fleet
 {
 
-/** One shard's persisted coordinator-side state. */
-struct ShardCheckpoint
-{
-    ShardSummary summary;
-    /** Broadcast cursors (see file comment). */
-    std::vector<uint64_t> sentTaken;
-    std::vector<uint64_t> sentNt;
-    uint64_t entryMark = 0;
-    bool gotForeign = false;
-    /** Last RoundStart sent, exact encoded bytes. */
-    uint64_t replayRound = 0;
-    std::string replayPayload;
-};
-
 /** Everything a restarted coordinator needs to continue a session. */
 struct FleetCheckpoint
 {
-    /** Identity: a resume refuses a checkpoint from another session. */
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint32_t shards = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;
-    uint64_t seedsDigest = 0;
+    /** A resume refuses a checkpoint of another session. */
+    FleetIdentity id;
 
     /** Aggregate counters (FleetResult so far). */
     uint64_t rounds = 0;
@@ -91,40 +75,29 @@ struct FleetCheckpoint
     uint32_t reconnects = 0;
     uint32_t globalDryRounds = 0;
 
-    /** Merged global state (frontier, exercise counts, corpus). */
-    std::vector<uint64_t> frontierTaken;
-    std::vector<uint64_t> frontierNt;
-    std::vector<uint32_t> exerciseCounts;
-    uint64_t exerciseRuns = 0;
-    std::vector<explore::CorpusEntry> entries;
+    /** Merged corpus, frontier, exercise counts and path tracker. */
+    explore::CorpusState corpus;
+
     /** Origin shard per entry (echo-free rebroadcast needs it). */
     std::vector<uint32_t> origins;
-
-    /**
-     * Merged prime-path completion words (version 2); empty when the
-     * session ran without the tracker (config.recordEdgeTrace off).
-     */
-    std::vector<uint64_t> pathWords;
 
     std::vector<ShardCheckpoint> shardStates;
 };
 
 /**
- * Atomically persist @p ckpt to @p path (temp + rename).  Hits the
- * `fleet.checkpoint_write` fault site first and throws FatalError on
- * any write failure — the coordinator downgrades that to a warning,
- * because a failed checkpoint must cost durability, never the
- * session.
+ * Atomically persist @p ckpt to @p path (temp + rename).  Throws
+ * FatalError on any write failure — the coordinator downgrades that
+ * to a warning, because a failed checkpoint must cost durability,
+ * never the session.
  */
 void saveFleetCheckpoint(const std::string &path,
                          const FleetCheckpoint &ckpt);
 
 /**
- * Load a checkpoint written by saveFleetCheckpoint.  Validates the
- * magic and version and decodes against @p program's edge universe;
- * throws FatalError naming what is wrong.  Identity fields are
- * returned, not judged — the resuming coordinator compares them
- * against its own session and reports expected/found itself.
+ * Load a checkpoint written by saveFleetCheckpoint, decoded and
+ * size-checked against @p program's edge universe (see file comment);
+ * throws FatalError naming what is wrong.  The identity is returned,
+ * not judged — the resuming coordinator compares it with its own.
  */
 FleetCheckpoint loadFleetCheckpoint(const std::string &path,
                                     const isa::Program &program);

@@ -19,6 +19,7 @@
 #include "src/fleet/checkpoint.hh"
 #include "src/fleet/transport.hh"
 #include "src/fleet/worker.hh"
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 #include "src/support/strutil.hh"
 
@@ -27,19 +28,6 @@ namespace pe::fleet
 
 namespace
 {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvMix(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -56,23 +44,6 @@ msUntil(Clock::time_point deadline)
     return static_cast<int>(left);
 }
 
-/** The identity every peer (and every checkpoint) must match. */
-FleetIdentity
-fleetIdentityOf(const explore::ExploreOptions &base,
-                const ShardPlan &plan, const isa::Program &program,
-                const std::vector<std::vector<int32_t>> &seeds)
-{
-    FleetIdentity id;
-    id.shards = plan.shards;
-    id.configHash = core::configHash(base.config);
-    id.masterSeed = base.seed;
-    id.planDigest = plan.planDigest;
-    id.programFp = explore::programFingerprint(program);
-    id.sessionWord = sessionWord(base);
-    id.seedsDigest = seedsDigest(seeds);
-    return id;
-}
-
 } // namespace
 
 ShardPlan
@@ -86,8 +57,8 @@ makeShardPlan(uint64_t configHash, uint64_t masterSeed,
     // Derive per-shard seeds from a stream forked off (configHash,
     // masterSeed) so a config change re-seeds the whole fleet, never
     // just reshuffles it.
-    Rng planRng(masterSeed ^ fnvMix(kFnvOffset, configHash));
-    uint64_t digest = fnvMix(kFnvOffset, configHash);
+    Rng planRng(masterSeed ^ fnvMix(kFleetFnvOffset, configHash));
+    uint64_t digest = fnvMix(kFleetFnvOffset, configHash);
     digest = fnvMix(digest, masterSeed);
     digest = fnvMix(digest, shards);
     digest = fnvMix(digest, seedCount);
@@ -120,6 +91,17 @@ makeShardPlan(uint64_t configHash, uint64_t masterSeed,
 
     plan.planDigest = digest;
     return plan;
+}
+
+FleetIdentity
+fleetIdentity(const isa::Program &program,
+              const explore::ExploreOptions &base, const ShardPlan &plan,
+              const std::vector<std::vector<int32_t>> &seeds)
+{
+    FleetIdentity id = explore::sessionIdentity(program, base, seeds);
+    id.shards = plan.shards;
+    id.planDigest = plan.planDigest;
+    return id;
 }
 
 const char *
@@ -156,6 +138,8 @@ Coordinator::Coordinator(const isa::Program &program,
     shardPlan = makeShardPlan(core::configHash(this->opts.base.config),
                               this->opts.base.seed, this->opts.shards,
                               this->seeds.size());
+    identity = fleetIdentity(program, this->opts.base, shardPlan,
+                             this->seeds);
     // Same construction path as every worker's Explorer: the tracker
     // is a pure function of the program (default enumeration caps),
     // so coordinator and shards agree on the path-id space and the
@@ -169,120 +153,98 @@ void
 Coordinator::establishFleet(FleetResult &res)
 {
     size_t words = global.frontier().takenWords().size();
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
-
     std::vector<WorkerConfig> configs;
     fleet.resize(shardPlan.specs.size());
-    for (size_t s = 0; s < shardPlan.specs.size(); ++s) {
+    for (size_t s = 0; s < fleet.size(); ++s) {
         Shard &shard = fleet[s];
         shard.spec = shardPlan.specs[s];
         shard.summary.shard = shard.spec.shard;
+        shard.summary.alive = true;
         shard.sentTaken.assign(words, 0);
         shard.sentNt.assign(words, 0);
 
-        WorkerConfig cfg;
-        cfg.expect.wireVersion = wire::kWireVersion;
-        cfg.expect.shard = shard.spec.shard;
-        cfg.expect.shards = shardPlan.shards;
-        cfg.expect.configHash = id.configHash;
-        cfg.expect.masterSeed = opts.base.seed;
-        cfg.expect.shardSeed = shard.spec.shardSeed;
-        cfg.expect.planDigest = shardPlan.planDigest;
-        cfg.expect.programFp = id.programFp;
-        cfg.expect.heartbeatMs =
-            opts.heartbeatMs > 0
-                ? static_cast<uint32_t>(opts.heartbeatMs)
-                : 0;
-        cfg.opts = shardWorkerOptions(opts.base,
-                                      shard.spec.shardSeed,
-                                      shard.spec.shard,
-                                      opts.workerThreads);
-        for (uint32_t idx : shard.spec.seedIndices)
-            cfg.seeds.push_back(seeds[idx]);
-        configs.push_back(std::move(cfg));
+        WorkerConfig &cfg = configs.emplace_back();
+        cfg.shard = shard.spec.shard;
+        cfg.options.shards = shardPlan.shards;
+        cfg.options.base = opts.base;
+        cfg.options.seeds = seeds;
+        cfg.options.workerThreads = opts.workerThreads;
     }
 
     std::vector<int> fds =
-        transport->establish(id, configs, opts.stopFlag);
+        transport->establish(identity, configs, opts.stopFlag);
     pe_assert(fds.size() == fleet.size(),
               "transport returned the wrong shard count");
-    for (size_t s = 0; s < fleet.size(); ++s) {
-        fleet[s].fd = fds[s];
-        fleet[s].summary.alive = fds[s] >= 0;
-    }
 
-    // The Hello/HelloReply handshake runs on blocking fds (lockstep,
-    // one frame each way); the reactor flips them non-blocking after.
+    // Every accept frame goes out before any ready frame is awaited,
+    // so the shards build their explorers concurrently.  The exchange
+    // runs on blocking fds; the reactor flips them non-blocking after.
+    for (size_t s = 0; s < fleet.size(); ++s) {
+        Shard &shard = fleet[s];
+        shard.fd = fds[s];
+        try {
+            if (shard.fd < 0)
+                throw wire::WireError(wire::WireErrorKind::Mismatch,
+                                      "join refused");
+            sendAccept(shard);
+        } catch (const wire::WireError &err) {
+            markDead(shard, res,
+                     detail::concat("handshake failed: ", err.what()));
+        }
+    }
     for (Shard &shard : fleet) {
         if (!shard.summary.alive)
             continue;
-        if (!handshake(shard))
-            markDead(shard, res, "handshake failed");
-    }
-    for (Shard &shard : fleet)
-        if (shard.summary.alive && shard.fd >= 0)
+        try {
+            awaitReady(shard);
             wire::setNonBlocking(shard.fd);
+        } catch (const wire::WireError &err) {
+            markDead(shard, res,
+                     detail::concat("handshake failed: ", err.what()));
+        }
+    }
 }
 
-bool
-Coordinator::handshake(Shard &shard)
+void
+Coordinator::sendAccept(Shard &shard)
 {
     Hello hello;
-    hello.wireVersion = wire::kWireVersion;
     hello.shard = shard.spec.shard;
-    hello.shards = shardPlan.shards;
-    hello.configHash = core::configHash(opts.base.config);
-    hello.masterSeed = opts.base.seed;
-    hello.shardSeed = shard.spec.shardSeed;
-    hello.planDigest = shardPlan.planDigest;
-    hello.programFp = explore::programFingerprint(program);
     hello.heartbeatMs =
-        opts.heartbeatMs > 0
-            ? static_cast<uint32_t>(opts.heartbeatMs)
-            : 0;
+        opts.heartbeatMs > 0 ? static_cast<uint32_t>(opts.heartbeatMs)
+                             : 0;
+    wire::Encoder enc;
+    encodeHello(enc, hello);
+    wire::writeFrame(shard.fd, wire::FrameType::Hello, enc.buffer());
+}
 
-    try {
-        wire::Encoder enc;
-        encodeHello(enc, hello);
-        wire::writeFrame(shard.fd, wire::FrameType::Hello,
-                         enc.buffer());
-
-        auto frame = wire::readFrameTimeout(shard.fd, 10000);
-        if (!frame)
-            throw wire::WireError(wire::WireErrorKind::Truncated,
-                                  "worker closed before hello reply");
-        if (frame->type == wire::FrameType::Error) {
-            wire::Decoder dec(frame->payload);
-            throw wire::WireError(wire::WireErrorKind::Mismatch,
-                                  dec.str("worker error"));
-        }
-        if (frame->type != wire::FrameType::HelloReply)
-            throw wire::WireError(
-                wire::WireErrorKind::BadFrame,
-                detail::concat("expected hello-reply, got ",
-                               wire::frameTypeName(frame->type)));
+void
+Coordinator::awaitReady(Shard &shard)
+{
+    auto frame = wire::readFrameTimeout(shard.fd, kAttachTimeoutMs,
+                                        &shard.reader);
+    if (!frame)
+        throw wire::WireError(wire::WireErrorKind::Io,
+                              "worker closed before its ready frame");
+    if (frame->type == wire::FrameType::Error) {
         wire::Decoder dec(frame->payload);
-        HelloReply reply = decodeHelloReply(dec);
-        dec.expectEnd("hello-reply");
-        if (reply.shard != shard.spec.shard ||
-            reply.totalEdges != global.frontier().totalEdges()) {
-            throw wire::WireError(
-                wire::WireErrorKind::Mismatch,
-                detail::concat("hello-reply identity mismatch: "
-                               "expected shard ", shard.spec.shard,
-                               "/", global.frontier().totalEdges(),
-                               " edges, found ", reply.shard, "/",
-                               reply.totalEdges, " edges"));
-        }
-    } catch (const wire::WireError &err) {
-        if (opts.status)
-            *opts.status << "[fleet] shard " << shard.spec.shard
-                         << " failed handshake: " << err.what()
-                         << "\n";
-        return false;
+        throw wire::WireError(wire::WireErrorKind::Mismatch,
+                              dec.str("worker error"));
     }
-    return true;
+    if (frame->type != wire::FrameType::HelloReply)
+        throw wire::WireError(
+            wire::WireErrorKind::BadFrame,
+            detail::concat("expected hello-reply, got ",
+                           wire::frameTypeName(frame->type)));
+    wire::Decoder dec(frame->payload);
+    HelloReply ready = decodeHelloReply(dec);
+    dec.expectEnd("hello-reply");
+    if (ready.shard != shard.spec.shard)
+        throw wire::WireError(
+            wire::WireErrorKind::Mismatch,
+            detail::concat("ready frame for shard ", ready.shard,
+                           " on shard ", shard.spec.shard, "'s channel"),
+            shard.spec.shard, ready.shard);
 }
 
 std::vector<uint64_t>
@@ -467,6 +429,18 @@ Coordinator::disconnectShard(Shard &shard, FleetResult &res,
 }
 
 void
+Coordinator::dropShard(Shard &shard, FleetResult &res,
+                       const wire::WireError &err)
+{
+    // Header garbage / malformed payloads are protocol failures; only
+    // honest connection trouble earns a reconnect window.
+    if (err.kind() == wire::WireErrorKind::Io)
+        disconnectShard(shard, res, err.what());
+    else
+        markDead(shard, res, err.what());
+}
+
+void
 Coordinator::markDead(Shard &shard, FleetResult &res,
                       const std::string &why)
 {
@@ -538,12 +512,7 @@ Coordinator::pumpShard(Shard &shard, FleetResult &res,
             shard.stashed = std::move(delta);
         }
     } catch (const wire::WireError &err) {
-        // Header garbage / malformed payloads are protocol failures;
-        // only honest connection trouble earns a reconnect window.
-        if (err.kind() == wire::WireErrorKind::Io)
-            disconnectShard(shard, res, err.what());
-        else
-            markDead(shard, res, err.what());
+        dropShard(shard, res, err);
         return;
     }
 
@@ -571,8 +540,10 @@ Coordinator::acceptReconnects(FleetResult &res, uint64_t round)
         shard.reader.reset();
         try {
             wire::setNonBlocking(shard.fd);
+            sendAccept(shard);
+            awaitReady(shard);
         } catch (const wire::WireError &err) {
-            disconnectShard(shard, res, err.what());
+            dropShard(shard, res, err);
             continue;
         }
         ++res.reconnects;
@@ -816,6 +787,42 @@ Coordinator::checkStop(const FleetResult &res) const
     return std::nullopt;
 }
 
+bool
+Coordinator::awaitRejoins(FleetResult &res,
+                          const std::function<bool()> &satisfied,
+                          const char *why)
+{
+    std::optional<Clock::time_point> deadline;
+    if (opts.roundDeadlineMs > 0)
+        deadline = Clock::now() +
+                   std::chrono::milliseconds(opts.roundDeadlineMs);
+    while (!satisfied()) {
+        if (opts.stopFlag &&
+            opts.stopFlag->load(std::memory_order_relaxed))
+            return false;
+        int timeout = 200;
+        if (deadline) {
+            int left = msUntil(*deadline);
+            if (left == 0) {
+                // Degradation, never a hang: the quorum gate decides
+                // whether the session goes on without them.
+                for (Shard &shard : fleet)
+                    if (shard.summary.alive && shard.fd < 0)
+                        markDead(shard, res, why);
+                break;
+            }
+            timeout = std::min(timeout, left);
+        }
+        struct pollfd pfd = {transport->acceptFd(), POLLIN, 0};
+        int rc = ::poll(&pfd, 1, timeout);
+        if (rc < 0 && errno != EINTR)
+            pe_fatal("fleet poll failed: ", std::strerror(errno));
+        if (rc > 0)
+            acceptReconnects(res, res.rounds);
+    }
+    return true;
+}
+
 std::optional<FleetStop>
 Coordinator::enforceQuorum(FleetResult &res)
 {
@@ -832,53 +839,23 @@ Coordinator::enforceQuorum(FleetResult &res)
         }
         return c;
     };
+    auto settled = [&] {
+        auto [alive, attached] = counts();
+        return alive < opts.minQuorum || attached >= opts.minQuorum;
+    };
 
     // Recoverable shortfall: enough shards alive, too few attached.
     // Pausing dispatch (bounded by the round deadline) beats running
     // a degraded round a rejoining worker could have joined.
-    if (transport->supportsReconnect() && transport->acceptFd() >= 0) {
-        std::optional<Clock::time_point> deadline;
-        if (opts.roundDeadlineMs > 0)
-            deadline = Clock::now() + std::chrono::milliseconds(
-                                          opts.roundDeadlineMs);
-        bool paused = false;
-        for (;;) {
-            auto [alive, attached] = counts();
-            if (alive < opts.minQuorum ||
-                attached >= opts.minQuorum)
-                break;
-            if (opts.stopFlag &&
-                opts.stopFlag->load(std::memory_order_relaxed))
-                return FleetStop::Interrupted;
-            if (!paused) {
-                paused = true;
-                if (opts.status)
-                    *opts.status
-                        << "[fleet] below quorum (" << attached << "/"
-                        << opts.minQuorum
-                        << " attached); pausing for rejoins\n";
-            }
-            int timeout = 200;
-            if (deadline) {
-                int left = msUntil(*deadline);
-                if (left == 0) {
-                    for (Shard &shard : fleet)
-                        if (shard.summary.alive && shard.fd < 0)
-                            markDead(shard, res,
-                                     "no rejoin within the quorum "
-                                     "wait");
-                    break;
-                }
-                timeout = std::min(timeout, left);
-            }
-            struct pollfd pfd = {transport->acceptFd(), POLLIN, 0};
-            int rc = ::poll(&pfd, 1, timeout);
-            if (rc < 0 && errno != EINTR)
-                pe_fatal("fleet poll failed: ",
-                         std::strerror(errno));
-            if (rc > 0)
-                acceptReconnects(res, res.rounds);
-        }
+    if (transport->supportsReconnect() && transport->acceptFd() >= 0 &&
+        !settled()) {
+        if (opts.status)
+            *opts.status << "[fleet] below quorum (" << counts().second
+                         << "/" << opts.minQuorum
+                         << " attached); pausing for rejoins\n";
+        if (!awaitRejoins(res, settled,
+                          "no rejoin within the quorum wait"))
+            return FleetStop::Interrupted;
     }
 
     if (counts().first < opts.minQuorum)
@@ -893,16 +870,7 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
         return;
 
     FleetCheckpoint ckpt;
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
-    ckpt.configHash = id.configHash;
-    ckpt.masterSeed = id.masterSeed;
-    ckpt.shards = id.shards;
-    ckpt.planDigest = id.planDigest;
-    ckpt.programFp = id.programFp;
-    ckpt.sessionWord = id.sessionWord;
-    ckpt.seedsDigest = id.seedsDigest;
-
+    ckpt.id = identity;
     ckpt.rounds = res.rounds;
     ckpt.runs = res.runs;
     ckpt.instructions = res.instructions;
@@ -912,27 +880,10 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
     ckpt.lostWorkers = res.lostWorkers;
     ckpt.reconnects = res.reconnects;
     ckpt.globalDryRounds = globalDryRounds;
-
-    ckpt.frontierTaken = global.frontier().takenWords();
-    ckpt.frontierNt = global.frontier().ntWords();
-    ckpt.exerciseCounts = global.exercise().rawCounts();
-    ckpt.exerciseRuns = global.exercise().runsAccumulated();
-    ckpt.entries = global.entries();
+    ckpt.corpus = explore::CorpusState::of(global, pathTracker.get());
     ckpt.origins = origins;
-    if (pathTracker)
-        ckpt.pathWords = pathTracker->words();
-
-    for (const Shard &shard : fleet) {
-        ShardCheckpoint sc;
-        sc.summary = shard.summary;
-        sc.sentTaken = shard.sentTaken;
-        sc.sentNt = shard.sentNt;
-        sc.entryMark = shard.entryMark;
-        sc.gotForeign = shard.gotForeign;
-        sc.replayRound = shard.replayRound;
-        sc.replayPayload = shard.replayPayload;
-        ckpt.shardStates.push_back(std::move(sc));
-    }
+    for (const Shard &shard : fleet)
+        ckpt.shardStates.push_back(shard);   // its ShardCheckpoint half
 
     try {
         saveFleetCheckpoint(opts.checkpointPath, ckpt);
@@ -958,37 +909,19 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
 void
 Coordinator::resumeState(FleetResult &res)
 {
+    // The loader checked every size against the program and the
+    // checkpoint's own plan; the identity check ties that plan to
+    // ours.  Only then is anything restored.
     FleetCheckpoint ckpt =
         loadFleetCheckpoint(opts.resumeFrom, program);
-    FleetIdentity id =
-        fleetIdentityOf(opts.base, shardPlan, program, seeds);
-
-    auto check = [&](const char *field, uint64_t expected,
-                     uint64_t found) {
-        if (expected != found)
-            pe_fatal("fleet checkpoint '", opts.resumeFrom,
-                     "' belongs to another session: ", field,
-                     " expected ", expected, ", found ", found);
-    };
-    check("config hash", id.configHash, ckpt.configHash);
-    check("master seed", id.masterSeed, ckpt.masterSeed);
-    check("shard count", id.shards, ckpt.shards);
-    check("plan digest", id.planDigest, ckpt.planDigest);
-    check("program fingerprint", id.programFp, ckpt.programFp);
-    check("session word", id.sessionWord, ckpt.sessionWord);
-    check("seeds digest", id.seedsDigest, ckpt.seedsDigest);
-    pe_assert(ckpt.shardStates.size() == shardPlan.specs.size(),
-              "checkpoint shard state count mismatch");
-
-    global.restore(std::move(ckpt.entries), ckpt.frontierTaken,
-                   ckpt.frontierNt, ckpt.exerciseCounts,
-                   ckpt.exerciseRuns);
+    try {
+        explore::checkIdentity(identity, ckpt.id);
+        std::move(ckpt.corpus).restoreInto(global, pathTracker.get());
+    } catch (const wire::WireError &err) {
+        explore::refuseStateFile(explore::StateKind::Fleet,
+                                 opts.resumeFrom, err);
+    }
     origins = std::move(ckpt.origins);
-    // Tracker presence is implied by recordEdgeTrace, which the
-    // config-hash check above already judged; an empty word vector in
-    // the checkpoint means the session ran without the tracker.
-    if (pathTracker && !ckpt.pathWords.empty())
-        pathTracker->restoreWords(ckpt.pathWords);
 
     res.rounds = ckpt.rounds;
     res.runs = ckpt.runs;
@@ -1004,15 +937,9 @@ Coordinator::resumeState(FleetResult &res)
     fleet.resize(shardPlan.specs.size());
     for (size_t s = 0; s < fleet.size(); ++s) {
         Shard &shard = fleet[s];
-        ShardCheckpoint &sc = ckpt.shardStates[s];
+        static_cast<ShardCheckpoint &>(shard) =
+            std::move(ckpt.shardStates[s]);
         shard.spec = shardPlan.specs[s];
-        shard.summary = sc.summary;
-        shard.sentTaken = std::move(sc.sentTaken);
-        shard.sentNt = std::move(sc.sentNt);
-        shard.entryMark = sc.entryMark;
-        shard.gotForeign = sc.gotForeign;
-        shard.replayRound = sc.replayRound;
-        shard.replayPayload = std::move(sc.replayPayload);
         shard.lastActivity = Clock::now();
     }
 
@@ -1035,81 +962,6 @@ Coordinator::resumeState(FleetResult &res)
 }
 
 void
-Coordinator::reattachFleet(FleetResult &res)
-{
-    transport->prepareResume(
-        fleetIdentityOf(opts.base, shardPlan, program, seeds));
-
-    // Bounded wait for the session's workers to redial.  A straggler
-    // past the bound is marked dead — degradation, never a hang —
-    // and the quorum gate decides whether the session goes on.
-    std::optional<Clock::time_point> deadline;
-    if (opts.roundDeadlineMs > 0)
-        deadline = Clock::now() +
-                   std::chrono::milliseconds(opts.roundDeadlineMs);
-    for (;;) {
-        size_t missing = 0;
-        for (const Shard &shard : fleet)
-            if (shard.summary.alive && shard.fd < 0)
-                ++missing;
-        if (missing == 0)
-            return;
-        if (opts.stopFlag &&
-            opts.stopFlag->load(std::memory_order_relaxed))
-            return;   // the round loop turns this into Interrupted
-        int timeout = 200;
-        if (deadline) {
-            int left = msUntil(*deadline);
-            if (left == 0) {
-                for (Shard &shard : fleet)
-                    if (shard.summary.alive && shard.fd < 0)
-                        markDead(shard, res,
-                                 "did not redial after resume");
-                return;
-            }
-            timeout = std::min(timeout, left);
-        }
-        struct pollfd pfd = {transport->acceptFd(), POLLIN, 0};
-        int rc = ::poll(&pfd, 1, timeout);
-        if (rc < 0 && errno != EINTR)
-            pe_fatal("fleet poll failed: ", std::strerror(errno));
-        if (rc > 0)
-            acceptReconnects(res, res.rounds);
-    }
-}
-
-std::optional<wire::Frame>
-Coordinator::readShardFrame(Shard &shard, int timeoutMs)
-{
-    // Like wire::readFrameTimeout, but draining through the shard's
-    // own reassembly buffer so bytes it already holds are not lost.
-    auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeoutMs);
-    for (;;) {
-        if (auto frame = shard.reader.next())
-            return frame;
-        int left = msUntil(deadline);
-        if (left == 0)
-            return std::nullopt;
-        struct pollfd pfd = {shard.fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, left);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            throw wire::WireError(
-                wire::WireErrorKind::Io,
-                detail::concat("poll failed: ",
-                               std::strerror(errno)));
-        }
-        if (rc == 0)
-            return std::nullopt;
-        if (wire::fillFromFd(shard.fd, shard.reader) ==
-            wire::FillStatus::Eof)
-            return shard.reader.next();
-    }
-}
-
-void
 Coordinator::shutdownWorkers()
 {
     // Bounded: a worker that never answers Stop with Goodbye cannot
@@ -1120,13 +972,15 @@ Coordinator::shutdownWorkers()
             continue;
         try {
             wire::writeFrame(shard.fd, wire::FrameType::Stop, {});
-            auto frame =
-                readShardFrame(shard, opts.goodbyeTimeoutMs);
+            auto next = [&] {
+                return wire::readFrameTimeout(
+                    shard.fd, opts.goodbyeTimeoutMs, &shard.reader);
+            };
+            auto frame = next();
             // A beat already in flight when Stop landed is not a
             // protocol violation; skip to the Goodbye behind it.
-            while (frame &&
-                   frame->type == wire::FrameType::Heartbeat)
-                frame = readShardFrame(shard, opts.goodbyeTimeoutMs);
+            while (frame && frame->type == wire::FrameType::Heartbeat)
+                frame = next();
             if (frame && frame->type == wire::FrameType::Goodbye) {
                 wire::Decoder dec(frame->payload);
                 Goodbye bye = decodeGoodbye(dec);
@@ -1137,14 +991,14 @@ Coordinator::shutdownWorkers()
                         << " done: " << bye.runs << " runs, "
                         << bye.corpusSize << " corpus entries, "
                         << bye.edgesCombined << " edges\n";
-            } else if (!frame && opts.status) {
-                *opts.status << "[fleet] shard " << shard.spec.shard
-                             << " sent no goodbye within "
-                             << opts.goodbyeTimeoutMs
-                             << " ms; reaping\n";
             }
-        } catch (const wire::WireError &) {
-            // Already exiting; the transport shutdown still reaps.
+        } catch (const wire::WireError &err) {
+            // Already exiting, or wedged past the goodbye timeout;
+            // either way the transport shutdown reaps it.
+            if (opts.status)
+                *opts.status << "[fleet] shard " << shard.spec.shard
+                             << " sent no goodbye (" << err.what()
+                             << "); reaping\n";
         }
         transport->closeChannel(shard.spec.shard);
         shard.fd = -1;
@@ -1261,8 +1115,18 @@ Coordinator::run()
         // unless the checkpoint already satisfies a stop condition,
         // in which case there is nothing left to reattach for.
         resumeState(res);
-        if (!checkStop(res))
-            reattachFleet(res);
+        if (!checkStop(res)) {
+            transport->prepareResume(identity);
+            awaitRejoins(
+                res,
+                [&] {
+                    return std::none_of(
+                        fleet.begin(), fleet.end(), [](const Shard &s) {
+                            return s.summary.alive && s.fd < 0;
+                        });
+                },
+                "did not redial after resume");
+        }
     } else {
         establishFleet(res);
     }
@@ -1339,12 +1203,8 @@ Coordinator::run()
         wire::Encoder enc;
         for (const explore::CorpusEntry &entry : global.entries())
             explore::encodeEntry(enc, entry);
-        uint64_t digest = fnvMix(kFnvOffset, global.size());
-        for (char c : enc.buffer()) {
-            digest ^= static_cast<unsigned char>(c);
-            digest *= kFnvPrime;
-        }
-        res.corpusDigest = digest;
+        res.corpusDigest = fnvMixBytes(
+            fnvMix(kFleetFnvOffset, global.size()), enc.buffer());
     }
 
     for (const Shard &shard : fleet)

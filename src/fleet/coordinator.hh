@@ -51,6 +51,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -186,7 +187,7 @@ struct ShardSpec
 /**
  * The partition of seed/energy space: pure function of (configHash,
  * masterSeed, shards, seedCount).  planDigest names it — it goes
- * into the Hello handshake and the result record, and reruns with
+ * into the session identity and the result record, and reruns with
  * equal digests are bit-comparable.
  */
 struct ShardPlan
@@ -198,6 +199,15 @@ struct ShardPlan
 
 ShardPlan makeShardPlan(uint64_t configHash, uint64_t masterSeed,
                         uint32_t shards, size_t seedCount);
+
+/**
+ * The identity every peer and checkpoint of the fleet running @p plan
+ * over @p seeds with @p base must match.  The coordinator and every
+ * worker derive it through this one function.
+ */
+FleetIdentity fleetIdentity(
+    const isa::Program &program, const explore::ExploreOptions &base,
+    const ShardPlan &plan, const std::vector<std::vector<int32_t>> &seeds);
 
 /** Why the fleet stopped. */
 enum class FleetStop : uint8_t
@@ -221,6 +231,26 @@ struct ShardSummary
     uint32_t dryRounds = 0;     //!< current plateau streak
     bool alive = false;
     bool exhausted = false;
+};
+
+/**
+ * The durable half of a shard's coordinator-side state — what a fleet
+ * checkpoint stores per shard (fleet/checkpoint.hh says why the
+ * cursors and the replay buffer are stored exactly).
+ */
+struct ShardCheckpoint
+{
+    ShardSummary summary;
+    /** Global-frontier words last broadcast to this shard. */
+    std::vector<uint64_t> sentTaken;
+    std::vector<uint64_t> sentNt;
+    /** Global corpus entries already broadcast. */
+    uint64_t entryMark = 0;
+    /** Broadcast delivered fresh foreign material last round. */
+    bool gotForeign = false;
+    /** One-round replay buffer: last RoundStart, exact bytes. */
+    uint64_t replayRound = 0;
+    std::string replayPayload;
 };
 
 struct FleetResult
@@ -251,7 +281,10 @@ struct FleetResult
     /** Runs re-partitioned away from fair shares by stealing. */
     uint64_t stolenRuns = 0;
     uint32_t lostWorkers = 0;
-    /** Successful worker re-attachments after a dropped channel. */
+    /**
+     * Successful worker re-attachments after a dropped channel or a
+     * coordinator resume (initial seating does not count).
+     */
     uint32_t reconnects = 0;
     std::vector<ShardSummary> shards;
 };
@@ -273,10 +306,9 @@ class Coordinator
     const explore::Corpus &corpus() const { return global; }
 
   private:
-    struct Shard
+    struct Shard : ShardCheckpoint
     {
         ShardSpec spec;
-        ShardSummary summary;
         /** Current channel fd; -1 = detached (awaiting rejoin). */
         int fd = -1;
         /** Per-shard reassembly buffer for the poll reactor. */
@@ -285,16 +317,6 @@ class Coordinator
         bool pendingDelta = false;
         /** Delta arrived, parked until the in-order merge. */
         std::optional<RoundDelta> stashed;
-        /** One-round replay buffer: last RoundStart, exact bytes. */
-        uint64_t replayRound = 0;
-        std::string replayPayload;
-        /** Global-frontier words last broadcast to this shard. */
-        std::vector<uint64_t> sentTaken;
-        std::vector<uint64_t> sentNt;
-        /** Global corpus entries already broadcast. */
-        size_t entryMark = 0;
-        /** Broadcast delivered fresh foreign material last round. */
-        bool gotForeign = false;
         /** Liveness: last frame (heartbeat or delta) or dispatch. */
         std::chrono::steady_clock::time_point lastActivity{};
         /** Health machine: silent past heartbeatMs, not yet dead. */
@@ -302,11 +324,21 @@ class Coordinator
     };
 
     void establishFleet(FleetResult &res);
-    bool handshake(Shard &shard);
+    /** Attach exchange, coordinator side: the accept frame (Hello). */
+    void sendAccept(Shard &shard);
+    /** Wait for shard's ready frame (HelloReply); throws WireError. */
+    void awaitReady(Shard &shard);
     /** Restore state from opts.resumeFrom; fatal on any mismatch. */
     void resumeState(FleetResult &res);
-    /** Wait (bounded) for the session's workers to redial. */
-    void reattachFleet(FleetResult &res);
+    /**
+     * Bounded rejoin wait shared by resume and the quorum gate: sit in
+     * accept until @p satisfied holds or the stop flag rises (returns
+     * false); past the round deadline every live detached shard is
+     * marked dead for @p why.
+     */
+    bool awaitRejoins(FleetResult &res,
+                      const std::function<bool()> &satisfied,
+                      const char *why);
     /** Persist after a merge; failure = warning, never abort. */
     void maybeCheckpoint(const FleetResult &res);
     /** Stop condition shared by the round loop and the resume path. */
@@ -332,10 +364,11 @@ class Coordinator
                          FleetResult &res, uint64_t &roundNewEdges);
     void disconnectShard(Shard &shard, FleetResult &res,
                          const std::string &why);
+    /** Io trouble detaches (reconnectable); anything else kills. */
+    void dropShard(Shard &shard, FleetResult &res,
+                   const wire::WireError &err);
     void markDead(Shard &shard, FleetResult &res,
                   const std::string &why);
-    std::optional<wire::Frame> readShardFrame(Shard &shard,
-                                              int timeoutMs);
     void shutdownWorkers();
     void emitRound(const FleetResult &res, uint64_t round,
                    uint64_t roundRuns, uint64_t roundNewEdges);
@@ -346,6 +379,7 @@ class Coordinator
     FleetOptions opts;
     std::shared_ptr<Transport> transport;
     ShardPlan shardPlan;
+    FleetIdentity identity;
     explore::Corpus global;
 
     /**

@@ -5,10 +5,6 @@
 
 #include "src/fleet/protocol.hh"
 
-#include <cstring>
-
-#include "src/explore/explorer.hh"
-#include "src/explore/serialize.hh"
 #include "src/support/status.hh"
 #include "src/support/strutil.hh"
 
@@ -17,19 +13,6 @@ namespace pe::fleet
 
 namespace
 {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvMix64(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 void
 encodeSparse(wire::Encoder &enc, const SparseWords &w)
@@ -58,39 +41,12 @@ decodeSparse(wire::Decoder &dec)
     return w;
 }
 
-void
-encodeEntries(wire::Encoder &enc,
-              const std::vector<explore::CorpusEntry> &entries)
-{
-    enc.u32(static_cast<uint32_t>(entries.size()));
-    for (const auto &e : entries)
-        explore::encodeEntry(enc, e);
-}
-
-std::vector<explore::CorpusEntry>
-decodeEntries(wire::Decoder &dec, const isa::Program &program)
-{
-    uint32_t n = dec.count("frame entries");
-    std::vector<explore::CorpusEntry> entries;
-    entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        entries.push_back(explore::decodeEntry(dec, program));
-    return entries;
-}
-
 } // namespace
 
 void
 encodeHello(wire::Encoder &enc, const Hello &h)
 {
-    enc.u32(h.wireVersion);
     enc.u32(h.shard);
-    enc.u32(h.shards);
-    enc.u64(h.configHash);
-    enc.u64(h.masterSeed);
-    enc.u64(h.shardSeed);
-    enc.u64(h.planDigest);
-    enc.u64(h.programFp);
     enc.u32(h.heartbeatMs);
 }
 
@@ -98,14 +54,7 @@ Hello
 decodeHello(wire::Decoder &dec)
 {
     Hello h;
-    h.wireVersion = dec.u32("hello wire version");
     h.shard = dec.u32("hello shard");
-    h.shards = dec.u32("hello shards");
-    h.configHash = dec.u64("hello config hash");
-    h.masterSeed = dec.u64("hello master seed");
-    h.shardSeed = dec.u64("hello shard seed");
-    h.planDigest = dec.u64("hello plan digest");
-    h.programFp = dec.u64("hello program fingerprint");
     h.heartbeatMs = dec.u32("hello heartbeat interval");
     return h;
 }
@@ -113,20 +62,14 @@ decodeHello(wire::Decoder &dec)
 void
 encodeHelloReply(wire::Encoder &enc, const HelloReply &r)
 {
-    enc.u32(r.wireVersion);
     enc.u32(r.shard);
-    enc.u64(r.totalEdges);
-    enc.u64(r.seedCount);
 }
 
 HelloReply
 decodeHelloReply(wire::Decoder &dec)
 {
     HelloReply r;
-    r.wireVersion = dec.u32("hello-reply wire version");
     r.shard = dec.u32("hello-reply shard");
-    r.totalEdges = dec.u64("hello-reply total edges");
-    r.seedCount = dec.u64("hello-reply seed count");
     return r;
 }
 
@@ -137,7 +80,7 @@ encodeRoundStart(wire::Encoder &enc, const RoundStart &r)
     enc.u64(r.budgetRuns);
     encodeSparse(enc, r.frontier);
     enc.u64vec(r.pathWords);
-    encodeEntries(enc, r.entries);
+    explore::encodeEntries(enc, r.entries);
 }
 
 RoundStart
@@ -148,7 +91,7 @@ decodeRoundStart(wire::Decoder &dec, const isa::Program &program)
     r.budgetRuns = dec.u64("round-start budget");
     r.frontier = decodeSparse(dec);
     r.pathWords = dec.u64vec("round-start path words");
-    r.entries = decodeEntries(dec, program);
+    r.entries = explore::decodeEntries(dec, program);
     return r;
 }
 
@@ -164,7 +107,7 @@ encodeRoundDelta(wire::Encoder &enc, const RoundDelta &r)
     enc.u8(r.exhausted ? 1 : 0);
     encodeSparse(enc, r.frontier);
     enc.u64vec(r.pathWords);
-    encodeEntries(enc, r.entries);
+    explore::encodeEntries(enc, r.entries);
 }
 
 RoundDelta
@@ -180,7 +123,7 @@ decodeRoundDelta(wire::Decoder &dec, const isa::Program &program)
     r.exhausted = dec.u8("round-delta exhausted") != 0;
     r.frontier = decodeSparse(dec);
     r.pathWords = dec.u64vec("round-delta path words");
-    r.entries = decodeEntries(dec, program);
+    r.entries = explore::decodeEntries(dec, program);
     return r;
 }
 
@@ -209,14 +152,8 @@ encodeJoin(wire::Encoder &enc, const Join &j)
 {
     enc.u32(j.wireVersion);
     enc.u32(j.desiredShard);
-    enc.u32(j.shards);
-    enc.u64(j.configHash);
-    enc.u64(j.masterSeed);
-    enc.u64(j.planDigest);
-    enc.u64(j.programFp);
-    enc.u64(j.sessionWord);
-    enc.u64(j.seedsDigest);
     enc.u64(j.lastAckedRound);
+    explore::encodeIdentity(enc, j.id);
 }
 
 Join
@@ -224,41 +161,12 @@ decodeJoin(wire::Decoder &dec)
 {
     Join j;
     j.wireVersion = dec.u32("join wire version");
+    if (j.wireVersion != wire::kWireVersion)
+        return j;
     j.desiredShard = dec.u32("join desired shard");
-    j.shards = dec.u32("join shards");
-    j.configHash = dec.u64("join config hash");
-    j.masterSeed = dec.u64("join master seed");
-    j.planDigest = dec.u64("join plan digest");
-    j.programFp = dec.u64("join program fingerprint");
-    j.sessionWord = dec.u64("join session word");
-    j.seedsDigest = dec.u64("join seeds digest");
     j.lastAckedRound = dec.u64("join last acked round");
+    j.id = explore::decodeIdentity(dec);
     return j;
-}
-
-uint64_t
-sessionWord(const explore::ExploreOptions &opts)
-{
-    uint64_t h = fnvMix64(kFnvOffset, explore::policyWord(opts));
-    h = fnvMix64(h, opts.batchSize);
-    // The percentile is a double; its bit pattern is what two
-    // processes must agree on, not some rounded rendering.
-    uint64_t pct;
-    static_assert(sizeof(pct) == sizeof(opts.rarePercentile));
-    std::memcpy(&pct, &opts.rarePercentile, sizeof(pct));
-    return fnvMix64(h, pct);
-}
-
-uint64_t
-seedsDigest(const std::vector<std::vector<int32_t>> &seeds)
-{
-    uint64_t h = fnvMix64(kFnvOffset, seeds.size());
-    for (const auto &seed : seeds) {
-        h = fnvMix64(h, seed.size());
-        for (int32_t v : seed)
-            h = fnvMix64(h, static_cast<uint32_t>(v));
-    }
-    return h;
 }
 
 void
@@ -267,63 +175,44 @@ validateJoin(const Join &got, const Join &want)
     if (got.wireVersion != want.wireVersion) {
         throw wire::WireError(
             wire::WireErrorKind::BadVersion,
-            detail::concat("fleet join: wire version mismatch: "
-                           "expected ", want.wireVersion, ", found ",
+            detail::concat("wire version mismatch: expected ",
+                           want.wireVersion, ", found ",
                            got.wireVersion),
             want.wireVersion, got.wireVersion);
     }
-    auto check = [&](uint64_t wantV, uint64_t gotV,
-                     const char *field) {
-        if (wantV == gotV)
-            return;
+    explore::checkIdentity(want.id, got.id);
+}
+
+Join
+readJoin(int fd, const FleetIdentity &id)
+{
+    auto frame = wire::readFrameTimeout(fd, kAttachTimeoutMs);
+    if (!frame || frame->type != wire::FrameType::Join) {
         throw wire::WireError(
-            wire::WireErrorKind::Mismatch,
-            detail::concat("fleet join: ", field,
-                           " mismatch: expected 0x", fmtHex(wantV),
-                           ", found 0x", fmtHex(gotV)),
-            wantV, gotV);
-    };
-    check(want.shards, got.shards, "fleet width");
-    check(want.configHash, got.configHash, "config hash");
-    check(want.masterSeed, got.masterSeed, "master seed");
-    check(want.planDigest, got.planDigest, "plan digest");
-    check(want.programFp, got.programFp, "program fingerprint");
-    check(want.sessionWord, got.sessionWord, "session word");
-    check(want.seedsDigest, got.seedsDigest, "seeds digest");
+            wire::WireErrorKind::BadFrame,
+            detail::concat("expected join frame, got ",
+                           frame ? wire::frameTypeName(frame->type)
+                                 : "eof"));
+    }
+    wire::Decoder dec(frame->payload);
+    Join got = decodeJoin(dec);
+    Join want;
+    want.id = id;
+    validateJoin(got, want);
+    dec.expectEnd("join");
+    return got;
 }
 
 void
-validateHello(const Hello &got, const Hello &want)
+sendErrorBestEffort(int fd, const std::string &message)
 {
-    auto shardCtx = [&](const char *field) {
-        return detail::concat("fleet hello for shard ", want.shard,
-                              ": ", field);
-    };
-    if (got.wireVersion != want.wireVersion) {
-        throw wire::WireError(
-            wire::WireErrorKind::BadVersion,
-            detail::concat(shardCtx("wire version"), " mismatch: "
-                           "expected ", want.wireVersion, ", found ",
-                           got.wireVersion),
-            want.wireVersion, got.wireVersion);
+    try {
+        wire::Encoder enc;
+        enc.str(message);
+        wire::writeFrame(fd, wire::FrameType::Error, enc.buffer());
+    } catch (const wire::WireError &) {
+        // The peer is already gone; nothing to tell it.
     }
-    auto check = [&](uint64_t wantV, uint64_t gotV,
-                     const char *field) {
-        if (wantV == gotV)
-            return;
-        throw wire::WireError(
-            wire::WireErrorKind::Mismatch,
-            detail::concat(shardCtx(field), " mismatch: expected 0x",
-                           fmtHex(wantV), ", found 0x", fmtHex(gotV)),
-            wantV, gotV);
-    };
-    check(want.shard, got.shard, "shard id");
-    check(want.shards, got.shards, "fleet width");
-    check(want.configHash, got.configHash, "config hash");
-    check(want.masterSeed, got.masterSeed, "master seed");
-    check(want.shardSeed, got.shardSeed, "shard seed");
-    check(want.planDigest, got.planDigest, "plan digest");
-    check(want.programFp, got.programFp, "program fingerprint");
 }
 
 SparseWords

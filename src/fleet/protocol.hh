@@ -1,96 +1,93 @@
 /**
  * @file
  * Fleet IPC payloads: what actually crosses a coordinator–worker
- * pipe, and in which direction.
+ * channel, and in which direction.
  *
- * The protocol is round-based and delta-sized.  After a Hello /
- * HelloReply negotiation (wire version, shard identity, config hash,
- * plan digest, program fingerprint — every field that would make two
- * processes silently explore different universes), each round is one
- * RoundStart (budget + merged-frontier delta + newly admitted foreign
- * corpus entries) answered by one RoundDelta (runs executed + local
- * frontier delta + locally admitted entries).  Frontier deltas are
- * sparse (wordIndex, takenWord, ntWord) triples over the dense
- * coverage bitmaps: `BranchCoverage::mergeFrom` is a word-wise OR, so
- * shipping only the words that changed since the last exchange is
- * lossless and keeps steady-state frames tiny.
+ * Every (re)attach of every worker, forked or dialing, runs one
+ * exchange: the worker opens with Join (wire version, the session
+ * identity it derived from its own options, desired shard, last acked
+ * round); the coordinator validates it (readJoin / validateJoin) and
+ * answers Hello — the assigned shard and the heartbeat interval, no
+ * identity — or an Error frame; the worker builds its explorer on the
+ * first attach and answers HelloReply, the ready signal the
+ * coordinator waits for before it dispatches to that shard.
+ *
+ * After that each round is one RoundStart (budget + merged-frontier
+ * delta + newly admitted foreign corpus entries) answered by one
+ * RoundDelta (runs executed + local frontier delta + locally admitted
+ * entries).  Frontier deltas are sparse (wordIndex, takenWord,
+ * ntWord) triples over the dense coverage bitmaps:
+ * `BranchCoverage::mergeFrom` is a word-wise OR, so shipping only the
+ * words that changed since the last exchange is lossless and keeps
+ * steady-state frames tiny.
  */
 
 #ifndef PE_FLEET_PROTOCOL_HH
 #define PE_FLEET_PROTOCOL_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/explore/corpus.hh"
+#include "src/explore/serialize.hh"
 #include "src/fleet/wire.hh"
 #include "src/isa/program.hh"
-
-namespace pe::explore
-{
-struct ExploreOptions;
-}
 
 namespace pe::fleet
 {
 
-/** Coordinator -> worker, once, before any round. */
-struct Hello
-{
-    uint32_t wireVersion = wire::kWireVersion;
-    uint32_t shard = 0;         //!< receiver's shard id
-    uint32_t shards = 0;        //!< fleet width
-    uint64_t configHash = 0;    //!< core::configHash of every run
-    uint64_t masterSeed = 0;    //!< the fleet-level seed
-    uint64_t shardSeed = 0;     //!< this shard's derived seed
-    uint64_t planDigest = 0;    //!< ShardPlan identity
-    uint64_t programFp = 0;     //!< explore::programFingerprint
-
-    /**
-     * Heartbeat interval the coordinator runs its liveness machine
-     * at; 0 = heartbeats off.  Negotiation, not identity: the worker
-     * adopts whatever the coordinator asks for (validateHello never
-     * compares it), so a resumed coordinator may re-tune liveness
-     * without perturbing the session's digests.
-     */
-    uint32_t heartbeatMs = 0;
-};
-
-/** Worker -> coordinator: negotiation accepted. */
-struct HelloReply
-{
-    uint32_t wireVersion = wire::kWireVersion;
-    uint32_t shard = 0;
-    uint64_t totalEdges = 0;    //!< worker's view of the universe
-    uint64_t seedCount = 0;
-};
+/**
+ * What every peer and every checkpoint of a fleet must agree on: the
+ * explorer's session identity plus the fleet width and plan digest.
+ */
+using FleetIdentity = explore::SessionIdentity;
+using explore::seedsDigest;
+using explore::sessionWord;
 
 /** Join::desiredShard wildcard: "assign me any free shard". */
 constexpr uint32_t kAnyShard = 0xffffffffu;
 
 /**
- * Dialing worker -> coordinator, before anything else (TCP transport
- * only; forked workers inherit their identity by memory and skip
- * straight to Hello).  Carries everything a remote process derived
- * on its own — config hash, plan digest, program fingerprint, the
- * session word and the seeds digest — so the coordinator can refuse
- * a peer exploring a different universe before assigning it a shard.
- * On reconnect, desiredShard pins the old slot and lastAckedRound
- * names the last round this worker sent a delta for; the coordinator
- * replays the RoundStart the worker missed.
+ * Bound on each wait of the attach exchange: for a fresh channel's
+ * Join, and for the ready HelloReply after the coordinator's Hello.
+ */
+constexpr int kAttachTimeoutMs = 10000;
+
+/**
+ * Worker -> coordinator, the first frame on every channel.  A forked
+ * worker pins desiredShard to the slot whose socketpair it inherited;
+ * a dialing worker sends kAnyShard until it holds a shard, then that
+ * shard, with lastAckedRound naming the last round it sent a delta for
+ * so the coordinator can replay the RoundStart it missed.
  */
 struct Join
 {
     uint32_t wireVersion = wire::kWireVersion;
     uint32_t desiredShard = kAnyShard;
-    uint32_t shards = 0;
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;   //!< fleet::sessionWord of the options
-    uint64_t seedsDigest = 0;   //!< fleet::seedsDigest of the inputs
     uint64_t lastAckedRound = 0;
+    FleetIdentity id;
+};
+
+/** Coordinator -> worker: the Join was accepted. */
+struct Hello
+{
+    uint32_t shard = 0;         //!< the shard this channel serves
+
+    /**
+     * Heartbeat interval the coordinator runs its liveness machine
+     * at; 0 = heartbeats off.  Negotiation, not identity: the worker
+     * adopts whatever the coordinator asks for on each attach, so a
+     * resumed coordinator may re-tune liveness without perturbing the
+     * session's digests.
+     */
+    uint32_t heartbeatMs = 0;
+};
+
+/** Worker -> coordinator: the shard's explorer is built; dispatch. */
+struct HelloReply
+{
+    uint32_t shard = 0;
 };
 
 /**
@@ -116,9 +113,9 @@ struct RoundStart
     SparseWords frontier;       //!< global frontier growth
 
     /**
-     * Merged prime-path completion words (wire v4); empty when the
-     * tracker is off.  Shipped dense — the capped path-id space is at
-     * most 64 words — so no per-word diffing is needed.
+     * Merged prime-path completion words; empty when the tracker is
+     * off.  Shipped dense — the capped path-id space is at most 64
+     * words — so no per-word diffing is needed.
      */
     std::vector<uint64_t> pathWords;
 
@@ -137,7 +134,7 @@ struct RoundDelta
     bool exhausted = false;     //!< cannot make further progress
     SparseWords frontier;       //!< local frontier growth
 
-    /** Local prime-path completion words (wire v4; empty when off). */
+    /** Local prime-path completion words (empty when off). */
     std::vector<uint64_t> pathWords;
 
     std::vector<explore::CorpusEntry> entries;  //!< local admits
@@ -170,42 +167,33 @@ void encodeGoodbye(wire::Encoder &enc, const Goodbye &g);
 Goodbye decodeGoodbye(wire::Decoder &dec);
 
 void encodeJoin(wire::Encoder &enc, const Join &j);
+
+/**
+ * Decode a Join.  A frame of another wire version stops after the
+ * version word (its layout may differ), so validateJoin refuses it by
+ * version rather than by a confusing decode error.
+ */
 Join decodeJoin(wire::Decoder &dec);
 
 /**
- * Everything about the exploration contract that Hello's configHash
- * does *not* cover but that changes worker behavior: the scheduling
- * policy word, the batch size and the rarity percentile.  A TCP
- * worker built from its own command line must agree on these with
- * the coordinator or the merged digests silently diverge — so the
- * Join handshake validates the word instead of trusting the flags.
- */
-uint64_t sessionWord(const explore::ExploreOptions &opts);
-
-/**
- * FNV-1a over the fleet's seed inputs (count, lengths, values).  The
- * shard plan deals seed *indices*; this digest is what guarantees a
- * remote worker's seed list holds the same bytes at those indices.
- */
-uint64_t seedsDigest(const std::vector<std::vector<int32_t>> &seeds);
-
-/**
- * Compare a dialing peer's Join against this fleet's identity
- * (desiredShard and lastAckedRound are negotiation, not identity,
- * and are checked by the coordinator instead).  Throws
- * wire::WireError — BadVersion / Mismatch — naming the disagreeing
- * field with expected and found values.
+ * Compare a peer's Join against this fleet's (desiredShard and
+ * lastAckedRound are negotiation, not identity, and are judged by the
+ * transport and coordinator instead).  Throws wire::WireError —
+ * BadVersion, or Mismatch from explore::checkIdentity — naming the
+ * disagreeing field with expected and found values.
  */
 void validateJoin(const Join &got, const Join &want);
 
 /**
- * Compare a received Hello against what this worker was forked to
- * expect.  Throws wire::WireError — BadVersion for a protocol
- * revision we do not speak, Mismatch for identity fields — with the
- * expected and found values and the shard id in the message, so a
- * misassembled fleet names the exact disagreeing knob.
+ * The coordinator's first leg of the attach exchange, for every
+ * transport: read the Join a fresh channel must open with (bounded by
+ * kAttachTimeoutMs), decode it and validate it against @p id.  Throws
+ * wire::WireError; the caller refuses the peer.
  */
-void validateHello(const Hello &got, const Hello &want);
+Join readJoin(int fd, const FleetIdentity &id);
+
+/** Send an Error frame if the peer is still there; never throws. */
+void sendErrorBestEffort(int fd, const std::string &message);
 
 /**
  * Words of @p cov (taken or NT) that differ from the @p prevTaken /

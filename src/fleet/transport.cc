@@ -30,9 +30,6 @@ namespace pe::fleet
 namespace
 {
 
-/** How long a freshly accepted peer gets to produce its Join. */
-constexpr int kJoinTimeoutMs = 5000;
-
 /** Poll slice while waiting for the fleet to form (stopFlag checks). */
 constexpr int kEstablishPollMs = 200;
 
@@ -47,33 +44,57 @@ splitHostPort(const std::string &spec)
     return {spec.substr(0, colon), spec.substr(colon + 1)};
 }
 
-void
-sendErrorBestEffort(int fd, const std::string &message)
+/**
+ * Resolve @p spec and return the first address's socket that takes:
+ * bound and listening (@p passive), or connected.  An empty host means
+ * every interface to a listener and loopback to a dialer.  Throws
+ * FatalError with the last failure.
+ */
+int
+openTcp(const std::string &spec, bool passive)
 {
-    try {
-        wire::Encoder enc;
-        enc.str(message);
-        wire::writeFrame(fd, wire::FrameType::Error, enc.buffer());
-    } catch (const wire::WireError &) {
-        // The peer is already gone; nothing to tell it.
+    auto [host, service] = splitHostPort(spec);
+    struct addrinfo hints = {};
+    hints.ai_family = AF_UNSPEC;
+    hints.ai_socktype = SOCK_STREAM;
+    hints.ai_flags = passive ? AI_PASSIVE : 0;
+    const char *node = !host.empty() ? host.c_str()
+                       : passive     ? nullptr
+                                     : "127.0.0.1";
+    struct addrinfo *res = nullptr;
+    int rc = ::getaddrinfo(node, service.c_str(), &hints, &res);
+    if (rc != 0)
+        pe_fatal("cannot resolve '", spec, "': ", ::gai_strerror(rc));
+
+    int fd = -1;
+    std::string lastErr = "no usable address";
+    for (struct addrinfo *ai = res; ai && fd < 0; ai = ai->ai_next) {
+        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+        if (fd < 0) {
+            lastErr = std::strerror(errno);
+            continue;
+        }
+        int one = 1;
+        if (passive)
+            ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+        bool ok = passive ? ::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
+                                ::listen(fd, SOMAXCONN) == 0
+                          : ::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0;
+        if (!ok) {
+            lastErr = std::strerror(errno);
+            ::close(fd);
+            fd = -1;
+        }
     }
+    ::freeaddrinfo(res);
+    if (fd < 0) {
+        pe_fatal("cannot ", passive ? "listen on" : "connect to", " '",
+                 spec, "': ", lastErr);
+    }
+    return fd;
 }
 
 } // namespace
-
-Join
-FleetIdentity::asJoin() const
-{
-    Join j;
-    j.shards = shards;
-    j.configHash = configHash;
-    j.masterSeed = masterSeed;
-    j.planDigest = planDigest;
-    j.programFp = programFp;
-    j.sessionWord = sessionWord;
-    j.seedsDigest = seedsDigest;
-    return j;
-}
 
 // --- ForkTransport ---------------------------------------------------
 
@@ -82,7 +103,6 @@ ForkTransport::establish(const FleetIdentity &id,
                          const std::vector<WorkerConfig> &configs,
                          const std::atomic<bool> *stopFlag)
 {
-    (void)id;
     (void)stopFlag;   // fork is immediate; nothing to wait for
     pe_assert(children.empty(), "fork transport establishes once");
     std::vector<int> fds;
@@ -92,6 +112,25 @@ ForkTransport::establish(const FleetIdentity &id,
             return workerMain(fd, program, cfg);
         }));
         fds.push_back(children.back().fd());
+    }
+    // Every child opens with the Join a dialing worker sends, pinned
+    // to the slot whose socketpair it inherited.  The Joins come
+    // before any explorer is built, so reading them in order is cheap.
+    for (size_t s = 0; s < fds.size(); ++s) {
+        try {
+            Join join = readJoin(fds[s], id);
+            if (join.desiredShard != configs[s].shard)
+                throw wire::WireError(
+                    wire::WireErrorKind::Mismatch,
+                    detail::concat("forked worker for shard ",
+                                   configs[s].shard, " asked for shard ",
+                                   join.desiredShard),
+                    configs[s].shard, join.desiredShard);
+        } catch (const wire::WireError &err) {
+            sendErrorBestEffort(fds[s], err.what());
+            closeChannel(static_cast<uint32_t>(s));
+            fds[s] = -1;
+        }
     }
     return fds;
 }
@@ -128,44 +167,7 @@ TcpTransport::TcpTransport(const std::string &listenSpec,
                            std::ostream *status)
     : status(status)
 {
-    auto [host, service] = splitHostPort(listenSpec);
-
-    struct addrinfo hints = {};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE;
-    struct addrinfo *res = nullptr;
-    int rc = ::getaddrinfo(host.empty() ? nullptr : host.c_str(),
-                           service.c_str(), &hints, &res);
-    if (rc != 0) {
-        pe_fatal("cannot resolve listen address '", listenSpec,
-                 "': ", ::gai_strerror(rc));
-    }
-
-    std::string lastErr = "no usable address";
-    for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-        int fd = ::socket(ai->ai_family, ai->ai_socktype,
-                          ai->ai_protocol);
-        if (fd < 0) {
-            lastErr = std::strerror(errno);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        if (::bind(fd, ai->ai_addr, ai->ai_addrlen) != 0 ||
-            ::listen(fd, SOMAXCONN) != 0) {
-            lastErr = std::strerror(errno);
-            ::close(fd);
-            continue;
-        }
-        listenSock = fd;
-        break;
-    }
-    ::freeaddrinfo(res);
-    if (listenSock < 0) {
-        pe_fatal("cannot listen on '", listenSpec, "': ", lastErr);
-    }
+    listenSock = openTcp(listenSpec, /*passive=*/true);
     // Non-blocking: acceptOne() is drained in a loop after poll()
     // reports the listener readable, and the call that finds the
     // backlog empty must return nullopt (EAGAIN), not park the
@@ -208,28 +210,18 @@ TcpTransport::acceptOne(
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    Join got;
-    try {
-        auto frame = wire::readFrameTimeout(fd, kJoinTimeoutMs);
-        if (!frame || frame->type != wire::FrameType::Join) {
-            throw wire::WireError(
-                wire::WireErrorKind::BadFrame,
-                detail::concat(
-                    "expected join frame, got ",
-                    frame ? wire::frameTypeName(frame->type)
-                          : "eof"));
-        }
-        wire::Decoder dec(frame->payload);
-        got = decodeJoin(dec);
-        dec.expectEnd("join");
-        validateJoin(got, identity.asJoin());
-    } catch (const wire::WireError &err) {
+    auto refuse = [&](const std::string &why) {
         if (status)
-            *status << "[fleet] refused tcp peer: " << err.what()
-                    << "\n";
-        sendErrorBestEffort(fd, err.what());
+            *status << "[fleet] refused tcp peer: " << why << "\n";
+        sendErrorBestEffort(fd, why);
         ::close(fd);
         return std::nullopt;
+    };
+    Join got;
+    try {
+        got = readJoin(fd, identity);
+    } catch (const wire::WireError &err) {
+        return refuse(err.what());
     }
 
     // Resolve the shard slot: a wildcard takes the lowest
@@ -243,23 +235,14 @@ TcpTransport::acceptOne(
             }
         }
     }
-    std::string refusal;
     if (shard >= identity.shards)
-        refusal = "no free shard slot";
-    else if (slots[shard] >= 0)
-        refusal = detail::concat("shard ", shard,
-                                 " is already connected");
-    else if (!mayJoin(shard, assigned[shard]))
-        refusal = detail::concat("shard ", shard,
-                                 " is not accepting peers");
-    if (!refusal.empty()) {
-        if (status)
-            *status << "[fleet] refused tcp peer: " << refusal
-                    << "\n";
-        sendErrorBestEffort(fd, refusal);
-        ::close(fd);
-        return std::nullopt;
-    }
+        return refuse("no free shard slot");
+    if (slots[shard] >= 0)
+        return refuse(
+            detail::concat("shard ", shard, " is already connected"));
+    if (!mayJoin(shard, assigned[shard]))
+        return refuse(
+            detail::concat("shard ", shard, " is not accepting peers"));
 
     PeerJoin peer;
     peer.shard = shard;
@@ -362,38 +345,7 @@ TcpTransport::shutdown(int reapTimeoutMs)
 int
 tcpDial(const std::string &hostPort)
 {
-    auto [host, service] = splitHostPort(hostPort);
-
-    struct addrinfo hints = {};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    struct addrinfo *res = nullptr;
-    int rc = ::getaddrinfo(host.empty() ? "127.0.0.1" : host.c_str(),
-                           service.c_str(), &hints, &res);
-    if (rc != 0) {
-        pe_fatal("cannot resolve '", hostPort,
-                 "': ", ::gai_strerror(rc));
-    }
-
-    int fd = -1;
-    std::string lastErr = "no usable address";
-    for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype,
-                      ai->ai_protocol);
-        if (fd < 0) {
-            lastErr = std::strerror(errno);
-            continue;
-        }
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        lastErr = std::strerror(errno);
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        pe_fatal("cannot connect to '", hostPort, "': ", lastErr);
-    }
+    int fd = openTcp(hostPort, /*passive=*/false);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return fd;

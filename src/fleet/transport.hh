@@ -3,29 +3,28 @@
  * Pluggable fleet transports: how coordinator and workers get wired.
  *
  * The wire layer speaks versioned 'PEF1' frames over any fd; the
- * protocol layer defines what crosses them.  What remained pinned to
- * one machine was the *channel establishment*: PR 7's coordinator
- * forked its workers over socketpairs inline.  Transport extracts
- * that step behind an interface with two implementations:
+ * protocol layer defines what crosses them.  Transport owns the one
+ * thing that differs between deployments — where a worker's channel
+ * comes from — and nothing else:
  *
- *  - ForkTransport — the original fork-without-exec socketpair
- *    channel.  Workers inherit the program image and options by
- *    memory; nothing but deltas crosses the pipe.  No reconnect:
- *    a broken socketpair means the process is gone.
+ *  - ForkTransport — fork-without-exec over socketpairs.  Each child
+ *    inherits the program image and its options by memory and runs
+ *    workerMain on its socketpair.  No reconnect: a broken socketpair
+ *    means the process is gone.
  *
  *  - TcpTransport — the coordinator binds a listening socket and
- *    remote `explore --connect host:port` processes dial in.  Each
- *    dialing peer opens with a Join frame carrying everything it
- *    derived on its own (config hash, plan digest, program
- *    fingerprint, session word, seeds digest); the transport refuses
- *    mismatched peers before a shard is assigned.  Reconnect is
- *    first-class: a worker whose connection drops dials again with
- *    its shard id and last acked round, and the coordinator replays
- *    the RoundStart it missed.
+ *    remote `explore --connect host:port` processes dial in.  A
+ *    wildcard Join takes the lowest free shard slot, a pinned one its
+ *    own slot.  Reconnect is first-class: a worker whose connection
+ *    drops dials again with its shard id and last acked round, and
+ *    the coordinator replays the RoundStart it missed.
  *
- * Either way the coordinator ends up holding one fd per shard and
- * runs the identical Hello/HelloReply handshake and round protocol
- * over it — the transport never interprets rounds, only channels.
+ * Either way every channel opens with the same Join, read and
+ * validated by the one protocol.hh routine (readJoin) before a shard
+ * is handed out; a refused peer gets a best-effort Error frame and a
+ * close.  The coordinator then runs the rest of the attach exchange
+ * (Hello, the ready HelloReply) and the round protocol over the fds —
+ * the transport never interprets rounds, only channels.
  */
 
 #ifndef PE_FLEET_TRANSPORT_HH
@@ -46,24 +45,6 @@
 
 namespace pe::fleet
 {
-
-/**
- * What every peer must agree on before it may hold a shard — the
- * coordinator's side of Join validation.
- */
-struct FleetIdentity
-{
-    uint32_t shards = 0;
-    uint64_t configHash = 0;
-    uint64_t masterSeed = 0;
-    uint64_t planDigest = 0;
-    uint64_t programFp = 0;
-    uint64_t sessionWord = 0;
-    uint64_t seedsDigest = 0;
-
-    /** The Join frame a matching peer would send. */
-    Join asJoin() const;
-};
 
 /** A peer (re)attached to a shard slot by acceptPeer(). */
 struct PeerJoin
@@ -88,11 +69,12 @@ class Transport
 
     /**
      * Bring up the initial channel for every shard and return the
-     * per-shard fds.  Fork: spawns the children from @p configs.
-     * TCP: accepts dialing peers and validates their Join against
-     * @p id (configs are unused — remote workers bring their own).
-     * Blocks until the fleet is complete; honors @p stopFlag;
-     * throws FatalError if the fleet cannot form.
+     * per-shard fds, each past a Join validated against @p id.  Fork:
+     * spawns the children from @p configs; a child whose Join is
+     * refused gets fd -1.  TCP: accepts dialing peers (configs are
+     * unused — remote workers bring their own) and blocks until the
+     * fleet is complete; honors @p stopFlag; throws FatalError if the
+     * fleet cannot form.
      */
     virtual std::vector<int>
     establish(const FleetIdentity &id,
@@ -106,11 +88,11 @@ class Transport
     virtual bool supportsReconnect() const { return false; }
 
     /**
-     * Accept one pending peer on acceptFd(): read + validate its
-     * Join, resolve the shard slot, ask @p mayJoin(shard, rejoin)
-     * whether the coordinator will take it (a dead or still-connected
-     * shard refuses).  Refused or invalid peers get a best-effort
-     * Error frame and a close.  Returns the attachment, or nullopt.
+     * Accept one pending peer on acceptFd(): readJoin, resolve the
+     * shard slot, and ask @p mayJoin(shard, rejoin) whether the
+     * coordinator will take it (a dead or still-connected shard
+     * refuses).  Refused or invalid peers get a best-effort Error
+     * frame and a close.  Returns the attachment, or nullopt.
      */
     virtual std::optional<PeerJoin>
     acceptPeer(const std::function<bool(uint32_t, bool)> &mayJoin)
@@ -146,7 +128,7 @@ class Transport
     virtual void shutdown(int reapTimeoutMs) = 0;
 };
 
-/** PR 7's fork + socketpair channel, behind the interface. */
+/** Fork + socketpair channels: one forked worker per shard. */
 class ForkTransport final : public Transport
 {
   public:

@@ -195,9 +195,9 @@ parseFrameHeader(const char *head)
     uint32_t magic = dec.u32("frame magic");
     if (magic != kFrameMagic) {
         throw WireError(WireErrorKind::BadMagic,
-                        detail::concat("bad frame magic: expected 0x",
+                        detail::concat("bad frame magic: expected ",
                                        fmtHex(kFrameMagic),
-                                       ", found 0x", fmtHex(magic)),
+                                       ", found ", fmtHex(magic)),
                         kFrameMagic, magic);
     }
     uint32_t len = dec.u32("frame length");
@@ -420,12 +420,13 @@ fillFromFd(int fd, FrameReader &reader)
 }
 
 std::optional<Frame>
-readFrameTimeout(int fd, int timeoutMs)
+readFrameTimeout(int fd, int timeoutMs, FrameReader *buffer)
 {
     using clock = std::chrono::steady_clock;
     auto deadline = clock::now() +
                     std::chrono::milliseconds(timeoutMs);
-    FrameReader reader;
+    FrameReader local;
+    FrameReader &reader = buffer ? *buffer : local;
     for (;;) {
         if (auto frame = reader.next())
             return frame;
@@ -452,6 +453,8 @@ readFrameTimeout(int fd, int timeoutMs)
         if (rc == 0)
             continue;   // recompute `left`, then throw above
         if (fillFromFd(fd, reader) == FillStatus::Eof) {
+            if (auto frame = reader.next())
+                return frame;
             if (reader.midFrame()) {
                 throw WireError(WireErrorKind::Truncated,
                                 "peer closed mid-frame");

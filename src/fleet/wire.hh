@@ -44,9 +44,12 @@ namespace pe::wire
  * reconnect/resume); v3 added the Heartbeat/HeartbeatAck liveness
  * frames and the heartbeat interval in Hello; v4 appended the
  * prime-path completion words to RoundStart/RoundDelta (empty when
- * the path tracker is off).  The v1 frame layouts are unchanged.
+ * the path tracker is off); v5 made Join (version, desired shard,
+ * last acked round, session identity record) open every (re)attach
+ * of forked and dialing workers alike, and cut Hello to the assigned
+ * shard + heartbeat interval and HelloReply to the shard.
  */
-constexpr uint32_t kWireVersion = 4;
+constexpr uint32_t kWireVersion = 5;
 
 /** Why a decode was refused. */
 enum class WireErrorKind : uint8_t
@@ -185,14 +188,14 @@ class Decoder
 /** IPC frame kinds for the fleet protocol (see coordinator.hh). */
 enum class FrameType : uint32_t
 {
-    Hello = 1,      //!< coordinator -> worker: version + shard plan
-    HelloReply,     //!< worker -> coordinator: negotiation accepted
+    Hello = 1,      //!< coordinator -> worker: join accepted, shard
+    HelloReply,     //!< worker -> coordinator: explorer built, ready
     RoundStart,     //!< coordinator -> worker: budget + merged delta
     RoundDelta,     //!< worker -> coordinator: frontier/corpus delta
     Stop,           //!< coordinator -> worker: shut down cleanly
     Goodbye,        //!< worker -> coordinator: final summary
-    Error,          //!< worker -> coordinator: fatal worker error
-    Join,           //!< dialing worker -> coordinator: identify/resume
+    Error,          //!< either way: refusal or fatal error text
+    Join,           //!< worker -> coordinator: identify/(re)attach
     Heartbeat,      //!< worker -> coordinator: mid-round liveness
     HeartbeatAck,   //!< coordinator -> worker: heartbeat echo
 };
@@ -292,11 +295,13 @@ FillStatus fillFromFd(int fd, FrameReader &reader);
  * readFrame with a deadline: poll + reassemble until one frame
  * completes, EOF (nullopt), or @p timeoutMs elapses — the timeout
  * throws WireError{Io}, so a wedged peer can never park the caller
- * forever.  Works on blocking and non-blocking fds.  Bytes beyond
- * the first frame are discarded; use only for lockstep exchanges
- * (handshakes, Goodbye).
+ * forever.  Works on blocking and non-blocking fds.  Reassembly goes
+ * through @p buffer when given (a reactor's per-peer reader, which
+ * keeps any bytes past the frame); without one, bytes beyond the
+ * first frame are discarded, so use it only for lockstep exchanges.
  */
-std::optional<Frame> readFrameTimeout(int fd, int timeoutMs);
+std::optional<Frame> readFrameTimeout(int fd, int timeoutMs,
+                                      FrameReader *buffer = nullptr);
 
 /** Set O_NONBLOCK; throws WireError{Io} on failure. */
 void setNonBlocking(int fd);

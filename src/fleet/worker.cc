@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet worker implementation: the shared round loop (WorkerSession),
- * the forked entry point, and the dialing TCP entry point.
+ * Fleet worker implementation: the round loop (WorkerSession) and the
+ * one worker loop the forked and dialing entry points share.
  */
 
 #include "src/fleet/worker.hh"
@@ -17,10 +17,10 @@
 #include <unistd.h>
 
 #include "src/core/config.hh"
-#include "src/explore/serialize.hh"
 #include "src/fleet/coordinator.hh"
 #include "src/fleet/transport.hh"
 #include "src/support/faultinject.hh"
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 
 namespace pe::fleet
@@ -28,18 +28,6 @@ namespace pe::fleet
 
 namespace
 {
-
-void
-sendError(int fd, const std::string &message)
-{
-    try {
-        wire::Encoder enc;
-        enc.str(message);
-        wire::writeFrame(fd, wire::FrameType::Error, enc.buffer());
-    } catch (const wire::WireError &) {
-        // The pipe is already gone; the exit code still tells.
-    }
-}
 
 /**
  * Thrown (only) by the drop-simulation fault sites so a test can
@@ -187,7 +175,7 @@ class WorkerSession
             case wire::FrameType::RoundStart:
                 break;
             default:
-                sendError(fd, detail::concat(
+                sendErrorBestEffort(fd, detail::concat(
                                   "expected round-start, got ",
                                   wire::frameTypeName(frame->type)));
                 return Exit::Protocol;
@@ -210,7 +198,7 @@ class WorkerSession
                 continue;
             }
             if (start.round != round + 1) {
-                sendError(fd, detail::concat(
+                sendErrorBestEffort(fd, detail::concat(
                                   "round out of sequence: expected ",
                                   round + 1, ", got ", start.round));
                 return Exit::Protocol;
@@ -322,6 +310,188 @@ class WorkerSession
     std::string deltaPayload;
 };
 
+/**
+ * The one worker loop.  Forked and dialing workers differ only in
+ * where a channel comes from: @p inheritedFd >= 0 is a forked child's
+ * socketpair, served once (its Eof/Dropped means the coordinator is
+ * gone); otherwise each channel is a TCP dial to options.connect and
+ * a drop is followed by a redial.
+ */
+int
+runWorker(const isa::Program &program, const RemoteWorkerOptions &options,
+          uint32_t shard, int inheritedFd)
+{
+    pe_assert(options.shards >= 1, "fleet worker needs the fleet width");
+    const bool forked = inheritedFd >= 0;
+
+    // Derive the fleet identity locally: the shard plan is a pure
+    // function of (configHash, masterSeed, shards, seedCount), so a
+    // worker on another host computes the same plan — and the Join
+    // proves it did.
+    const ShardPlan plan =
+        makeShardPlan(core::configHash(options.base.config),
+                      options.base.seed, options.shards,
+                      options.seeds.size());
+    Join join;
+    join.id = fleetIdentity(program, options.base, plan, options.seeds);
+
+    // Declared before the explorer so the onRun lambda capturing it
+    // never outlives it.
+    HeartbeatPump pump;
+    std::unique_ptr<explore::Explorer> explorer;
+    std::unique_ptr<WorkerSession> session;
+    auto status = [&](const std::string &line) {
+        if (options.status)
+            *options.status << "[worker] " << line << "\n";
+    };
+
+    // Backoff is seeded off the session identity: every worker of
+    // one fleet jitters differently, every rerun identically.
+    const uint64_t backoffSeed = join.id.configHash ^ join.id.masterSeed;
+    uint64_t failStreak = 0;
+    int dialsLeft = options.dialAttempts;
+    auto backOff = [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            dialBackoffMs(backoffSeed, failStreak++,
+                          options.redialDelayMs, options.redialMaxMs)));
+    };
+    uint64_t lastDropRound = ~0ull;
+    int sameRoundDrops = 0;
+
+    for (;;) {
+        int fd = inheritedFd;
+        if (!forked) {
+            try {
+                fd = tcpDial(options.connect);
+            } catch (const FatalError &err) {
+                if (--dialsLeft <= 0) {
+                    status(detail::concat("giving up: ", err.what()));
+                    return 1;
+                }
+                backOff();
+                continue;
+            }
+            dialsLeft = options.dialAttempts;
+            failStreak = 0;
+        }
+
+        // The attach exchange, on every channel.  An Error answer is
+        // a refusal (identity mismatch, no free slot): not retryable.
+        try {
+            join.desiredShard = shard;
+            join.lastAckedRound = session ? session->lastRound() : 0;
+            wire::Encoder enc;
+            encodeJoin(enc, join);
+            wire::writeFrame(fd, wire::FrameType::Join, enc.buffer());
+
+            auto frame = wire::readFrame(fd);
+            if (!frame)
+                throw wire::WireError(wire::WireErrorKind::Truncated,
+                                      "coordinator closed before hello");
+            if (frame->type == wire::FrameType::Error) {
+                wire::Decoder dec(frame->payload);
+                pe_fatal("coordinator refused join: ",
+                         dec.str("error message"));
+            }
+            if (frame->type != wire::FrameType::Hello)
+                throw wire::WireError(
+                    wire::WireErrorKind::BadFrame,
+                    detail::concat("expected hello, got ",
+                                   wire::frameTypeName(frame->type)));
+            wire::Decoder dec(frame->payload);
+            Hello hello = decodeHello(dec);
+            dec.expectEnd("hello");
+            if (hello.shard >= options.shards ||
+                (shard != kAnyShard && hello.shard != shard))
+                throw wire::WireError(
+                    wire::WireErrorKind::Mismatch,
+                    detail::concat("assigned shard ", hello.shard, " of ",
+                                   options.shards, ", holding shard ",
+                                   shard == kAnyShard
+                                       ? std::string("none")
+                                       : std::to_string(shard)),
+                    shard, hello.shard);
+            pump.configure(hello.heartbeatMs);
+
+            if (!session) {
+                shard = hello.shard;
+                const ShardSpec &spec = plan.specs[shard];
+                std::vector<std::vector<int32_t>> slice;
+                for (uint32_t idx : spec.seedIndices)
+                    slice.push_back(options.seeds[idx]);
+                explore::ExploreOptions shardOpts = shardWorkerOptions(
+                    options.base, spec.shardSeed, shard,
+                    options.workerThreads);
+                shardOpts.onRun = [&pump](const core::RunResult &) {
+                    pump.beat();
+                };
+                explorer = std::make_unique<explore::Explorer>(
+                    program, std::move(slice), shardOpts);
+                session = std::make_unique<WorkerSession>(
+                    program, *explorer, shard, !forked);
+                status(detail::concat("joined as shard ", shard));
+            } else {
+                status(detail::concat("shard ", shard,
+                                      " reconnected (last round ",
+                                      session->lastRound(), ")"));
+            }
+
+            HelloReply ready;
+            ready.shard = shard;
+            wire::Encoder readyEnc;
+            encodeHelloReply(readyEnc, ready);
+            wire::writeFrame(fd, wire::FrameType::HelloReply,
+                             readyEnc.buffer());
+        } catch (const wire::WireError &err) {
+            // Attach-level connection trouble: treat like a drop and
+            // redial (the coordinator may not have noticed the old
+            // connection dying yet).
+            ::close(fd);
+            status(detail::concat("handshake retry: ", err.what()));
+            if (forked || --dialsLeft <= 0)
+                return 1;
+            backOff();
+            continue;
+        }
+
+        pump.attach(fd);
+        WorkerSession::Exit exit = session->serve(fd);
+        pump.detach();
+        ::close(fd);
+        switch (exit) {
+        case WorkerSession::Exit::Stopped:
+            return 0;
+        case WorkerSession::Exit::Protocol:
+            return 1;
+        case WorkerSession::Exit::Eof:
+        case WorkerSession::Exit::Dropped:
+            // A clean shutdown always ends Stop -> Goodbye (Stopped);
+            // a bare EOF means the coordinator died.  A socketpair
+            // cannot come back; a dialing worker redials like after a
+            // drop — a resumed coordinator may take it back, and one
+            // that is gone for good burns the dial attempts.
+            if (forked)
+                return 0;
+            // Guard against a round that drops every attempt (a
+            // deterministic failure would redial forever).
+            if (session->lastRound() == lastDropRound) {
+                if (++sameRoundDrops > 8) {
+                    status(detail::concat(
+                        "shard ", shard, " dropping repeatedly at round ",
+                        lastDropRound, "; giving up"));
+                    return 1;
+                }
+            } else {
+                lastDropRound = session->lastRound();
+                sameRoundDrops = 1;
+            }
+            status(detail::concat("shard ", shard,
+                                  " lost connection; redialing"));
+            break;
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -341,13 +511,7 @@ dialBackoffMs(uint64_t seedWord, uint64_t attempt, int baseMs,
     // the raw wait is shaved off, so the delay lands in
     // [raw/2, raw] and two workers with different seeds desynchronize
     // while reruns stay byte-identical.
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t v : {seedWord, attempt}) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
+    uint64_t h = fnvMix(fnvMix(kFleetFnvOffset, seedWord), attempt);
     uint64_t delay = raw - h % (raw / 2 + 1);
     if (delay < 1)
         delay = 1;
@@ -383,271 +547,14 @@ int
 workerMain(int fd, const isa::Program &program,
            const WorkerConfig &config)
 {
-    // --- Negotiation -------------------------------------------------
-    auto first = wire::readFrame(fd);
-    if (!first)
-        return 0;   // coordinator vanished before Hello; nothing to do
-    if (first->type != wire::FrameType::Hello) {
-        sendError(fd, detail::concat("expected hello frame, got ",
-                                     wire::frameTypeName(first->type)));
-        return 1;
-    }
-    Hello hello;
-    try {
-        wire::Decoder dec(first->payload);
-        hello = decodeHello(dec);
-        dec.expectEnd("hello");
-        validateHello(hello, config.expect);
-    } catch (const wire::WireError &err) {
-        sendError(fd, err.what());
-        return 1;
-    }
-
-    // The Hello negotiates the heartbeat interval; a nonzero value
-    // hooks the liveness pump into the explorer's per-run callback.
-    HeartbeatPump pump;
-    explore::ExploreOptions opts = config.opts;
-    if (hello.heartbeatMs > 0) {
-        pump.configure(hello.heartbeatMs);
-        opts.onRun = [&pump](const core::RunResult &) {
-            pump.beat();
-        };
-    }
-
-    explore::Explorer explorer(program, config.seeds, opts);
-
-    {
-        HelloReply reply;
-        reply.shard = config.expect.shard;
-        reply.totalEdges = explorer.corpus().frontier().totalEdges();
-        reply.seedCount = config.seeds.size();
-        wire::Encoder enc;
-        encodeHelloReply(enc, reply);
-        wire::writeFrame(fd, wire::FrameType::HelloReply,
-                         enc.buffer());
-    }
-
-    WorkerSession session(program, explorer, config.expect.shard,
-                          /*remote=*/false);
-    pump.attach(fd);
-    WorkerSession::Exit exit = session.serve(fd);
-    pump.detach();
-    switch (exit) {
-    case WorkerSession::Exit::Stopped:
-    case WorkerSession::Exit::Eof:
-    case WorkerSession::Exit::Dropped:
-        return 0;   // socketpair gone = coordinator gone; no retry
-    case WorkerSession::Exit::Protocol:
-        return 1;
-    }
-    return 1;
+    return runWorker(program, config.options, config.shard, fd);
 }
 
 int
 remoteWorkerMain(const isa::Program &program,
                  const RemoteWorkerOptions &options)
 {
-    pe_assert(options.shards >= 1,
-              "remote worker needs the fleet width");
-
-    // Derive the fleet identity locally: the shard plan is a pure
-    // function of (configHash, masterSeed, shards, seedCount), so a
-    // worker on another host computes the same plan — and the Join
-    // handshake proves it did.
-    const uint64_t cfgHash = core::configHash(options.base.config);
-    const ShardPlan plan =
-        makeShardPlan(cfgHash, options.base.seed, options.shards,
-                      options.seeds.size());
-
-    Join join;
-    join.desiredShard = kAnyShard;
-    join.shards = options.shards;
-    join.configHash = cfgHash;
-    join.masterSeed = options.base.seed;
-    join.planDigest = plan.planDigest;
-    join.programFp = explore::programFingerprint(program);
-    join.sessionWord = sessionWord(options.base);
-    join.seedsDigest = seedsDigest(options.seeds);
-
-    // Declared before the explorer so the onRun lambda capturing it
-    // never outlives it.
-    HeartbeatPump pump;
-    std::unique_ptr<explore::Explorer> explorer;
-    std::unique_ptr<WorkerSession> session;
-    uint32_t shard = kAnyShard;
-
-    // Backoff is seeded off the session identity: every worker of
-    // one fleet jitters differently, every rerun identically.
-    const uint64_t backoffSeed = cfgHash ^ options.base.seed;
-    uint64_t failStreak = 0;
-    int dialsLeft = options.dialAttempts;
-    uint64_t lastDropRound = ~0ull;
-    int sameRoundDrops = 0;
-
-    for (;;) {
-        int fd = -1;
-        try {
-            fd = tcpDial(options.connect);
-        } catch (const FatalError &err) {
-            if (--dialsLeft <= 0) {
-                if (options.status)
-                    *options.status << "[worker] giving up: "
-                                    << err.what() << "\n";
-                return 1;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                dialBackoffMs(backoffSeed, failStreak++,
-                              options.redialDelayMs,
-                              options.redialMaxMs)));
-            continue;
-        }
-        dialsLeft = options.dialAttempts;
-        failStreak = 0;
-
-        join.desiredShard = shard;
-        join.lastAckedRound = session ? session->lastRound() : 0;
-        try {
-            wire::Encoder enc;
-            encodeJoin(enc, join);
-            wire::writeFrame(fd, wire::FrameType::Join,
-                             enc.buffer());
-
-            if (!session) {
-                // First attach: the coordinator answers the Join
-                // with a Hello assigning our shard (or an Error
-                // refusing us — identity refusals are not
-                // retryable).
-                auto frame = wire::readFrame(fd);
-                if (!frame)
-                    throw wire::WireError(
-                        wire::WireErrorKind::Truncated,
-                        "coordinator closed before hello");
-                if (frame->type == wire::FrameType::Error) {
-                    wire::Decoder dec(frame->payload);
-                    pe_fatal("coordinator refused join: ",
-                             dec.str("error message"));
-                }
-                if (frame->type != wire::FrameType::Hello)
-                    throw wire::WireError(
-                        wire::WireErrorKind::BadFrame,
-                        detail::concat(
-                            "expected hello, got ",
-                            wire::frameTypeName(frame->type)));
-
-                wire::Decoder dec(frame->payload);
-                Hello hello = decodeHello(dec);
-                dec.expectEnd("hello");
-                if (hello.shard >= options.shards)
-                    throw wire::WireError(
-                        wire::WireErrorKind::Mismatch,
-                        detail::concat("assigned shard ",
-                                       hello.shard, " out of range"),
-                        options.shards, hello.shard);
-
-                Hello want;
-                want.shard = hello.shard;
-                want.shards = options.shards;
-                want.configHash = cfgHash;
-                want.masterSeed = options.base.seed;
-                want.shardSeed =
-                    plan.specs[hello.shard].shardSeed;
-                want.planDigest = plan.planDigest;
-                want.programFp = join.programFp;
-                validateHello(hello, want);
-
-                shard = hello.shard;
-                std::vector<std::vector<int32_t>> slice;
-                for (uint32_t idx : plan.specs[shard].seedIndices)
-                    slice.push_back(options.seeds[idx]);
-                explore::ExploreOptions shardOpts =
-                    shardWorkerOptions(options.base,
-                                       plan.specs[shard].shardSeed,
-                                       shard,
-                                       options.workerThreads);
-                if (hello.heartbeatMs > 0) {
-                    pump.configure(hello.heartbeatMs);
-                    shardOpts.onRun =
-                        [&pump](const core::RunResult &) {
-                            pump.beat();
-                        };
-                }
-                explorer = std::make_unique<explore::Explorer>(
-                    program, slice, shardOpts);
-                session = std::make_unique<WorkerSession>(
-                    program, *explorer, shard, /*remote=*/true);
-
-                HelloReply reply;
-                reply.shard = shard;
-                reply.totalEdges =
-                    explorer->corpus().frontier().totalEdges();
-                reply.seedCount = slice.size();
-                wire::Encoder replyEnc;
-                encodeHelloReply(replyEnc, reply);
-                wire::writeFrame(fd, wire::FrameType::HelloReply,
-                                 replyEnc.buffer());
-                if (options.status)
-                    *options.status << "[worker] joined as shard "
-                                    << shard << "\n";
-            } else if (options.status) {
-                *options.status << "[worker] shard " << shard
-                                << " reconnected (last round "
-                                << session->lastRound() << ")\n";
-            }
-        } catch (const wire::WireError &err) {
-            // Handshake-level connection trouble: treat like a drop
-            // and redial (the coordinator may not have noticed the
-            // old connection dying yet).
-            ::close(fd);
-            if (options.status)
-                *options.status << "[worker] handshake retry: "
-                                << err.what() << "\n";
-            if (--dialsLeft <= 0)
-                return 1;
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                dialBackoffMs(backoffSeed, failStreak++,
-                              options.redialDelayMs,
-                              options.redialMaxMs)));
-            continue;
-        }
-
-        pump.attach(fd);
-        WorkerSession::Exit exit = session->serve(fd);
-        pump.detach();
-        ::close(fd);
-        switch (exit) {
-        case WorkerSession::Exit::Stopped:
-            return 0;
-        case WorkerSession::Exit::Protocol:
-            return 1;
-        case WorkerSession::Exit::Eof:
-            // A clean shutdown always ends Stop -> Goodbye (Stopped);
-            // a bare EOF means the coordinator died — possibly
-            // kill -9'd mid-session, in which case a resumed
-            // coordinator will take this worker back.  Redial like a
-            // drop; a coordinator that is gone for good burns the
-            // dial attempts and exits nonzero.
-        case WorkerSession::Exit::Dropped:
-            // Guard against a round that drops every attempt (a
-            // deterministic failure would redial forever).
-            if (session->lastRound() == lastDropRound) {
-                if (++sameRoundDrops > 8) {
-                    if (options.status)
-                        *options.status
-                            << "[worker] shard " << shard
-                            << " dropping repeatedly at round "
-                            << lastDropRound << "; giving up\n";
-                    return 1;
-                }
-            } else {
-                lastDropRound = session->lastRound();
-                sameRoundDrops = 1;
-            }
-            if (options.status)
-                *options.status << "[worker] shard " << shard
-                                << " lost connection; redialing\n";
-            break;
-        }
-    }
+    return runWorker(program, options, kAnyShard, -1);
 }
 
 } // namespace pe::fleet

@@ -1,17 +1,24 @@
 /**
  * @file
- * Fleet worker: one shard's exploration loop, driven over a pipe.
+ * Fleet worker: one shard's exploration loop, driven over a channel.
  *
- * A worker is a forked child that owns a full Explorer for its slice
- * of the seed space.  It never decides anything global: the
- * coordinator tells it how many runs to spend each round
- * (RoundStart), hands it the merged frontier delta and foreign
- * corpus entries to import, and the worker answers with its own
- * delta (RoundDelta).  Everything else — work stealing, plateaus,
- * global budget — is the coordinator's problem, which keeps the
- * worker simple enough to be obviously deterministic: its only
- * inputs are the shard seed, its seed slice, and the byte-exact
- * frame sequence.
+ * A worker owns a full Explorer for its slice of the seed space.  It
+ * never decides anything global: the coordinator tells it how many
+ * runs to spend each round (RoundStart), hands it the merged frontier
+ * delta and foreign corpus entries to import, and the worker answers
+ * with its own delta (RoundDelta).  Everything else — work stealing,
+ * plateaus, global budget — is the coordinator's problem, which keeps
+ * the worker simple enough to be obviously deterministic: its only
+ * inputs are the shard seed, its seed slice, and the byte-exact frame
+ * sequence.
+ *
+ * Forked and dialing workers run the same loop and differ only in how
+ * they get a channel: a forked child serves the socketpair it
+ * inherited and exits when it closes; a dialing worker redials after
+ * a drop.  Both derive the session identity and the shard plan from
+ * their own options, open every channel with the protocol.hh attach
+ * exchange (Join -> Hello -> HelloReply), and build their explorer
+ * once, on the first attach.
  */
 
 #ifndef PE_FLEET_WORKER_HH
@@ -40,42 +47,19 @@ constexpr uint64_t kUnboundedRuns = ~0ull / 2;
  * Derive one shard's explorer options from the fleet's base options:
  * the shard seed replaces the master seed, budgets/checkpoints/output
  * streams stay with the coordinator, and the label gains a /shardN
- * suffix.  Both the forking coordinator and a remote `--connect`
- * worker MUST build their options through this one function — it is
- * the code-level half of the determinism contract (the Join
- * handshake's sessionWord is the wire-level half).
+ * suffix.  Every worker, forked or dialing, builds its options
+ * through this one function — the code-level half of the determinism
+ * contract (the Join's session identity is the wire-level half).
  */
 explore::ExploreOptions
 shardWorkerOptions(const explore::ExploreOptions &base,
                    uint64_t shardSeed, uint32_t shard,
                    unsigned workerThreads);
 
-/** Everything a forked worker needs besides the fd. */
-struct WorkerConfig
-{
-    /** Hello the coordinator must send for this worker to proceed. */
-    Hello expect;
-
-    /** Shard-local explorer options (seed already set to shardSeed). */
-    explore::ExploreOptions opts;
-
-    /** This shard's slice of the fleet's seed inputs. */
-    std::vector<std::vector<int32_t>> seeds;
-};
-
-/**
- * The worker process body: negotiate, then serve rounds until Stop
- * or EOF.  Returns the child's exit code (0 = clean shutdown).
- * Validation failures send an Error frame before exiting nonzero so
- * the coordinator can log *why* the shard refused to start.
- */
-int workerMain(int fd, const isa::Program &program,
-               const WorkerConfig &config);
-
-/** Everything a dialing (TCP) worker needs. */
+/** Everything a worker derives its shard from, plus its dial policy. */
 struct RemoteWorkerOptions
 {
-    /** Coordinator address, `host:port`. */
+    /** Coordinator address, `host:port` (dialing workers only). */
     std::string connect;
 
     /** Fleet width — must match the coordinator's --shards. */
@@ -110,6 +94,24 @@ struct RemoteWorkerOptions
     std::ostream *status = nullptr;
 };
 
+/** What a forked worker is spawned with besides its channel. */
+struct WorkerConfig
+{
+    /** The shard slot whose socketpair the worker inherits. */
+    uint32_t shard = 0;
+
+    /** Exactly what a dialing worker is given (connect unused). */
+    RemoteWorkerOptions options;
+};
+
+/**
+ * The forked worker body: run the worker loop on the inherited
+ * socketpair @p fd.  Returns the child's exit code (0 = clean
+ * shutdown, or the coordinator closed the channel).
+ */
+int workerMain(int fd, const isa::Program &program,
+               const WorkerConfig &config);
+
 /**
  * Deterministic exponential redial backoff: attempt 0 waits ~baseMs,
  * each further consecutive failure doubles the wait until it
@@ -123,14 +125,14 @@ int dialBackoffMs(uint64_t seedWord, uint64_t attempt, int baseMs,
                   int maxMs);
 
 /**
- * The remote worker body: derive the shard plan locally, dial the
- * coordinator, Join (wildcard shard), run the Hello handshake, then
- * serve rounds.  A dropped connection is survivable as long as this
- * process survives: the worker redials with its pinned shard id and
- * last acked round, and the coordinator replays the RoundStart it
- * missed; an already-executed round is answered from the stored
- * delta without re-executing, so reconnects never perturb the
- * deterministic merge.  Returns the process exit code.
+ * The dialing worker body: run the worker loop over TCP dials to
+ * options.connect, joining as any free shard.  A dropped connection
+ * is survivable as long as this process survives: the worker redials
+ * with its pinned shard id and last acked round, and the coordinator
+ * replays the RoundStart it missed; an already-executed round is
+ * answered from the stored delta without re-executing, so reconnects
+ * never perturb the deterministic merge.  Returns the process exit
+ * code.
  */
 int remoteWorkerMain(const isa::Program &program,
                      const RemoteWorkerOptions &options);

@@ -689,7 +689,7 @@ TEST(FleetCheckpointChaos, WriteFailureIsAWarningNeverAnAbort)
         fleet::loadFleetCheckpoint(ckpt.path, program);
     EXPECT_EQ(survivor.rounds, 1u)
         << "a failed write must leave the previous checkpoint intact";
-    EXPECT_EQ(survivor.shards, 3u);
+    EXPECT_EQ(survivor.id.shards, 3u);
     ASSERT_EQ(survivor.shardStates.size(), 3u);
 }
 

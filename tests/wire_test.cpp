@@ -533,13 +533,13 @@ TEST(Wire, FrameReaderResetRecoversAfterGarbage)
 TEST(Wire, JoinIdentityMismatchNamesTheField)
 {
     fleet::Join want;
-    want.shards = 3;
-    want.configHash = 0x1111;
-    want.sessionWord = 0xaaaa;
-    want.seedsDigest = 0x5e5e;
+    want.id.shards = 3;
+    want.id.configHash = 0x1111;
+    want.id.sessionWord = 0xaaaa;
+    want.id.seedsDigest = 0x5e5e;
 
     fleet::Join got = want;
-    got.seedsDigest = 0x6f6f;
+    got.id.seedsDigest = 0x6f6f;
     try {
         fleet::validateJoin(got, want);
         FAIL() << "seeds-digest mismatch was accepted";
@@ -552,7 +552,7 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
     }
 
     got = want;
-    got.sessionWord = 0xbbbb;
+    got.id.sessionWord = 0xbbbb;
     try {
         fleet::validateJoin(got, want);
         FAIL() << "session-word mismatch was accepted";
@@ -569,6 +569,8 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
         FAIL() << "future wire version was accepted";
     } catch (const wire::WireError &err) {
         EXPECT_EQ(err.kind(), wire::WireErrorKind::BadVersion);
+        EXPECT_EQ(err.expected(), wire::kWireVersion);
+        EXPECT_EQ(err.found(), wire::kWireVersion + 1);
     }
 
     // desiredShard and lastAckedRound are negotiation, not identity.
@@ -576,6 +578,33 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
     got.desiredShard = 2;
     got.lastAckedRound = 7;
     EXPECT_NO_THROW(fleet::validateJoin(got, want));
+}
+
+TEST(Wire, PreviousVersionJoinIsRefusedByVersion)
+{
+    // A v4 Join: version, desired shard, then the identity fields in
+    // that build's order.  Its layout is not ours, so it must be
+    // refused by version, with both numbers, not by a decode error.
+    wire::Encoder enc;
+    enc.u32(4);
+    enc.u32(fleet::kAnyShard);
+    enc.u32(3);
+    for (int i = 0; i < 7; ++i)
+        enc.u64(0x1111);
+    wire::Decoder dec(enc.buffer());
+    fleet::Join got = fleet::decodeJoin(dec);
+    try {
+        fleet::validateJoin(got, fleet::Join{});
+        FAIL() << "a v4 join was accepted";
+    } catch (const wire::WireError &err) {
+        EXPECT_EQ(err.kind(), wire::WireErrorKind::BadVersion);
+        EXPECT_EQ(err.expected(), wire::kWireVersion);
+        EXPECT_EQ(err.found(), 4u);
+        EXPECT_NE(std::string(err.what()).find(
+                      "expected " + std::to_string(wire::kWireVersion) +
+                      ", found 4"),
+                  std::string::npos);
+    }
 }
 
 /**
@@ -601,49 +630,6 @@ TEST(Wire, SessionWordTracksOffWireKnobs)
     pol.policy = explore::SchedulePolicy::UniformRandom;
     ASSERT_NE(pol.policy, base.policy);
     EXPECT_NE(fleet::sessionWord(pol), word);
-}
-
-// --- Version negotiation --------------------------------------------
-
-TEST(Wire, VersionBumpedHelloIsRejectedWithBothValues)
-{
-    fleet::Hello want;
-    want.shard = 3;
-    fleet::Hello got = want;
-    got.wireVersion = wire::kWireVersion + 1;
-
-    try {
-        fleet::validateHello(got, want);
-        FAIL() << "future wire version was accepted";
-    } catch (const wire::WireError &err) {
-        EXPECT_EQ(err.kind(), wire::WireErrorKind::BadVersion);
-        EXPECT_EQ(err.expected(), wire::kWireVersion);
-        EXPECT_EQ(err.found(), wire::kWireVersion + 1);
-        // The message names the shard and both versions.
-        EXPECT_NE(std::string(err.what()).find("shard 3"),
-                  std::string::npos);
-    }
-}
-
-TEST(Wire, HelloIdentityMismatchNamesTheField)
-{
-    fleet::Hello want;
-    want.configHash = 0x1111;
-    fleet::Hello got = want;
-    got.configHash = 0x2222;
-
-    try {
-        fleet::validateHello(got, want);
-        FAIL() << "config-hash mismatch was accepted";
-    } catch (const wire::WireError &err) {
-        EXPECT_EQ(err.kind(), wire::WireErrorKind::Mismatch);
-        EXPECT_EQ(err.expected(), 0x1111u);
-        EXPECT_EQ(err.found(), 0x2222u);
-        std::string what = err.what();
-        EXPECT_NE(what.find("config hash"), std::string::npos);
-        EXPECT_NE(what.find("expected"), std::string::npos);
-        EXPECT_NE(what.find("found"), std::string::npos);
-    }
 }
 
 // --- Checkpoint corruption reporting --------------------------------
@@ -702,7 +688,7 @@ TEST_F(WireCheckpointTest, VersionCorruptionReportsExpectedAndFound)
     } catch (const FatalError &err) {
         std::string what = err.what();
         EXPECT_NE(what.find("version mismatch"), std::string::npos);
-        EXPECT_NE(what.find("expected 3"), std::string::npos);
+        EXPECT_NE(what.find("expected 4"), std::string::npos);
         EXPECT_NE(what.find("found 77"), std::string::npos);
     }
     std::remove(file.c_str());
