@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -220,7 +221,8 @@ BM_VersionedBufferCommit(benchmark::State &state)
     }
     for (auto _ : state) {
         buf.commitTo(memory);
-        benchmark::DoNotOptimize(memory.words().data());
+        benchmark::DoNotOptimize(&memory);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * writes);
 }
@@ -458,6 +460,49 @@ recordSaturatedMips(bench::BenchJson &json)
            instrumented, prunedMips, prunedMips / instrumented);
 }
 
+/**
+ * The per-run fixed-cost record: median host time of
+ * PathExpanderEngine::run on a program that only exits, at the
+ * default 4 MB layout and at a 256 KB one.  A run should pay for the
+ * memory pages it writes, not for the size of the image, so CI gates
+ * the ratio of the two; host speed cancels out of a ratio.
+ */
+void
+recordRunFixedCost(bench::BenchJson &json)
+{
+    auto program = isa::assemble("    sys exit\n", "exit");
+    auto medianRunUs = [&](const core::PeConfig &cfg) {
+        core::PathExpanderEngine engine(program, cfg);
+        std::vector<double> us;
+        for (int i = 0; i < 201; ++i) {
+            auto start = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(engine.run({}));
+            us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+        }
+        std::nth_element(us.begin(), us.begin() + us.size() / 2,
+                         us.end());
+        return us[us.size() / 2];
+    };
+
+    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+    auto small = cfg;
+    small.layout.memWords = 1u << 16;
+    small.layout.stackWords = 1u << 14;
+    double defaultUs = medianRunUs(cfg);
+    double smallUs = medianRunUs(small);
+
+    json.set("run_fixed_us_default_layout", defaultUs);
+    json.set("run_fixed_us_small_layout", smallUs);
+    json.set("run_fixed_layout_ratio", defaultUs / smallUs);
+
+    printf("\nPer-run fixed cost (sys exit, Standard mode):\n"
+           "  %u-word image: %.1f us, %u-word image: %.1f us (%.2fx)\n",
+           cfg.layout.memWords, defaultUs, small.layout.memWords,
+           smallUs, defaultUs / smallUs);
+}
+
 } // namespace
 
 int
@@ -471,6 +516,7 @@ main(int argc, char **argv)
     bench::BenchJson json("bench_sim_micro");
     recordInterpreterMips(json);
     recordSaturatedMips(json);
+    recordRunFixedCost(json);
     json.write();
     return 0;
 }

@@ -105,6 +105,14 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
 {
     pe_assert(cfg.numCores >= 1, "need at least one core");
     pe_assert(cfg.maxNtPathLength > 0, "MaxNTPathLength must be positive");
+    // The stack must hold the 16 words above the initial SP and leave
+    // a heap below it; otherwise heapLimit() wraps or reaches zero.
+    if (cfg.layout.stackWords < 16 ||
+        cfg.layout.stackWords >= cfg.layout.memWords) {
+        pe_fatal("machine layout needs 16 <= stackWords < memWords, got "
+                 "stackWords ", cfg.layout.stackWords, " and memWords ",
+                 cfg.layout.memWords);
+    }
 
     // Resolve the tagged checking functions (Section 6.2) to code
     // ranges once, folded into per-PC no-spawn flags.
@@ -181,36 +189,11 @@ PathExpanderEngine::run(const std::vector<int32_t> &input,
         state.result.coreCycles.push_back(state.result.cycles);
 
     // Digest of the architected memory image, for the sandboxing
-    // invariant (PathExpander must not perturb it).  Only ever
-    // compared run-vs-run, never against stored constants, so the
-    // construction is free to favor speed: FNV-1a over 64-bit chunks
-    // in four independent lanes.  A single per-word FNV chain is one
-    // serial multiply per word — several milliseconds over a 4 MB
-    // image, which dominated short monitored runs; the lanes run at
-    // load bandwidth instead.
-    const auto words = state.memory.words();
-    constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-    constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-    uint64_t lane[4] = {kFnvOffset, kFnvOffset ^ 1, kFnvOffset ^ 2,
-                        kFnvOffset ^ 3};
-    size_t n = words.size();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (int l = 0; l < 4; ++l) {
-            uint64_t chunk =
-                static_cast<uint32_t>(words[i + 2 * l]) |
-                (static_cast<uint64_t>(
-                     static_cast<uint32_t>(words[i + 2 * l + 1]))
-                 << 32);
-            lane[l] = (lane[l] ^ chunk) * kFnvPrime;
-        }
-    }
-    uint64_t digest = kFnvOffset;
-    for (int l = 0; l < 4; ++l)
-        digest = (digest ^ lane[l]) * kFnvPrime;
-    for (; i < n; ++i)
-        digest = (digest ^ static_cast<uint32_t>(words[i])) * kFnvPrime;
-    state.result.memoryDigest = digest;
+    // invariant (PathExpander must not perturb it): a four-lane
+    // FNV-1a over the image.  Engine.MemoryDigestIsPinned and
+    // MainMemory.DigestMatchesFlatImage pin its value, and so do the
+    // benchmark's recorded digests.
+    state.result.memoryDigest = state.memory.digest();
     return std::move(state.result);
 }
 

@@ -132,9 +132,11 @@ struct RunResult
     sim::IoChannel io;
 
     /**
-     * FNV-1a digest of the final main-memory image: lets tests and
-     * users verify the sandboxing invariant that PathExpander never
-     * perturbs architected state.
+     * Four-lane FNV-1a digest of the final main-memory image
+     * (mem::MainMemory::digest): lets tests and users verify the
+     * sandboxing invariant that PathExpander never perturbs
+     * architected state.  Tests pin its value for fixed workloads, so
+     * the construction is part of the result contract.
      */
     uint64_t memoryDigest = 0;
 

@@ -173,7 +173,7 @@ class MemCtx
             if (auto v = b->lookup(addr))
                 return *v;
         }
-        return mainMem->words()[addr];
+        return mainMem->load(addr);
     }
 
     void writeResolved(uint32_t addr, int32_t value)
@@ -181,7 +181,7 @@ class MemCtx
         if (buf)
             buf->write(addr, value);
         else
-            mainMem->words()[addr] = value;
+            mainMem->store(addr, value);
     }
 
     MainMemory *mainMem;

@@ -5,9 +5,6 @@
 
 #include "src/sim/interpreter.hh"
 
-#include <algorithm>
-#include <span>
-
 #include "src/isa/regs.hh"
 #include "src/support/status.hh"
 
@@ -40,11 +37,12 @@ loadProgram(const isa::Program &program, mem::MainMemory &memory,
                  layout.heapLimit());
     }
 
-    std::span<int32_t> image = memory.words();
-    pe_assert(program.dataBase + program.dataInit.size() <= image.size(),
+    pe_assert(dataEnd <= memory.size(),
               "data segment does not fit in memory");
-    std::copy(program.dataInit.begin(), program.dataInit.end(),
-              image.begin() + program.dataBase);
+    for (size_t i = 0; i < program.dataInit.size(); ++i) {
+        memory.store(static_cast<uint32_t>(program.dataBase + i),
+                     program.dataInit[i]);
+    }
     memory.write(isa::Program::heapPtrCell,
                  static_cast<int32_t>(program.heapBase));
 

@@ -28,7 +28,12 @@
 namespace pe::sim
 {
 
-/** Address-space layout parameters of the simulated machine. */
+/**
+ * Address-space layout parameters of the simulated machine.  An engine
+ * refuses a layout unless 16 <= stackWords < memWords: the stack then
+ * holds the 16 words above the initial SP, and heapLimit() is
+ * positive and does not wrap.
+ */
 struct MachineLayout
 {
     uint32_t memWords = 1u << 20;   //!< 4 MB of data memory

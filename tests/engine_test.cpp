@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/engine.hh"
 #include "src/minic/compiler.hh"
+#include "src/support/status.hh"
+#include "src/workloads/workload.hh"
 
 namespace
 {
@@ -289,6 +293,72 @@ TEST(Engine, NtRecordsIdentifySpawnEdge)
     std::set<uint32_t> branchSet(branches.begin(), branches.end());
     for (const auto &rec : r.ntRecords)
         EXPECT_TRUE(branchSet.count(rec.spawnBranchPc));
+}
+
+TEST(Engine, MemoryDigestIsPinned)
+{
+    // The digest construction is part of the result contract: these
+    // are the Standard-mode digests of each workload's default input
+    // as the flat four-lane FNV-1a over the whole image computed them.
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"schedule", 0x7069402aeb63ba58ull},
+        {"schedule2", 0xf2ea230b7a6022e5ull},
+        {"print_tokens", 0x04e90df3ecc0b9ddull},
+        {"pe_bc", 0x0aa4b56a310e35c0ull},
+    };
+    for (const auto &[name, digest] : pinned) {
+        SCOPED_TRACE(name);
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, w.name);
+        auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+        cfg.maxNtPathLength = w.maxNtPathLength;
+        EXPECT_EQ(run(program, cfg, nullptr, w.benignInputs[0])
+                      .memoryDigest,
+                  digest);
+    }
+}
+
+/** The FatalError message building an engine with this layout gives. */
+std::string
+layoutError(uint32_t memWords, uint32_t stackWords)
+{
+    auto program = minic::compile(loopy, "loopy");
+    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
+    cfg.layout.memWords = memWords;
+    cfg.layout.stackWords = stackWords;
+    try {
+        core::PathExpanderEngine engine(program, cfg);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Engine, RefusesLayoutWhoseHeapLimitWraps)
+{
+    // 16384 - 65536 wraps to 4294918144 in 32 bits: Alloc could never
+    // overflow and the stack range [heapLimit, memWords) is empty.
+    std::string err = layoutError(16384, 1u << 16);
+    EXPECT_NE(err.find("stackWords 65536"), std::string::npos) << err;
+    EXPECT_NE(err.find("memWords 16384"), std::string::npos) << err;
+}
+
+TEST(Engine, RefusesLayoutWithoutHeapOrStackFrame)
+{
+    // A stack filling all of memory leaves a heap limit of 0.
+    std::string err = layoutError(1u << 16, 1u << 16);
+    EXPECT_NE(err.find("stackWords 65536"), std::string::npos) << err;
+    EXPECT_NE(err.find("memWords 65536"), std::string::npos) << err;
+    // A stack smaller than the 16 words above the initial SP.
+    err = layoutError(1u << 16, 15);
+    EXPECT_NE(err.find("stackWords 15"), std::string::npos) << err;
+
+    // The bounds themselves are accepted.
+    EXPECT_EQ(layoutError(1u << 16, 16), "");
+    EXPECT_EQ(layoutError(1u << 16, (1u << 16) - 1), "");
+    EXPECT_EQ(layoutError(sim::MachineLayout{}.memWords,
+                          sim::MachineLayout{}.stackWords),
+              "");
 }
 
 } // namespace

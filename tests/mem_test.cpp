@@ -7,15 +7,66 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mem/cache.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/main_memory.hh"
 #include "src/mem/versioned_buffer.hh"
+#include "src/support/rng.hh"
 
 namespace
 {
 
 using namespace pe::mem;
+
+/**
+ * The reference MainMemory::digest must reproduce: the four-lane
+ * FNV-1a over a flat image that RunResult::memoryDigest has always
+ * used.  Whole 8-word groups feed the lanes as 64-bit chunks, the
+ * lanes fold into one hash, and the leftover words follow one by one.
+ */
+uint64_t
+flatDigest(const std::vector<int32_t> &words)
+{
+    constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+    constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+    uint64_t lane[4] = {kFnvOffset, kFnvOffset ^ 1, kFnvOffset ^ 2,
+                        kFnvOffset ^ 3};
+    size_t n = words.size();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        for (int l = 0; l < 4; ++l) {
+            uint64_t chunk =
+                static_cast<uint32_t>(words[i + 2 * l]) |
+                (static_cast<uint64_t>(
+                     static_cast<uint32_t>(words[i + 2 * l + 1]))
+                 << 32);
+            lane[l] = (lane[l] ^ chunk) * kFnvPrime;
+        }
+    }
+    uint64_t digest = kFnvOffset;
+    for (int l = 0; l < 4; ++l)
+        digest = (digest ^ lane[l]) * kFnvPrime;
+    for (; i < n; ++i)
+        digest = (digest ^ static_cast<uint32_t>(words[i])) * kFnvPrime;
+    return digest;
+}
+
+/** A paged image and the flat image it must equal, written together. */
+struct ImagePair
+{
+    explicit ImagePair(uint32_t size) : paged(size), flat(size, 0) {}
+
+    void write(uint32_t addr, int32_t value)
+    {
+        paged.write(addr, value);
+        flat[addr] = value;
+    }
+
+    MainMemory paged;
+    std::vector<int32_t> flat;
+};
 
 TEST(MainMemory, ReadWriteAndBounds)
 {
@@ -26,6 +77,86 @@ TEST(MainMemory, ReadWriteAndBounds)
     m.write(5, -9);
     EXPECT_EQ(m.read(5), -9);
     EXPECT_EQ(m.read(6), 0);
+}
+
+TEST(MainMemory, DigestMatchesFlatImage)
+{
+    // 64 and 1000 words: one partial page.  1024: exactly one page.
+    // 1025: a second page holding a single word, which is also a tail
+    // shorter than a digest group.  1 << 20: the default image.
+    for (uint32_t size : {64u, 1000u, 1024u, 1025u, 1u << 20}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "size " << size << " seed " << seed);
+            pe::Rng rng(seed);
+            ImagePair img(size);
+            EXPECT_EQ(img.paged.digest(), flatDigest(img.flat));
+
+            // The first and last words, then scattered stores.
+            img.write(0, static_cast<int32_t>(rng.next64()));
+            img.write(size - 1, static_cast<int32_t>(rng.next64()));
+            for (int i = 0; i < 64; ++i) {
+                img.write(static_cast<uint32_t>(rng.nextBelow(size)),
+                          static_cast<int32_t>(rng.next64()));
+            }
+            EXPECT_EQ(img.paged.digest(), flatDigest(img.flat));
+
+            // A dense run of stores, across the first page boundary
+            // when the image has one.
+            uint32_t start = size > pageWords ? pageWords - 40 : size / 4;
+            for (uint32_t a = start; a < size && a < start + 80; ++a)
+                img.write(a, static_cast<int32_t>(rng.next64()));
+            EXPECT_EQ(img.paged.digest(), flatDigest(img.flat));
+
+            // Every written word back to zero: the pages stay
+            // allocated but must digest like the zero page.
+            for (uint32_t a = 0; a < size; ++a) {
+                if (img.flat[a] != 0)
+                    img.write(a, 0);
+            }
+            EXPECT_GT(img.paged.pagesWritten(), 0u);
+            EXPECT_EQ(img.paged.digest(), flatDigest(img.flat));
+            EXPECT_EQ(img.paged.digest(), MainMemory(size).digest());
+        }
+    }
+}
+
+TEST(MainMemory, UnwrittenPagesReadZeroWithoutAllocating)
+{
+    MainMemory m(4 * pageWords + 3);
+    EXPECT_EQ(m.pagesWritten(), 0u);
+    for (uint32_t a = 0; a < m.size(); a += 97)
+        EXPECT_EQ(m.read(a), 0);
+    EXPECT_EQ(m.read(m.size() - 1), 0);
+    EXPECT_EQ(m.pagesWritten(), 0u);
+
+    m.write(pageWords + 5, 7);
+    EXPECT_EQ(m.pagesWritten(), 1u);
+    EXPECT_EQ(m.read(pageWords + 5), 7);
+    EXPECT_EQ(m.read(pageWords + 4), 0);    // same page, unwritten word
+    EXPECT_EQ(m.read(5), 0);                // other page still zero
+    m.write(m.size() - 1, -1);              // the partial last page
+    EXPECT_EQ(m.pagesWritten(), 2u);
+    EXPECT_EQ(m.read(m.size() - 1), -1);
+}
+
+TEST(MainMemory, StoresAreNotVisibleInAFreshImage)
+{
+    // Images share only the read-only zero page: a store to one must
+    // never show through another, earlier or later built.
+    MainMemory before(2 * pageWords);
+    MainMemory a(2 * pageWords);
+    a.write(3, 33);
+    a.write(pageWords + 3, 44);
+    MainMemory after(2 * pageWords);
+    for (const MainMemory *m : {&before, &after}) {
+        EXPECT_EQ(m->read(3), 0);
+        EXPECT_EQ(m->read(pageWords + 3), 0);
+        EXPECT_EQ(m->pagesWritten(), 0u);
+        EXPECT_EQ(m->digest(),
+                  flatDigest(std::vector<int32_t>(2 * pageWords, 0)));
+    }
+    EXPECT_EQ(a.read(3), 33);
 }
 
 TEST(VersionedBuffer, BuffersWrites)
