@@ -105,6 +105,7 @@ PathExpanderEngine::runCmp(RunState &state)
     const uint32_t l1Capacity = state.hierarchy.l1LineCapacity();
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
+    const bool detectorFree = detector == nullptr;
 
     auto currentPrimaryBuf = [&]() -> mem::VersionedBuffer * {
         return cmp.segments.empty() ? nullptr
@@ -251,18 +252,19 @@ PathExpanderEngine::runCmp(RunState &state)
             finishNt(task, NtStopCause::MaxLength, sim::CrashKind::None);
             return;
         }
+        mem::MemCtx ctx(state.memory, task.buf.get());
         if (useBlocks &&
             decoded.startsBlock(task.cpu.pc, /*execBranches=*/false,
-                                detector == nullptr)) {
-            // Straight-line stretch on the NT core: register-only
-            // work, so no shared state (BTB, hierarchy, buffers,
-            // coverage) moves until the next surfacing instruction.
-            // The cycle budget stops the block exactly where the
-            // least-advanced-core scheduler would stop picking this
-            // core (strict inequality against lower-indexed cores,
-            // which win clock ties), so every instruction retires at
-            // the same position in the global step order as under
-            // the per-step loop — in particular, the instruction
+                                detectorFree, detectorFree)) {
+            // Straight-line stretch on the NT core.  The cycle budget,
+            // which counts each access's memory latency, stops the
+            // block exactly where the least-advanced-core scheduler
+            // would stop picking this core (strict inequality against
+            // lower-indexed cores, which win clock ties), so every
+            // instruction retires at the same position in the global
+            // step order as under the per-step loop: the shared L2
+            // port and bus see the same acquisition order, nothing
+            // else reads this path's buffer, and the instruction
             // count at a later force-squash is identical.
             uint64_t bound = cmp.coreTime[0] - 1;
             for (int j = 1; j < cfg.numCores; ++j) {
@@ -273,20 +275,26 @@ PathExpanderEngine::runCmp(RunState &state)
                 if (b < bound)
                     bound = b;
             }
+            const sim::MemPort port = memPort(
+                cfg, state, ctx, c, cmp.coreTime[c], /*inNt=*/true);
             sim::BlockOut blk = sim::runBlock(
                 decoded, task.cpu,
                 blockCap(state, cfg.maxNtPathLength - task.length),
                 bound - cmp.coreTime[c], dilation, nullptr,
-                detector == nullptr);
+                detectorFree, detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 task.length += blk.instructions;
                 result.ntInstructions += blk.instructions;
                 cmp.coreTime[c] +=
                     blk.cycles + dilation * blk.instructions;
+                // A store that overflowed the write set ended the
+                // block; the per-step loop stops the path there too.
+                if (task.buf->numLines() > l1Capacity)
+                    finishNt(task, NtStopCause::CapacityOverflow,
+                             sim::CrashKind::None);
                 return;
             }
         }
-        mem::MemCtx ctx(state.memory, task.buf.get());
         sim::IoChannel &ntIo =
             task.specIo ? *task.specIo : result.io;
         sim::StepResult res = sim::step(decoded, task.cpu, ctx, ntIo,
@@ -339,19 +347,20 @@ PathExpanderEngine::runCmp(RunState &state)
             primaryDone = true;
             return;
         }
+        mem::MemCtx ctx(state.memory, currentPrimaryBuf());
         if (useBlocks &&
             decoded.startsBlock(primary.pc, /*execBranches=*/false,
-                                detector == nullptr)) {
+                                detectorFree, detectorFree)) {
             // Straight-line stretch on the primary.  The cycle
-            // budget keeps the primary within the span where the
-            // scheduler would keep picking it (the primary wins
-            // clock ties), so no NT-core step is displaced.  The
-            // block itself makes no shared-state mutation, and
-            // within its span every active NT clock is >= the
-            // primary's, so no other actor can observe the BTB
-            // between a mid-block reset point and the block end —
-            // folding the resets into one modular reset afterwards
-            // is exact.
+            // budget, which counts each access's memory latency,
+            // keeps the primary within the span where the scheduler
+            // would keep picking it (the primary wins clock ties), so
+            // no NT-core step is displaced and its memory accesses
+            // keep their places in the global order.  Within that
+            // span every active NT clock is >= the primary's, so no
+            // other actor can observe the BTB between a mid-block
+            // reset point and the block end — folding the resets
+            // into one modular reset afterwards is exact.
             uint64_t budget = UINT64_MAX;
             for (int c = 1; c < cfg.numCores; ++c) {
                 if (cmp.onCore[c] && cmp.coreTime[c] < budget)
@@ -359,11 +368,14 @@ PathExpanderEngine::runCmp(RunState &state)
             }
             if (budget != UINT64_MAX)
                 budget -= cmp.coreTime[0];
+            const sim::MemPort port = memPort(
+                cfg, state, ctx, 0, cmp.coreTime[0], /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
                 decoded, primary,
                 blockCap(state, cfg.maxTakenInstructions -
                                     result.takenInstructions),
-                budget, dilation, nullptr, detector == nullptr);
+                budget, dilation, nullptr, detectorFree,
+                detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
                 state.sinceCounterReset += blk.instructions;
@@ -378,7 +390,6 @@ PathExpanderEngine::runCmp(RunState &state)
                 return;
             }
         }
-        mem::MemCtx ctx(state.memory, currentPrimaryBuf());
         sim::StepResult res = sim::step(decoded, primary, ctx, result.io,
                                         /*allowIo=*/true, cfg.layout);
         if (res.crashed()) {

@@ -254,6 +254,7 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
     const uint32_t l1Capacity = state.hierarchy.l1LineCapacity();
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
+    const bool detectorFree = detector == nullptr;
 
     for (;;) {
         if (cancelRequested(state)) {
@@ -269,20 +270,27 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
         }
         if (useBlocks &&
             decoded.startsBlock(core.pc, /*execBranches=*/false,
-                                detector == nullptr)) {
+                                detectorFree, detectorFree)) {
             // Straight-line stretch: no StepResult, no engine
-            // round-trip.  Block-safe instructions cannot write the
-            // versioned buffer, so the capacity check cannot trip
-            // mid-block.
+            // round-trip.  Without a detector, stores write the
+            // versioned buffer in-block; the one that overflows it
+            // ends the block, and the path stops right after it, as
+            // in the per-step loop.
+            const sim::MemPort port = memPort(
+                cfg, state, ctx, 0, startCycle + cycles, /*inNt=*/true);
             sim::BlockOut blk = sim::runBlock(
                 decoded, core,
                 blockCap(state, cfg.maxNtPathLength - record.length),
-                UINT64_MAX, /*perInstExtra=*/0, nullptr,
-                detector == nullptr);
+                UINT64_MAX, dilation, nullptr, detectorFree,
+                detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 record.length += blk.instructions;
                 result.ntInstructions += blk.instructions;
                 cycles += blk.cycles + dilation * blk.instructions;
+                if (buf.numLines() > l1Capacity) {
+                    record.cause = NtStopCause::CapacityOverflow;
+                    break;
+                }
                 continue;   // re-check the length bound first
             }
         }
@@ -357,6 +365,7 @@ PathExpanderEngine::runInline(RunState &state)
     const bool peActive = cfg.mode != PeMode::Off;
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
+    const bool detectorFree = detector == nullptr;
 
     // Self-pruning engages only in regimes where the saturation
     // predicate's no-op proof holds (see maybePromote): the Standard
@@ -400,14 +409,13 @@ PathExpanderEngine::runInline(RunState &state)
         if (pruneActive) {
             state.superblocks->syncEpoch(state.btb.resetEpoch());
             if (!core.ntEntryPred &&
-                state.superblocks->startsSuper(core.pc,
-                                               detector == nullptr)) {
+                state.superblocks->startsSuper(core.pc, detectorFree)) {
                 const uint64_t budget = std::min(
                     cfg.maxTakenInstructions - result.takenInstructions,
                     cfg.counterResetInterval - state.sinceCounterReset);
                 sim::SuperOut so = sim::runSuperblock(
                     *state.superblocks, core, blockCap(state, budget),
-                    detector == nullptr);
+                    detectorFree);
                 if (so.instructions) {
                     result.takenInstructions += so.instructions;
                     result.prunedInstructions += so.instructions;
@@ -430,18 +438,21 @@ PathExpanderEngine::runInline(RunState &state)
         // With PE off, a branch's whole effect is opcode cost plus a
         // coverage bit, so blocks run straight through them: pass the
         // run's coverage tracker as the in-block branch sink.
-        // Likewise Chkb/Assert are inert without a detector.
+        // Likewise Chkb/Assert are inert without a detector, and
+        // loads and stores run in-block through a memory port.
         const bool branchesInBlock = !peActive && !traceEdges;
         if (useBlocks &&
-            decoded.startsBlock(core.pc, branchesInBlock,
-                                detector == nullptr)) {
+            decoded.startsBlock(core.pc, branchesInBlock, detectorFree,
+                                detectorFree)) {
+            const sim::MemPort port =
+                memPort(cfg, state, ctx, 0, cycles, /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
                 decoded, core,
                 blockCap(state, cfg.maxTakenInstructions -
                                     result.takenInstructions),
-                UINT64_MAX, /*perInstExtra=*/0,
+                UINT64_MAX, dilation,
                 branchesInBlock ? &result.coverage : nullptr,
-                detector == nullptr);
+                detectorFree, detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
                 state.sinceCounterReset += blk.instructions;

@@ -11,6 +11,7 @@
 #define PE_CORE_ENGINE_IMPL_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -100,18 +101,38 @@ softwareCosts(const PeConfig &cfg)
 }
 
 /**
- * Per-instruction cycle charge the cost model adds on top of the
- * base opcode cost for block-safe instructions (which touch neither
- * the memory hierarchy nor the detector): the software model's JIT
+ * Per-instruction cycle charge the cost model adds on top of what
+ * runBlock reports (base opcode cost plus, through a memory port,
+ * memory latency and NT-store log cost): the software model's JIT
  * dilation, zero under the hardware model.  Bulk-charging
  * `blockOut.cycles + n * blockDilation(cfg)` is exactly what the
  * per-step loop accumulates through chargeStep for the same
- * instructions.
+ * instructions.  Callers also pass it as runBlock's perInstExtra, so
+ * in-block clocks (memory access times, the CMP cycle budget) see it.
  */
 inline uint64_t
 blockDilation(const PeConfig &cfg)
 {
     return softwareCosts(cfg) ? cfg.swCosts.perInstructionDilation : 0;
+}
+
+/**
+ * The block tier's memory port for a detector-free run on @p coreId,
+ * whose block starts at cycle @p now: chargeStep's memory terms for
+ * the same accesses.  An NT-Path's port (@p inNt) bounds its write
+ * set by the L1 capacity and charges the software model's NT-store
+ * log cost.
+ */
+inline sim::MemPort
+memPort(const PeConfig &cfg, PathExpanderEngine::RunState &state,
+        mem::MemCtx &ctx, int coreId, uint64_t now, bool inNt)
+{
+    return {ctx,
+            state.hierarchy,
+            coreId,
+            now,
+            inNt ? state.hierarchy.l1LineCapacity() : SIZE_MAX,
+            inNt && softwareCosts(cfg) ? cfg.swCosts.ntWriteLogCost : 0};
 }
 
 /**

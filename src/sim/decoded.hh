@@ -12,15 +12,16 @@
  * any instruction and reports a StepResult.  The two bulk tiers share
  * one dispatch loop (dispatch.cc) and run block-safe instructions
  * without a StepResult, stopping *before* the first instruction the
- * engine must observe — memory ops, detector hooks with a detector
+ * engine must observe — detector hooks and memory ops with a detector
  * attached, syscalls, anything that would crash — which surfaces to
  * `sim::step`, so results are bit-identical to the per-step loop by
  * construction:
  *
  *  - the block tier, `runBlock` below, with a cycle budget, the
- *    NT-entry predicate prologue and, when PathExpander is off, an
- *    optional branch-coverage sink that runs conditional branches
- *    in-block;
+ *    NT-entry predicate prologue, an optional memory port through
+ *    which detector-free runs execute loads and stores in-block and,
+ *    when PathExpander is off, an optional branch-coverage sink that
+ *    runs conditional branches in-block;
  *  - the superblock tier, `runSuperblock` (superblock.hh), over a
  *    self-pruned image whose saturated branches run with no coverage
  *    write or counter bump.
@@ -31,6 +32,7 @@
 #ifndef PE_SIM_DECODED_HH
 #define PE_SIM_DECODED_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +44,11 @@
 namespace pe::coverage
 {
 class BranchCoverage;
+}
+
+namespace pe::mem
+{
+class MemCtx;
 }
 
 namespace pe::sim
@@ -155,19 +162,23 @@ class DecodedProgram
      * on surfacing-dense stretches (a zero-instruction call costs a
      * prologue and a writeback for nothing).  runBlock itself remains
      * correct without it.  @p execBranches mirrors whether the caller
-     * will pass a branch-coverage sink and @p inertChecks whether the
-     * run has no detector: only then do conditional branches
-     * (respectively Chkb/Assert) start a block.
+     * will pass a branch-coverage sink, @p inertChecks whether the run
+     * has no detector and @p execMemory whether it will pass a memory
+     * port: only then do conditional branches (respectively
+     * Chkb/Assert, loads and stores) start a block.
      */
     bool startsBlock(uint32_t pc, bool execBranches = false,
-                     bool inertChecks = false) const
+                     bool inertChecks = false,
+                     bool execMemory = false) const
     {
         if (pc >= insts.size())
             return false;
         const DecodedInst &di = insts[pc];
         return di.kind != HandlerKind::Surface &&
                (di.cls != OpClass::Check || inertChecks) &&
-               (di.cls != OpClass::Branch || execBranches);
+               (di.cls != OpClass::Branch || execBranches) &&
+               ((di.cls != OpClass::Load && di.cls != OpClass::Store) ||
+                execMemory);
     }
 
     uint32_t size() const { return static_cast<uint32_t>(insts.size()); }
@@ -177,11 +188,31 @@ class DecodedProgram
     std::vector<DecodedInst> insts;
 };
 
+/**
+ * A memory port: what the block tier needs to run loads and stores
+ * itself instead of surfacing them.  Valid only for a run with no
+ * detector, where an access's whole effect is a register or the
+ * path's write set plus the cache model's latency.
+ */
+struct MemPort
+{
+    mem::MemCtx &ctx;               //!< the path's view of memory
+    mem::MemHierarchy &hierarchy;   //!< the run's cache model
+    int coreId = 0;                 //!< the core issuing the accesses
+    uint64_t startCycle = 0;        //!< clock at the block's first inst
+    /** A store that leaves ctx's buffer above this many L1 lines ends
+     *  the block (an NT-Path's write-set bound; none on a taken path). */
+    size_t ntLineBound = SIZE_MAX;
+    uint64_t ntStoreCost = 0;       //!< extra cycles per retired store
+};
+
 /** What one runBlock call retired in bulk. */
 struct BlockOut
 {
-    uint64_t instructions = 0;  //!< straight-line instructions executed
-    uint64_t cycles = 0;        //!< their summed base opcode cost
+    uint64_t instructions = 0;  //!< instructions executed
+    /** Their summed base opcode cost plus, through a memory port, each
+     *  access's latency and each store's ntStoreCost. */
+    uint64_t cycles = 0;
 };
 
 /**
@@ -189,22 +220,22 @@ struct BlockOut
  * @p core.pc, stopping *before* the first instruction that must
  * surface to the engine and after at most @p maxInstructions.
  *
- * The returned cycle total is the exact sum of the executed
- * instructions' base opcode costs — the same value the legacy loop
- * accumulates through `chargeStep` for these instructions, which add
- * no memory-hierarchy or detector time.  The engine adds the
- * software-cost-model per-instruction dilation on top when that
- * model is active.
+ * The returned cycle total is exactly what the legacy loop
+ * accumulates through `chargeStep` for these instructions, less the
+ * software cost model's per-instruction dilation, which the engine
+ * adds on top: their base opcode costs plus, for loads and stores
+ * run through @p port, the memory latency and NT-store log cost.
  *
  * @p cycleBudget bounds the *effective* cycles (base cost plus
- * @p perInstExtra per instruction) the block may consume: an
- * instruction starts only while the effective cycles retired so far
- * are <= the budget.  This is how the CMP driver reproduces its
- * least-advanced-core scheduling exactly: a core may keep executing
- * precisely while its clock would still make it the scheduler's pick,
- * and the other cores' clocks are frozen while it runs, so a budget
- * computed once at dispatch is exact, not conservative.  The first
- * instruction is always within budget (the caller was just picked).
+ * @p perInstExtra per instruction plus memory latency) the block may
+ * consume: an instruction starts only while the effective cycles
+ * retired so far are <= the budget.  This is how the CMP engine
+ * reproduces its least-advanced-core scheduling exactly: a core may
+ * keep executing precisely while its clock would still make it the
+ * scheduler's pick, and the other cores' clocks are frozen while it
+ * runs, so a budget computed once at dispatch is exact, not
+ * conservative.  The first instruction is always within budget (the
+ * caller was just picked).
  *
  * On return `core.pc` rests on the first unexecuted instruction and
  * the NT-entry predicate has been maintained exactly as the per-step
@@ -224,13 +255,25 @@ struct BlockOut
  * every consumer of their events (detector latency in chargeStep,
  * onBoundsCheck/onAssert dispatch in routeEvents) is gated on a
  * detector being present.  When false they surface.
+ *
+ * @p port, when non-null, also asserts a detector-free run and opts
+ * loads and stores into the block.  Each access goes through
+ * `port->ctx` and is charged `hierarchy.accessLatency` at the
+ * port's start cycle plus the effective cycles retired so far plus
+ * its opcode cost — the `now + cost` chargeStep passes, so shared
+ * port waits come out the same.  An out-of-range address surfaces
+ * untouched (sim::step raises BadAddress).  A store that leaves
+ * ctx's buffer above `ntLineBound` lines retires and ends the block;
+ * the caller stops the NT-Path before anything else runs.  When null,
+ * loads and stores surface.
  */
 BlockOut runBlock(const DecodedProgram &decoded, Core &core,
                   uint64_t maxInstructions,
                   uint64_t cycleBudget = UINT64_MAX,
                   uint64_t perInstExtra = 0,
                   coverage::BranchCoverage *branchSink = nullptr,
-                  bool inertChecks = false);
+                  bool inertChecks = false,
+                  const MemPort *port = nullptr);
 
 } // namespace pe::sim
 

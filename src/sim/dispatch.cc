@@ -7,15 +7,19 @@
  * semantics.  A tier policy supplies what differs between the tiers:
  *
  *  - BlockTier (runBlock): a cycle budget with a per-instruction
- *    extra, the NT-entry predicate prologue, and an optional
+ *    extra, the NT-entry predicate prologue, an optional memory port
+ *    without which loads and stores surface, and an optional
  *    branch-coverage sink without which branches surface;
  *  - SuperTier (runSuperblock): the pruned image, whose branch kinds
- *    are all promoted and so execute, counted; no budget.
+ *    are all promoted and so execute, counted; no budget and no
+ *    memory port.
  */
 
 #include <iterator>
 
 #include "src/coverage/coverage.hh"
+#include "src/mem/hierarchy.hh"
+#include "src/mem/versioned_buffer.hh"
 #include "src/sim/superblock.hh"
 #include "src/support/status.hh"
 
@@ -36,6 +40,7 @@ struct BlockTier
     uint64_t perInstExtra;
     coverage::BranchCoverage *branchSink;
     bool inertChecks;
+    const MemPort *port;
 
     bool overBudget(uint64_t cycles) const { return cycles > cycleBudget; }
     bool runsBranches() const { return branchSink != nullptr; }
@@ -58,6 +63,7 @@ struct SuperTier
 {
     static constexpr bool predicated = false;
     static constexpr uint64_t perInstExtra = 0;
+    static constexpr const MemPort *port = nullptr;
     bool inertChecks;
 
     static bool overBudget(uint64_t) { return false; }
@@ -69,16 +75,25 @@ struct SuperTier
     }
 };
 
+/** What execute() did with one instruction. */
+enum class Exec : uint8_t
+{
+    Surface,    //!< changed nothing: sim::step must run it
+    Retired,    //!< retired; the block goes on
+    Last,       //!< retired; the block ends after it
+};
+
 /**
- * Execute @p di, whose opcode-table class is C, and advance @p pc —
- * or change nothing and return false when it must surface.  Pfix and
- * Pfixst reach here only with the NT-entry predicate clear, where
- * they retire as opcode-cost NOPs.
+ * Execute @p di, whose opcode-table class is C, advance @p pc and add
+ * any memory latency to @p cycles, the effective cycles the block has
+ * retired before @p di — or change nothing when it must surface.
+ * Pfix and Pfixst reach here only with the NT-entry predicate clear,
+ * where they retire as opcode-cost NOPs.
  */
 template <OpClass C, class Tier, class Expr>
-[[gnu::always_inline]] inline bool
+[[gnu::always_inline]] inline Exec
 execute(const Tier &tier, Core &core, const DecodedInst &di,
-        uint32_t codeSize, uint32_t &pc, Expr expr)
+        uint32_t codeSize, uint32_t &pc, uint64_t &cycles, Expr expr)
 {
     auto a = [&] { return core.readReg(di.rs1); };
     auto b = [&] {
@@ -86,17 +101,17 @@ execute(const Tier &tier, Core &core, const DecodedInst &di,
     };
     uint32_t next = pc + 1;
     if constexpr (C == OpClass::Surface) {
-        return false;
+        return Exec::Surface;
     } else if constexpr (C == OpClass::Alu || C == OpClass::Imm) {
         core.writeReg(di.rd, expr(a(), b()));
     } else if constexpr (C == OpClass::Trap) {
         const int32_t divisor = b();
         if (divisor == 0)
-            return false;       // step() raises DivByZero
+            return Exec::Surface;   // step() raises DivByZero
         core.writeReg(di.rd, expr(a(), divisor));
     } else if constexpr (C == OpClass::Branch) {
         if (!tier.runsBranches())
-            return false;
+            return Exec::Surface;
         const bool taken = expr(a(), b());
         tier.onBranch(pc, taken);
         if (taken)
@@ -108,15 +123,42 @@ execute(const Tier &tier, Core &core, const DecodedInst &di,
     } else if constexpr (C == OpClass::JumpReg) {
         const int32_t target = a();
         if (target < 0 || static_cast<uint32_t>(target) >= codeSize)
-            return false;       // step() raises BadJump
+            return Exec::Surface;   // step() raises BadJump
         next = static_cast<uint32_t>(target);
     } else if constexpr (C == OpClass::Check) {
         // Nothing consumes Chkb/Assert events without a detector.
         if (!tier.inertChecks)
-            return false;
+            return Exec::Surface;
+    } else if constexpr (C == OpClass::Load || C == OpClass::Store) {
+        // Without a detector an access changes a register or the
+        // path's write set, and the cache model.
+        if (!tier.port)
+            return Exec::Surface;
+        const MemPort &port = *tier.port;
+        const auto addr = static_cast<uint32_t>(wrapAdd(a(), di.imm));
+        if constexpr (C == OpClass::Load) {
+            int32_t value;
+            if (!port.ctx.tryRead(addr, value))
+                return Exec::Surface;   // step() raises BadAddress
+            core.writeReg(di.rd, value);
+        } else if (!port.ctx.tryWrite(addr, b())) {
+            return Exec::Surface;       // step() raises BadAddress
+        }
+        // Issued at the instruction's start clock plus its opcode
+        // cost: the `now + cost` chargeStep passes.
+        cycles += port.hierarchy.accessLatency(
+            port.coreId, addr, port.startCycle + cycles + di.cost);
+        if constexpr (C == OpClass::Store) {
+            cycles += port.ntStoreCost;
+            const mem::VersionedBuffer *buf = port.ctx.buffer();
+            if (buf && buf->numLines() > port.ntLineBound) {
+                pc = next;
+                return Exec::Last;      // the caller stops the path
+            }
+        }
     }
     pc = next;
-    return true;
+    return Exec::Retired;
 }
 
 /**
@@ -186,17 +228,21 @@ dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
     PE_NEXT();
 
 #define PE_HANDLER(op, cls, field, ...)                                 \
-  H_##op:                                                               \
-    if (!execute<OpClass::cls>(                                         \
-            tier, core, *di, codeSize, pc,                              \
-            []([[maybe_unused]] int32_t a, [[maybe_unused]] int32_t b) { \
-                return __VA_ARGS__;                                     \
-            }))                                                         \
+  H_##op: {                                                             \
+    const Exec done = execute<OpClass::cls>(                            \
+        tier, core, *di, codeSize, pc, cycles,                          \
+        []([[maybe_unused]] int32_t a, [[maybe_unused]] int32_t b) {    \
+            return __VA_ARGS__;                                         \
+        });                                                             \
+    if (done == Exec::Surface)                                          \
         goto H_Surface;                                                 \
     --left;                                                             \
     cycles += di->cost + tier.perInstExtra;                             \
     branches += OpClass::cls == OpClass::Branch;                        \
-    PE_NEXT();
+    if (done == Exec::Last)                                             \
+        goto H_Surface;                                                 \
+    PE_NEXT();                                                          \
+  }
 
     PE_OPCODE_TABLE(PE_HANDLER, PE_HANDLER)
 #undef PE_HANDLER
@@ -213,10 +259,11 @@ BlockOut
 runBlock(const DecodedProgram &decoded, Core &core,
          uint64_t maxInstructions, uint64_t cycleBudget,
          uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
-         bool inertChecks)
+         bool inertChecks, const MemPort *port)
 {
     return dispatch<BlockTier>(decoded, core, maxInstructions, cycleBudget,
-                               perInstExtra, branchSink, inertChecks);
+                               perInstExtra, branchSink, inertChecks,
+                               port);
 }
 
 SuperOut

@@ -4,10 +4,12 @@
  * instruction against a Core, a (possibly versioned) memory view and
  * an I/O channel, and reports what happened as a StepResult.
  *
- * `step` is the tier that runs everything: memory traffic, syscalls,
- * detector hooks and crashes are handled here and nowhere else, while
- * its ALU, immediate, trapping and branch cases are generated from
- * the opcode table (optable.hh) that the bulk tiers (decoded.hh,
+ * `step` is the tier that runs everything: syscalls, allocation,
+ * object registration, detector events and crashes are handled here
+ * and nowhere else.  Its loads and stores are the reference the block
+ * tier's memory port (decoded.hh) must match for detector-free runs,
+ * while its ALU, immediate, trapping and branch cases are generated
+ * from the opcode table (optable.hh) that the bulk tiers (decoded.hh,
  * superblock.hh) dispatch through too.
  *
  * The interpreter is deliberately policy-free; PathExpander policy

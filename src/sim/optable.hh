@@ -9,8 +9,8 @@
  * from it: HandlerKind and the decode classification (decoded.hh),
  * the bulk tiers' dispatch labels (dispatch.cc), sim::step's ALU and
  * branch cases (interpreter.cc) and opcodeCost (timing.cc).  Adding
- * an opcode is one row here, in isa::Opcode order; a Surface-class
- * row also needs its case in sim::step.
+ * an opcode is one row here, in isa::Opcode order; a Surface-, Load-
+ * or Store-class row also needs its case in sim::step.
  */
 
 #ifndef PE_SIM_OPTABLE_HH
@@ -25,7 +25,7 @@ namespace pe::sim
 /** How the bulk tiers (runBlock, runSuperblock) treat an opcode. */
 enum class OpClass : uint8_t
 {
-    Surface,    //!< only sim::step runs it: memory, Alloc, objects, Sys
+    Surface,    //!< only sim::step runs it: Alloc, objects, Sys
     Nop,        //!< retires with no effect
     Alu,        //!< rd <- expr(rs1, rs2)
     Imm,        //!< rd <- expr(rs1, imm)
@@ -37,6 +37,8 @@ enum class OpClass : uint8_t
     Check,      //!< detector hook; a NOP when the run has no detector
     Fix,        //!< predicated rd <- imm; a NOP once the predicate clears
     FixStore,   //!< predicated store; surfaces while the predicate is set
+    Load,       //!< rd <- mem[rs1 + imm]; surfaces without a memory port
+    Store,      //!< mem[rs1 + imm] <- rs2; surfaces without a memory port
 };
 
 /**
@@ -70,8 +72,8 @@ enum class OpClass : uint8_t
     E(Shri,     Imm,      aluCost,    shiftRight(a, b))                 \
     E(Slti,     Imm,      aluCost,    a < b)                            \
     E(Li,       Imm,      aluCost,    b)                                \
-    C(Ld,       Surface,  aluCost)                                      \
-    C(St,       Surface,  aluCost)                                      \
+    C(Ld,       Load,     aluCost)                                      \
+    C(St,       Store,    aluCost)                                      \
     E(Beq,      Branch,   branchCost, a == b)                           \
     E(Bne,      Branch,   branchCost, a != b)                           \
     E(Blt,      Branch,   branchCost, a < b)                            \

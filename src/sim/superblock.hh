@@ -32,11 +32,12 @@
  * preconditions; see docs/INTERNALS.md §13 for the full argument):
  * a promoted branch retires with the same base opcode cost the
  * per-step loop charges, touches neither memory hierarchy nor
- * detector, its elided coverage write is idempotent, its elided
- * counter bumps are value no-ops or land on counters provably never
- * read before the next reset zeroes them, its elided LRU stamp lives
- * in a statically conflict-free BTB set (analysis/regions.hh), and
- * the spawn it elides is impossible (counter at cap >= threshold, no
+ * detector (the tier surfaces every load and store), its elided
+ * coverage write is idempotent, its elided counter bumps are value
+ * no-ops or land on counters provably never read before the next
+ * reset zeroes them, its elided LRU stamp lives in a statically
+ * conflict-free BTB set (analysis/regions.hh), and the spawn it
+ * elides is impossible (counter at cap >= threshold, no
  * random spawn factor).
  */
 
@@ -107,7 +108,8 @@ class SuperblockCache
      * True when the pruned image can make progress at @p pc — the
      * analogue of DecodedProgram::startsBlock over the pruned kinds:
      * promoted branches qualify unconditionally, Chkb/Assert only for
-     * detector-free runs (@p inertChecks), Surface never.
+     * detector-free runs (@p inertChecks), loads, stores and Surface
+     * never (the superblock tier has no memory port).
      */
     bool startsSuper(uint32_t pc, bool inertChecks) const
     {
@@ -115,7 +117,8 @@ class SuperblockCache
             return false;
         const DecodedInst &di = pruned[pc];
         return di.kind != HandlerKind::Surface &&
-               (di.cls != OpClass::Check || inertChecks);
+               (di.cls != OpClass::Check || inertChecks) &&
+               di.cls != OpClass::Load && di.cls != OpClass::Store;
     }
 
     uint32_t size() const { return static_cast<uint32_t>(pruned.size()); }
@@ -138,13 +141,15 @@ class SuperblockCache
 /**
  * The superblock tier: execute instructions from @p cache's pruned
  * image starting at @p core.pc — straight-line work exactly as
- * `runBlock` would run it, plus promoted conditional branches
- * executed inline (resolve, redirect, charge base opcode cost —
- * nothing else).  Stops before the first Surface-kind instruction
- * (memory ops, syscalls, unpromoted branches, detector ops unless
- * @p inertChecks, runtime Div/Rem-by-zero and invalid Jr, which
- * surface so the instrumented path raises the crash identically) and
- * after at most @p maxInstructions.
+ * `runBlock` would run it without a memory port, plus promoted
+ * conditional branches executed inline (resolve, redirect, charge
+ * base opcode cost — nothing else).  Stops before the first
+ * instruction it may not run (loads and stores, which only sim::step
+ * and a ported block run; syscalls and other Surface kinds,
+ * unpromoted branches, detector ops unless @p inertChecks, runtime
+ * Div/Rem-by-zero and invalid Jr, which surface so the instrumented
+ * path raises the crash identically) and after at most
+ * @p maxInstructions.
  *
  * The caller guarantees the NT-entry predicate is clear (the pruned
  * path runs only on the primary taken path, never at an NT entrance),

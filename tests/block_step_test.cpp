@@ -8,14 +8,17 @@
  * RunResult in every field, including the final memory digest, the
  * per-core cycle clocks, the coverage bitmaps and the NT-Path record
  * stream.  This test enforces the contract in breadth — every
- * registered workload across the mode grid, plus a random-program
- * sweep whose generator deliberately includes the crash-capable
- * opcodes (div/rem by a possibly-zero register) so the
- * surface-before-crash rule of runBlock is exercised.
+ * registered workload across the mode grid, with its own detector and
+ * with none (then loads and stores run in-block through a memory
+ * port), plus a random-program sweep whose generator deliberately
+ * includes the crash-capable opcodes (div/rem by a possibly-zero
+ * register) so the surface-before-crash rule of runBlock is
+ * exercised.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -35,8 +38,8 @@ using test::generateProgram;
 
 /**
  * Run @p program on @p input under @p cfg twice — block-stepped and
- * legacy — with a fresh detector instance each time, and require the
- * results bit-identical.
+ * legacy — with a fresh detector instance each time (none unless
+ * @p tools names one), and require the results bit-identical.
  */
 void
 compareLoops(const isa::Program &program, core::PeConfig cfg,
@@ -88,6 +91,18 @@ TEST_P(BlockStepWorkloads, BitIdenticalToLegacyLoop)
         compareLoops(program, cfg, w.tools,
                      w.triggerInputs.begin()->second);
     }
+
+    // No detector, as explorers, campaigns and the benchmark run:
+    // loads and stores then run in-block through a memory port.
+    const size_t benign = std::min<size_t>(w.benignInputs.size(), 5);
+    for (size_t i = 0; i < benign; ++i) {
+        SCOPED_TRACE("no detector, benign input " + std::to_string(i));
+        compareLoops(program, cfg, "", w.benignInputs[i]);
+    }
+    for (const auto &[id, input] : w.triggerInputs) {
+        SCOPED_TRACE("no detector, trigger input " + id);
+        compareLoops(program, cfg, "", input);
+    }
 }
 
 std::string
@@ -128,6 +143,9 @@ TEST(BlockStepCorners, SoftwareCostModel)
             cfg.maxNtPathLength = w.maxNtPathLength;
             cfg.costModel = core::CostModelKind::Software;
             compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+            // Without a detector the NT-store log cost and the
+            // dilation are charged in-block, through the memory port.
+            compareLoops(program, cfg, "", w.benignInputs[0]);
         }
     }
 }

@@ -102,6 +102,9 @@ TEST(FaultPlan, SiteFiresOnConfiguredHitsOnly)
 
 TEST(FaultPlan, BadAllocAndStallKinds)
 {
+    // The process may run with PE_FAULT_PLAN armed; the scoped plans
+    // below must restore exactly that set, not an empty one.
+    const std::vector<fault::FaultPlan> armedAtStart = fault::armedPlans();
     {
         fault::FaultPlan plan;
         plan.site = "test.alloc";
@@ -117,8 +120,8 @@ TEST(FaultPlan, BadAllocAndStallKinds)
         fault::ScopedFaultPlan armed(plan);
         EXPECT_NO_THROW(fault::site("test.stall"));
     }
-    // ScopedFaultPlan restored the disarmed state.
-    EXPECT_TRUE(fault::armedPlans().empty());
+    // ScopedFaultPlan disarmed both and restored the plans it found.
+    EXPECT_EQ(fault::armedPlans(), armedAtStart);
     EXPECT_NO_THROW(fault::site("test.alloc"));
 }
 

@@ -4,13 +4,17 @@
  *
  * Every opcode runs through `sim::step`, through the block tier —
  * without a branch sink, with one, and one instruction per dispatch
- * under a zero cycle budget — and through the superblock tier with its
- * branch promoted.  ALU, immediate and branch opcodes take every pair
- * of INT32_MIN, INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and
- * -1.  Each result is checked against a value computed here from
+ * under a zero cycle budget; loads and stores also with a memory
+ * port — and through the superblock tier with its branch promoted.
+ * ALU, immediate and branch opcodes take every pair of INT32_MIN,
+ * INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and -1.  Each
+ * result is checked against a value computed here from
  * first principles (64-bit arithmetic, floor division), never from the
  * simulator's opcode table, which every tier shares: this is what
  * keeps the per-step loop an independent oracle for the bulk tiers.
+ * The memory port's boundary cases — bad addresses, the NT write-set
+ * bound and shared L2 port waits — run through the engine against
+ * the per-step loop.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "src/core/engine.hh"
 #include "src/coverage/coverage.hh"
 #include "src/isa/instruction.hh"
+#include "src/mem/hierarchy.hh"
 #include "src/sim/interpreter.hh"
 #include "src/sim/superblock.hh"
 #include "tier_identity.hh"
@@ -178,6 +183,17 @@ struct Machine
     {
         return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, sink,
                              inert);
+    }
+
+    /** The block tier with a memory port on core 0 from cycle 0. */
+    sim::BlockOut
+    portBlock()
+    {
+        mem::MemHierarchy hierarchy(1, mem::MemTimingParams{});
+        mem::MemCtx ctx(memory, buf);
+        const sim::MemPort port{ctx, hierarchy};
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, nullptr,
+                             true, &port);
     }
 
     /**
@@ -545,7 +561,8 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
         EXPECT_EQ(m.reg(11), 64);           // the heap base
         EXPECT_EQ(m.io.intOutput, std::vector<int32_t>{v});
 
-        // Every bulk tier surfaces at each of them.
+        // Without a memory port every bulk tier surfaces at each of
+        // them.
         for (uint32_t pc : {0u, 1u, 3u, 4u, 5u, 6u, 7u}) {
             SCOPED_TRACE(pc);
             Machine b(code);
@@ -554,6 +571,200 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
             EXPECT_EQ(b.block().instructions, 0u);
             EXPECT_EQ(b.superblock().instructions, 0u);
         }
+
+        // With one the block tier retires st and ld, then surfaces at
+        // alloc; the others still surface.
+        Machine p(code);
+        p.core.regs[9] = v;
+        EXPECT_TRUE(p.decoded.startsBlock(0, true, true, true));
+        EXPECT_TRUE(p.decoded.startsBlock(1, true, true, true));
+        EXPECT_EQ(p.portBlock().instructions, 3u);
+        EXPECT_EQ(p.core.pc, 3u);
+        EXPECT_EQ(p.reg(10), v);
+        EXPECT_EQ(p.memory.read(40), v);
+        for (uint32_t pc : {3u, 4u, 5u, 6u, 7u}) {
+            SCOPED_TRACE(pc);
+            EXPECT_FALSE(p.decoded.startsBlock(pc, true, true, true));
+            p.core.pc = pc;
+            EXPECT_EQ(p.portBlock().instructions, 0u);
+        }
+
+        // The superblock tier has no port, so a pruned dispatch never
+        // starts on st or ld.
+        std::vector<bool> eligible(code.size(), true);
+        sim::SuperblockCache cache(p.decoded, eligible);
+        EXPECT_FALSE(cache.startsSuper(0, true));
+        EXPECT_FALSE(cache.startsSuper(1, true));
+        EXPECT_TRUE(cache.startsSuper(2, true));
+    }
+}
+
+/** A program of @p code with the heap at word 64. */
+isa::Program
+programOf(std::vector<isa::Instruction> code)
+{
+    isa::Program program;
+    program.code = std::move(code);
+    program.heapBase = 64;
+    return program;
+}
+
+/**
+ * Run @p program detector-free under @p cfg block-stepped and with the
+ * per-step loop, require the results identical and return the first.
+ */
+core::RunResult
+runBothLoops(const isa::Program &program, core::PeConfig cfg)
+{
+    auto runWith = [&](bool legacy) {
+        cfg.legacyStepLoop = legacy;
+        core::PathExpanderEngine engine(program, cfg, nullptr);
+        return engine.run({});
+    };
+    core::RunResult blocks = runWith(false);
+    test::expectIdentical(blocks, runWith(true));
+    return blocks;
+}
+
+/** The record of the NT-Path spawned at @p pc; fails if there is none. */
+core::NtPathRecord
+ntRecordAt(const core::RunResult &result, uint32_t pc)
+{
+    for (const core::NtPathRecord &rec : result.ntRecords) {
+        if (rec.spawnBranchPc == pc)
+            return rec;
+    }
+    ADD_FAILURE() << "no NT-Path spawned at pc " << pc;
+    return {};
+}
+
+const isa::Instruction kExit = isa::makeSys(isa::Syscall::Exit);
+
+TEST(TierEdgeOperands, BadAddressesSurfaceFromThePort)
+{
+    const auto memWords =
+        static_cast<int32_t>(sim::MachineLayout{}.memWords);
+    const isa::Instruction good{Opcode::St, 0, 0, 9, 40};
+    for (int32_t addr : {-1, memWords, memWords + 5}) {
+        for (Opcode op : {Opcode::Ld, Opcode::St}) {
+            SCOPED_TRACE(caseName(op, addr, 0));
+            const isa::Instruction bad =
+                op == Opcode::Ld ? isa::Instruction{op, 10, 8, 0, 0}
+                                 : isa::Instruction{op, 0, 8, 9, 0};
+
+            // li r8, addr; li r9, 7; st r9, 40(r0); bad; sys exit.  The
+            // ported block retires the good store and surfaces at the
+            // bad access untouched; step raises BadAddress there.
+            const std::vector<isa::Instruction> code = {
+                isa::makeLi(8, addr), isa::makeLi(9, 7), good, bad, kExit};
+            Machine m(code);
+            EXPECT_EQ(m.portBlock().instructions, 3u);
+            EXPECT_EQ(m.core.pc, 3u);
+            EXPECT_EQ(m.memory.read(40), 7);
+            EXPECT_EQ(m.reg(10), 0);
+            sim::StepResult res = m.stepRun();
+            EXPECT_EQ(res.crash, sim::CrashKind::BadAddress);
+            EXPECT_EQ(res.pc, 3u);
+
+            for (auto mode : {core::PeMode::Off, core::PeMode::Standard,
+                              core::PeMode::Cmp}) {
+                SCOPED_TRACE(core::peModeName(mode));
+                core::RunResult r = runBothLoops(
+                    programOf(code), core::PeConfig::forMode(mode));
+                EXPECT_TRUE(r.programCrashed);
+                EXPECT_EQ(r.programCrashKind, sim::CrashKind::BadAddress);
+                EXPECT_EQ(r.takenInstructions, 3u);
+            }
+
+            // li r8, addr; li r9, 7; beq r0, r0, 6; st r9, 40(r0); bad;
+            // sys exit; then the taken path spins, so that in CMP the
+            // NT core runs before the primary exits.
+            const std::vector<isa::Instruction> nt = {
+                isa::makeLi(8, addr), isa::makeLi(9, 7),
+                isa::makeBranch(Opcode::Beq, 0, 0, 6), good, bad, kExit,
+                isa::makeLi(20, 1000), isa::makeI(Opcode::Addi, 20, 20, -1),
+                isa::makeBranch(Opcode::Bgt, 20, 0, 7), kExit};
+            for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+                SCOPED_TRACE(core::peModeName(mode));
+                core::RunResult r = runBothLoops(
+                    programOf(nt), core::PeConfig::forMode(mode));
+                EXPECT_FALSE(r.programCrashed);
+                const core::NtPathRecord rec = ntRecordAt(r, 2);
+                EXPECT_EQ(rec.cause, core::NtStopCause::Crash);
+                EXPECT_EQ(rec.crashKind, sim::CrashKind::BadAddress);
+                EXPECT_EQ(rec.length, 1u);
+            }
+        }
+    }
+}
+
+TEST(TierEdgeOperands, CapacityOverflowStopsAfterTheStore)
+{
+    // Each fill iteration dirties two new L1 lines, so the first store
+    // of iteration lines/2 + 1 is the one that overflows the L1.
+    const uint32_t lines = mem::defaultL1Geometry().numLines();
+    for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        // In CMP the taken path must outlast the NT core's fill loop.
+        const int32_t spin = mode == core::PeMode::Cmp ? 1'000'000 : 1;
+        // li r9, 4096; li r20, spin; beq r0, r0, 7;
+        // fill: st r10, 0(r9); st r10, 8(r9); addi r9, r9, 16; jmp 3;
+        // spin: addi r20, r20, -1; bgt r20, r0, 7; sys exit.
+        const std::vector<isa::Instruction> code = {
+            isa::makeLi(9, 4096), isa::makeLi(20, spin),
+            isa::makeBranch(Opcode::Beq, 0, 0, 7),
+            isa::Instruction{Opcode::St, 0, 9, 10, 0},
+            isa::Instruction{Opcode::St, 0, 9, 10, 8},
+            isa::makeI(Opcode::Addi, 9, 9, 16), isa::makeJmp(3),
+            isa::makeI(Opcode::Addi, 20, 20, -1),
+            isa::makeBranch(Opcode::Bgt, 20, 0, 7), kExit};
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = 100'000;
+        // The fill path's segment stays uncommitted while the spin's
+        // own NT-Paths pile segments on top of it.
+        cfg.maxSegmentDepth = 1024;
+        core::RunResult r = runBothLoops(programOf(code), cfg);
+        const core::NtPathRecord rec = ntRecordAt(r, 2);
+        EXPECT_EQ(rec.cause, core::NtStopCause::CapacityOverflow);
+        EXPECT_EQ(rec.length, 4 * (lines / 2) + 1);
+    }
+}
+
+TEST(TierEdgeOperands, PortContentionMatchesPerStepLoop)
+{
+    // Sweeps over twice the L1's lines: once warm, every load misses
+    // L1 and hits L2.  The NT-Path pads each load with an addi, so the
+    // two cores' L2 port requests drift through each other.
+    const int32_t lines =
+        static_cast<int32_t>(2 * mem::defaultL1Geometry().numLines());
+    std::vector<isa::Instruction> code = {isa::makeLi(9, 65536)};
+    auto sweep = [&](uint8_t rd, bool pad) {
+        for (int32_t i = 0; i < lines; ++i) {
+            code.push_back(isa::Instruction{Opcode::Ld, rd, 9, 0, 8 * i});
+            if (pad)
+                code.push_back(isa::makeI(Opcode::Addi, 12, 12, 1));
+        }
+    };
+    sweep(10, false);   // warms L2
+    const size_t branchPc = code.size();
+    code.push_back(isa::makeBranch(Opcode::Beq, 0, 0, 0));
+    sweep(11, true);    // the NT-Path
+    code.push_back(kExit);
+    code[branchPc].imm = static_cast<int32_t>(code.size());
+    sweep(11, false);   // the taken path
+    code.push_back(kExit);
+
+    for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = 100'000;
+        core::RunResult r = runBothLoops(programOf(code), cfg);
+        // On one core each miss's latency is on the clock before the
+        // next access, so only CMP contends for the port.
+        if (mode == core::PeMode::Cmp)
+            EXPECT_GT(r.l2ContentionCycles, 0u);
+        else
+            EXPECT_EQ(r.l2ContentionCycles, 0u);
     }
 }
 
