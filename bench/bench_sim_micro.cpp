@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hh"
 #include "src/branch/btb.hh"
@@ -289,26 +291,60 @@ straightLineProgram(int iterations)
     return isa::assemble(out.str(), "straightline");
 }
 
-/**
- * Simulated MIPS of @p program under @p cfg: total simulated (taken)
- * instructions per host wall-clock second, over @p reps engine runs.
- */
+/** The median of @p v (the upper one for an even count). */
 double
-simulatedMips(const isa::Program &program, const core::PeConfig &cfg,
-              int reps)
+median(std::vector<double> v)
 {
-    uint64_t instructions = 0;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Host microseconds of one engine run of @p program under @p cfg, and
+ * the simulated (taken plus NT) instructions it retired.
+ */
+std::pair<double, uint64_t>
+timedRun(const isa::Program &program, const core::PeConfig &cfg)
+{
     auto start = std::chrono::steady_clock::now();
+    core::PathExpanderEngine engine(program, cfg);
+    auto r = engine.run({});
+    benchmark::DoNotOptimize(r.cycles);
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    return {us, r.takenInstructions + r.ntInstructions};
+}
+
+/**
+ * Two arms timed together: each arm's median over the reps and the
+ * median of the per-rep ratios b / a.  CI gates the ratio, so host
+ * speed drifting between reps cancels out of each one.
+ */
+struct Paired
+{
+    double a = 0;
+    double b = 0;
+    double ratio = 0;
+};
+
+/**
+ * Simulated MIPS of @p program under @p cfgA and @p cfgB, the two arms
+ * alternating run by run over @p reps reps.
+ */
+Paired
+pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
+           const core::PeConfig &cfgB, int reps)
+{
+    std::vector<double> a, b, ratio;
     for (int i = 0; i < reps; ++i) {
-        core::PathExpanderEngine engine(program, cfg);
-        auto r = engine.run({});
-        instructions += r.takenInstructions + r.ntInstructions;
-        benchmark::DoNotOptimize(r.cycles);
+        auto [usA, nA] = timedRun(program, cfgA);
+        auto [usB, nB] = timedRun(program, cfgB);
+        a.push_back(static_cast<double>(nA) / usA);
+        b.push_back(static_cast<double>(nB) / usB);
+        ratio.push_back(b.back() / a.back());
     }
-    std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    return static_cast<double>(instructions) / 1e6 /
-           elapsed.count();
+    return {median(a), median(b), median(ratio)};
 }
 
 /**
@@ -324,28 +360,24 @@ recordInterpreterMips(bench::BenchJson &json)
     auto legacyCfg = offCfg;
     legacyCfg.legacyStepLoop = true;
 
-    auto straight = straightLineProgram(60000);
-    double straightLegacy = simulatedMips(straight, legacyCfg, 3);
-    double straightBlock = simulatedMips(straight, offCfg, 3);
+    const Paired straight =
+        pairedMips(straightLineProgram(60000), legacyCfg, offCfg, 5);
+    const Paired mixed = pairedMips(minic::compile(loopSource, "loop"),
+                                    legacyCfg, offCfg, 21);
 
-    auto mixed = minic::compile(loopSource, "loop");
-    double mixedLegacy = simulatedMips(mixed, legacyCfg, 20);
-    double mixedBlock = simulatedMips(mixed, offCfg, 20);
+    json.set("mips_legacy_straightline", straight.a);
+    json.set("mips_block_straightline", straight.b);
+    json.set("mips_speedup_straightline", straight.ratio);
+    json.set("mips_legacy_mixed", mixed.a);
+    json.set("mips_block_mixed", mixed.b);
+    json.set("mips_speedup_mixed", mixed.ratio);
 
-    json.set("mips_legacy_straightline", straightLegacy);
-    json.set("mips_block_straightline", straightBlock);
-    json.set("mips_speedup_straightline",
-             straightBlock / straightLegacy);
-    json.set("mips_legacy_mixed", mixedLegacy);
-    json.set("mips_block_mixed", mixedBlock);
-    json.set("mips_speedup_mixed", mixedBlock / mixedLegacy);
-
-    printf("\nSimulated-MIPS (legacy -> block-stepped):\n"
+    printf("\nSimulated-MIPS (legacy -> block-stepped; medians, "
+           "per-rep ratio):\n"
            "  straight-line: %.1f -> %.1f MIPS (%.2fx)\n"
            "  mixed loop:    %.1f -> %.1f MIPS (%.2fx)\n",
-           straightLegacy, straightBlock,
-           straightBlock / straightLegacy, mixedLegacy, mixedBlock,
-           mixedBlock / mixedLegacy);
+           straight.a, straight.b, straight.ratio, mixed.a, mixed.b,
+           mixed.ratio);
 }
 
 /**
@@ -354,10 +386,9 @@ recordInterpreterMips(bench::BenchJson &json)
  * every taken-path coverage bit records within the first outer
  * iterations and (with threshold == counter cap) every exercise
  * counter climbs to its cap shortly after.  From then on the whole
- * inner loop — branches included — is one superblock per outer
- * iteration, broken only by the outer loop-back branch (whose exit
- * direction stays cold until the very end, the usual fate of a
- * run-once edge).
+ * inner loop — branches included — is one block per outer iteration,
+ * broken only by the outer loop-back branch (whose exit direction
+ * stays cold until the very end, the usual fate of a run-once edge).
  */
 isa::Program
 saturatedProgram(int iterations)
@@ -383,9 +414,9 @@ saturatedProgram(int iterations)
         << "xor r10, r10, r9\n"
         << "skip2:\n";
     // A little ALU meat between branches — kept short so the kernel
-    // stays branch-dense: the pruned path's win is the elided
-    // per-branch surface/re-dispatch plus the instrumentation, and
-    // long straight-line runs stream at the same speed either way.
+    // stays branch-dense: promotion's win is the elided per-branch
+    // surface/re-dispatch plus the instrumentation, and long
+    // straight-line runs stream at the same speed either way.
     for (int i = 0; i < 2; ++i) {
         out << "add r9, r9, r10\n"
             << "xori r10, r10, 21\n"
@@ -404,8 +435,8 @@ saturatedProgram(int iterations)
 /**
  * The self-pruning record: simulated MIPS of Standard mode on the
  * saturating kernel with cfg.selfPrune off vs on, after asserting
- * the two configurations produce identical results (the superblock
- * contract) and that the pruned path actually engaged.  The spawn
+ * the two configurations produce identical results (the self-pruning
+ * contract) and that promotion actually engaged.  The spawn
  * threshold is raised to the counter cap so "below threshold" and
  * "below cap" coincide: the spawn-entry bumps then drive each
  * non-taken edge's counter all the way to saturation, which is what
@@ -443,64 +474,66 @@ recordSaturatedMips(bench::BenchJson &json)
                             "saturated kernel\n");
             exit(1);
         }
-        json.set("pruned_instruction_fraction",
+        // Promoted branches retired in-block, as a share of the
+        // taken path.
+        json.set("pruned_branch_fraction",
                  static_cast<double>(b.prunedInstructions) /
                      static_cast<double>(b.takenInstructions));
     }
 
-    double instrumented = simulatedMips(program, cfg, 10);
-    double prunedMips = simulatedMips(program, prunedCfg, 10);
+    const Paired mips = pairedMips(program, cfg, prunedCfg, 11);
 
-    json.set("mips_instrumented_saturated", instrumented);
-    json.set("mips_pruned_saturated", prunedMips);
-    json.set("mips_selfprune_speedup", prunedMips / instrumented);
+    json.set("mips_instrumented_saturated", mips.a);
+    json.set("mips_pruned_saturated", mips.b);
+    json.set("mips_selfprune_speedup", mips.ratio);
 
     printf("\nSimulated-MIPS (instrumented -> self-pruned, saturated "
-           "kernel):\n  %.1f -> %.1f MIPS (%.2fx)\n",
-           instrumented, prunedMips, prunedMips / instrumented);
+           "kernel; medians, per-rep ratio):\n  %.1f -> %.1f MIPS "
+           "(%.2fx)\n",
+           mips.a, mips.b, mips.ratio);
 }
 
 /**
  * The per-run fixed-cost record: median host time of
  * PathExpanderEngine::run on a program that only exits, at the
- * default 4 MB layout and at a 256 KB one.  A run should pay for the
- * memory pages it writes, not for the size of the image, so CI gates
- * the ratio of the two; host speed cancels out of a ratio.
+ * default 4 MB layout and at a 256 KB one, the two alternating run by
+ * run.  A run should pay for the memory pages it writes, not for the
+ * size of the image, so CI gates the median per-run ratio of the two;
+ * host speed cancels out of each ratio.
  */
 void
 recordRunFixedCost(bench::BenchJson &json)
 {
     auto program = isa::assemble("    sys exit\n", "exit");
-    auto medianRunUs = [&](const core::PeConfig &cfg) {
-        core::PathExpanderEngine engine(program, cfg);
-        std::vector<double> us;
-        for (int i = 0; i < 201; ++i) {
-            auto start = std::chrono::steady_clock::now();
-            benchmark::DoNotOptimize(engine.run({}));
-            us.push_back(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
-        }
-        std::nth_element(us.begin(), us.begin() + us.size() / 2,
-                         us.end());
-        return us[us.size() / 2];
-    };
-
     auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
     auto small = cfg;
     small.layout.memWords = 1u << 16;
     small.layout.stackWords = 1u << 14;
-    double defaultUs = medianRunUs(cfg);
-    double smallUs = medianRunUs(small);
+    core::PathExpanderEngine big(program, cfg);
+    core::PathExpanderEngine tiny(program, small);
+    auto runUs = [](core::PathExpanderEngine &engine) {
+        auto start = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(engine.run({}));
+        return std::chrono::duration<double, std::micro>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    std::vector<double> defaultUs, smallUs, ratio;
+    for (int i = 0; i < 201; ++i) {
+        defaultUs.push_back(runUs(big));
+        smallUs.push_back(runUs(tiny));
+        ratio.push_back(defaultUs.back() / smallUs.back());
+    }
 
-    json.set("run_fixed_us_default_layout", defaultUs);
-    json.set("run_fixed_us_small_layout", smallUs);
-    json.set("run_fixed_layout_ratio", defaultUs / smallUs);
+    json.set("run_fixed_us_default_layout", median(defaultUs));
+    json.set("run_fixed_us_small_layout", median(smallUs));
+    json.set("run_fixed_layout_ratio", median(ratio));
 
-    printf("\nPer-run fixed cost (sys exit, Standard mode):\n"
+    printf("\nPer-run fixed cost (sys exit, Standard mode; medians, "
+           "per-run ratio):\n"
            "  %u-word image: %.1f us, %u-word image: %.1f us (%.2fx)\n",
-           cfg.layout.memWords, defaultUs, small.layout.memWords,
-           smallUs, defaultUs / smallUs);
+           cfg.layout.memWords, median(defaultUs), small.layout.memWords,
+           median(smallUs), median(ratio));
 }
 
 } // namespace

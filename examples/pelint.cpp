@@ -137,8 +137,8 @@ lint(const isa::Program &program, bool fixcheck)
             ++res.warnings;
     }
 
-    // How much of the program the self-pruning superblock cache could
-    // ever retire: statically eligible branches (conflict-free BTB
+    // How much of the program self-pruning could ever promote into
+    // the block tier: statically eligible branches (conflict-free BTB
     // sets under the default geometry) and the CFG regions they end.
     const branch::BtbParams btb;
     const analysis::SaturationEligibility elig =
@@ -174,8 +174,8 @@ printText(const isa::Program &program, const LintResult &res,
     if (verbose) {
         std::cout << res.name << ": " << res.eligibleBranches << "/"
                   << res.condBranches
-                  << " branch(es) saturation-eligible, "
-                  << res.saturableRegions << " saturable region(s)\n";
+                  << " branch(es) eligible for self-pruning promotion, "
+                  << res.saturableRegions << " region(s) ending in one\n";
         std::cout << res.name << ": " << res.primePaths
                   << " prime path(s), cover " << res.pathCover
                   << (res.pathsTruncated ? " (truncated)" : "")

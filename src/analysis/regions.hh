@@ -2,23 +2,25 @@
  * @file
  * Static saturation eligibility for the self-pruning instrumentation.
  *
- * The engine's superblock cache may stop instrumenting a conditional
- * branch once it is *saturated*: both taken-coverage bits set and, in
- * every direction the spawn predicate would still consult, the BTB
- * exercise counter at its cap.  Eliding the per-execution
- * `Btb::increment` is only bit-identical if the skipped bookkeeping
- * could never have changed an observable decision — and one piece of
- * that bookkeeping is the LRU `lastUse` stamp, which feeds eviction.
+ * The engine may promote a conditional branch into the block tier,
+ * which then runs it with no bookkeeping, once it is *saturated*:
+ * both taken-coverage bits set and, in every direction the spawn
+ * predicate would still consult, the BTB exercise counter at its
+ * cap.  Eliding the per-execution `Btb::increment` is only
+ * bit-identical if the skipped bookkeeping could never have changed
+ * an observable decision — and one piece of that bookkeeping is the
+ * LRU `lastUse` stamp, which feeds eviction.
  * A promoted branch whose BTB set could overflow might be chosen as
  * the LRU victim differently in the pruned and instrumented runs,
  * changing which counters survive and therefore which NT-Paths spawn.
  *
- * The static eligibility computed here closes that hole: a branch pc
- * is eligible only when its BTB set is *conflict-free* — the number
- * of conditional-branch pcs mapping to the set (only branch pcs are
- * ever inserted into the BTB) is at most the associativity, so every
- * one of them can be resident simultaneously and eviction can never
- * occur there.  Frozen LRU stamps in such a set are unobservable, and
+ * The static eligibility computed here, which the engine folds into
+ * a per-PC decode flag, closes that hole: a branch pc is eligible
+ * only when its BTB set is *conflict-free* — the number of
+ * conditional-branch pcs mapping to the set (only branch pcs are ever
+ * inserted into the BTB) is at most the associativity, so every one
+ * of them can be resident simultaneously and eviction can never occur
+ * there.  Frozen LRU stamps in such a set are unobservable, and
  * skipped `useClock` ticks preserve the relative recency order every
  * other set's eviction decisions are based on.
  *
@@ -40,7 +42,7 @@ namespace pe::analysis
 
 class Cfg;
 
-/** Per-pc static eligibility for superblock promotion. */
+/** Per-pc static eligibility for self-pruning promotion. */
 struct SaturationEligibility
 {
     /** True at pcs holding an eligible conditional branch. */
@@ -62,7 +64,7 @@ computeSaturationEligibility(const isa::Program &program,
 /**
  * Number of CFG regions (basic blocks) that end in an eligible
  * conditional branch — the regions runtime saturation could ever
- * promote into superblock form.  The pelint per-workload report.
+ * promote.  The pelint per-workload report.
  */
 size_t countEligibleRegions(const Cfg &cfg,
                             const SaturationEligibility &elig);

@@ -63,14 +63,6 @@ class Btb
         return e && e->cnt[edgeTaken ? 1 : 0] == saturation;
     }
 
-    /**
-     * Monotone counter-reset epoch: bumped by every resetCounters()
-     * call.  Caches keyed on frozen counter values (the superblock
-     * cache) compare this per dispatch and invalidate lazily when a
-     * reset has intervened.
-     */
-    uint64_t resetEpoch() const { return epoch; }
-
     uint8_t maxCount() const { return saturation; }
     uint64_t lookups() const { return lookupCount; }
     uint64_t missesOnLookup() const { return lookupMisses; }
@@ -95,7 +87,6 @@ class Btb
     uint8_t saturation;
     std::vector<Entry> entries;
     uint64_t useClock = 0;
-    uint64_t epoch = 0;
     mutable uint64_t lookupCount = 0;
     mutable uint64_t lookupMisses = 0;
     uint64_t evictionCount = 0;

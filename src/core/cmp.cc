@@ -285,8 +285,7 @@ PathExpanderEngine::runCmp(RunState &state)
             if (blk.instructions) {
                 task.length += blk.instructions;
                 result.ntInstructions += blk.instructions;
-                cmp.coreTime[c] +=
-                    blk.cycles + dilation * blk.instructions;
+                cmp.coreTime[c] += blk.cycles;
                 // A store that overflowed the write set ended the
                 // block; the per-step loop stops the path there too.
                 if (task.buf->numLines() > l1Capacity)
@@ -356,11 +355,8 @@ PathExpanderEngine::runCmp(RunState &state)
             // keeps the primary within the span where the scheduler
             // would keep picking it (the primary wins clock ties), so
             // no NT-core step is displaced and its memory accesses
-            // keep their places in the global order.  Within that
-            // span every active NT clock is >= the primary's, so no
-            // other actor can observe the BTB between a mid-block
-            // reset point and the block end — folding the resets
-            // into one modular reset afterwards is exact.
+            // keep their places in the global order.  The instruction
+            // budget stops the block at the next counter reset.
             uint64_t budget = UINT64_MAX;
             for (int c = 1; c < cfg.numCores; ++c) {
                 if (cmp.onCore[c] && cmp.coreTime[c] < budget)
@@ -371,22 +367,13 @@ PathExpanderEngine::runCmp(RunState &state)
             const sim::MemPort port = memPort(
                 cfg, state, ctx, 0, cmp.coreTime[0], /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
-                decoded, primary,
-                blockCap(state, cfg.maxTakenInstructions -
-                                    result.takenInstructions),
+                decoded, primary, blockCap(state, takenBudget(cfg, state)),
                 budget, dilation, nullptr, detectorFree,
                 detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
-                state.sinceCounterReset += blk.instructions;
-                cmp.coreTime[0] +=
-                    blk.cycles + dilation * blk.instructions;
-                if (state.sinceCounterReset >=
-                    cfg.counterResetInterval) {
-                    state.btb.resetCounters();
-                    state.sinceCounterReset %=
-                        cfg.counterResetInterval;
-                }
+                cmp.coreTime[0] += blk.cycles;
+                advanceResetClock(cfg, state, blk.instructions);
                 return;
             }
         }
@@ -402,7 +389,6 @@ PathExpanderEngine::runCmp(RunState &state)
         pe_assert(!res.unsafeEvent, "unsafe event on the taken path");
 
         ++result.takenInstructions;
-        ++state.sinceCounterReset;
         cmp.coreTime[0] +=
             chargeStep(program, cfg, state, detector, 0, res,
                        cmp.coreTime[0], /*inNt=*/false);
@@ -423,10 +409,7 @@ PathExpanderEngine::runCmp(RunState &state)
             if (shouldSpawn(cfg, state, decoded, res.pc, ntEdgeDir(res)))
                 spawn(res);
         }
-        if (state.sinceCounterReset >= cfg.counterResetInterval) {
-            state.btb.resetCounters();
-            state.sinceCounterReset = 0;
-        }
+        advanceResetClock(cfg, state, 1);
         tryCommit();
     };
 

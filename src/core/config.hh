@@ -143,15 +143,15 @@ struct PeConfig
     bool spawnPreFilter = false;
 
     /**
-     * Self-pruning instrumentation (src/sim/superblock.hh): branches
-     * whose instrumentation provably cannot change anything anymore —
+     * Self-pruning instrumentation (docs/INTERNALS.md §13): branches
+     * whose bookkeeping provably cannot change anything anymore —
      * both coverage bits recorded, every NT spawn statically waived or
-     * the consulted counter at its saturation cap — are promoted into
-     * a pruned re-decode image and executed by the uninstrumented
-     * superblock loop until the next counter reset demotes them.
+     * the consulted counter at its saturation cap — are promoted, and
+     * the block tier runs them with no coverage write, counter bump or
+     * spawn check until the next counter reset demotes them.
      * Results are bit-identical by contract
-     * (tests/superblock_test.cpp), but the engine only engages the
-     * pruned path in regimes where the proof holds (Standard-mode
+     * (tests/self_prune_test.cpp), but the engine only engages
+     * promotion in regimes where the proof holds (Standard-mode
      * primary path, no random spawn factor, no NT redirect ablation,
      * threshold within the counter range); elsewhere the flag is
      * inert.  Part of configHash() as an engine-behavior input even
@@ -164,11 +164,11 @@ struct PeConfig
      * Record the taken-path branch-decision stream into
      * RunResult::branchTrace: one (pc << 1) | taken word per executed
      * conditional branch, in order, capped at edgeTraceCap events.
-     * Forces every conditional branch to surface from the bulk
-     * block-stepped dispatch and disengages self-pruned superblocks
-     * (both skip per-branch visibility), so architectural results and
-     * cycle accounting are unchanged but the execution strategy is
-     * not the fastest one.  Part of configHash() as an
+     * Forces every conditional branch to surface from the block tier
+     * and disengages self-pruning (the block tier runs the branches it
+     * is given without per-branch visibility), so architectural
+     * results and cycle accounting are unchanged but the execution
+     * strategy is not the fastest one.  Part of configHash() as an
      * engine-behavior input, like selfPrune.
      */
     bool recordEdgeTrace = false;

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "src/analysis/priors.hh"
+#include "src/analysis/regions.hh"
 #include "src/checkpoint/checkpoint.hh"
 #include "src/core/engine_impl.hh"
 #include "src/mem/versioned_buffer.hh"
@@ -156,16 +157,21 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
         }
     }
 
-    // Self-pruning: per-program static eligibility, shared by every
-    // run's superblock cache.  Branches in BTB sets that could evict
-    // are excluded so skipping their LRU stamps can't change a victim.
+    // Self-pruning: static eligibility, folded into per-PC flags.
+    // Branches in BTB sets that could evict are excluded so skipping
+    // their LRU stamps can't change a victim.
     if (cfg.selfPrune) {
         pe_assert(cfg.btbParams.ways > 0 &&
                       cfg.btbParams.entries >= cfg.btbParams.ways,
                   "degenerate BTB geometry");
-        pruneElig = analysis::computeSaturationEligibility(
-            program, cfg.btbParams.entries / cfg.btbParams.ways,
-            cfg.btbParams.ways);
+        const analysis::SaturationEligibility elig =
+            analysis::computeSaturationEligibility(
+                program, cfg.btbParams.entries / cfg.btbParams.ways,
+                cfg.btbParams.ways);
+        for (uint32_t pc = 0; pc < elig.branchEligible.size(); ++pc) {
+            if (elig.branchEligible[pc])
+                decoded.markPruneEligible(pc);
+        }
     }
 }
 
@@ -286,7 +292,7 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
             if (blk.instructions) {
                 record.length += blk.instructions;
                 result.ntInstructions += blk.instructions;
-                cycles += blk.cycles + dilation * blk.instructions;
+                cycles += blk.cycles;
                 if (buf.numLines() > l1Capacity) {
                     record.cause = NtStopCause::CapacityOverflow;
                     break;
@@ -374,18 +380,28 @@ PathExpanderEngine::runInline(RunState &state)
     // from NT-Paths, and a threshold within the counter range so "at
     // cap" really does freeze the spawn compare false.
     // Branch tracing needs every conditional branch to surface from
-    // the bulk dispatch paths (blocks run them silently, superblocks
-    // even more so); the result bits are unchanged, only the
-    // execution strategy slows down.
+    // the block tier, which runs the ones it is given silently; the
+    // result bits are unchanged, only the execution strategy slows
+    // down.
     const bool traceEdges = cfg.recordEdgeTrace;
     const bool pruneActive =
         useBlocks && peActive && cfg.selfPrune && !traceEdges &&
         cfg.randomSpawnFraction == 0.0 && !cfg.followNonTakenInNt &&
         cfg.ntPathCounterThreshold <= state.btb.maxCount();
+    sim::Promotion promotion;
     if (pruneActive) {
-        state.superblocks = std::make_unique<sim::SuperblockCache>(
-            decoded, pruneElig.branchEligible);
+        state.promoted.assign(decoded.size(), 0);
+        promotion.flags = state.promoted.data();
+        if (softwareCosts(cfg))
+            promotion.branchExtra = cfg.swCosts.branchAnalysisCost;
     }
+    // With PE off, a branch's whole effect is opcode cost plus a
+    // coverage bit, so blocks run straight through them: pass the
+    // run's coverage tracker as the in-block branch sink.  With PE on,
+    // only promoted branches run in-block.  Likewise Chkb/Assert are
+    // inert without a detector, and loads and stores run in-block
+    // through a memory port.
+    const bool branchesInBlock = !peActive && !traceEdges;
 
     for (;;) {
         if (cancelRequested(state)) {
@@ -399,73 +415,22 @@ PathExpanderEngine::runInline(RunState &state)
             break;
         }
 
-        // Self-pruned dispatch: the pruned image runs straight-line
-        // work *and* promoted (saturated) branches in one loop with
-        // no coverage writes, counter bumps or spawn checks.  The
-        // budget is clipped to the counter-reset boundary so a reset
-        // lands at the exact instruction the per-step loop would
-        // reset at — a superblock must not execute branches that
-        // belong to the post-reset (demoted) regime.
-        if (pruneActive) {
-            state.superblocks->syncEpoch(state.btb.resetEpoch());
-            if (!core.ntEntryPred &&
-                state.superblocks->startsSuper(core.pc, detectorFree)) {
-                const uint64_t budget = std::min(
-                    cfg.maxTakenInstructions - result.takenInstructions,
-                    cfg.counterResetInterval - state.sinceCounterReset);
-                sim::SuperOut so = sim::runSuperblock(
-                    *state.superblocks, core, blockCap(state, budget),
-                    detectorFree);
-                if (so.instructions) {
-                    result.takenInstructions += so.instructions;
-                    result.prunedInstructions += so.instructions;
-                    state.sinceCounterReset += so.instructions;
-                    cycles += so.cycles + dilation * so.instructions;
-                    if (softwareCosts(cfg)) {
-                        cycles += cfg.swCosts.branchAnalysisCost *
-                                  so.branches;
-                    }
-                    if (state.sinceCounterReset >=
-                        cfg.counterResetInterval) {
-                        state.btb.resetCounters();
-                        state.sinceCounterReset = 0;
-                    }
-                    continue;   // re-check the instruction limit first
-                }
-            }
-        }
-
-        // With PE off, a branch's whole effect is opcode cost plus a
-        // coverage bit, so blocks run straight through them: pass the
-        // run's coverage tracker as the in-block branch sink.
-        // Likewise Chkb/Assert are inert without a detector, and
-        // loads and stores run in-block through a memory port.
-        const bool branchesInBlock = !peActive && !traceEdges;
         if (useBlocks &&
-            decoded.startsBlock(core.pc, branchesInBlock, detectorFree,
-                                detectorFree)) {
+            decoded.startsBlock(core.pc,
+                                branchesInBlock || state.promotedAt(core.pc),
+                                detectorFree, detectorFree)) {
             const sim::MemPort port =
                 memPort(cfg, state, ctx, 0, cycles, /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
-                decoded, core,
-                blockCap(state, cfg.maxTakenInstructions -
-                                    result.takenInstructions),
+                decoded, core, blockCap(state, takenBudget(cfg, state)),
                 UINT64_MAX, dilation,
                 branchesInBlock ? &result.coverage : nullptr,
-                detectorFree, detectorFree ? &port : nullptr);
+                detectorFree, detectorFree ? &port : nullptr,
+                pruneActive ? &promotion : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
-                state.sinceCounterReset += blk.instructions;
-                cycles += blk.cycles + dilation * blk.instructions;
-                // The per-step loop resets the BTB counters at every
-                // interval crossing; with no branch (hence no counter
-                // bump) inside a block, folding the crossings into
-                // one reset plus a modulo is bit-identical.
-                if (peActive && state.sinceCounterReset >=
-                                    cfg.counterResetInterval) {
-                    state.btb.resetCounters();
-                    state.sinceCounterReset %= cfg.counterResetInterval;
-                }
+                cycles += blk.cycles;
+                advanceResetClock(cfg, state, blk.instructions);
                 continue;   // re-check the instruction limit first
             }
         }
@@ -481,7 +446,6 @@ PathExpanderEngine::runInline(RunState &state)
         pe_assert(!res.unsafeEvent, "unsafe event on the taken path");
 
         ++result.takenInstructions;
-        ++state.sinceCounterReset;
         cycles += chargeStep(program, cfg, state, detector, /*core=*/0,
                              res, cycles, /*inNt=*/false);
         routeEvents(program, cfg, state, detector, state.registry, ctx,
@@ -510,19 +474,16 @@ PathExpanderEngine::runInline(RunState &state)
                                               cycles);
                 }
                 // The bookkeeping above may have been the branch's
-                // last observable act; if so, hand it to the pruned
-                // image.
+                // last observable act; if so, let the block tier run
+                // it from now on.
                 if (pruneActive)
                     maybePromote(state, decoded, res.pc);
             }
         }
 
-        if (peActive &&
-            state.sinceCounterReset >= cfg.counterResetInterval) {
-            state.btb.resetCounters();
-            state.sinceCounterReset = 0;
-        }
+        advanceResetClock(cfg, state, 1);
     }
+    result.prunedInstructions = promotion.retired;
 }
 
 uint64_t

@@ -12,15 +12,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/branch/btb.hh"
 #include "src/core/engine.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/main_memory.hh"
 #include "src/sim/interpreter.hh"
-#include "src/sim/superblock.hh"
 #include "src/support/rng.hh"
 
 namespace pe::core
@@ -49,12 +48,21 @@ struct PathExpanderEngine::RunState
     Rng rng;                            //!< random spawn factor
 
     /**
-     * Self-pruning superblock cache (cfg.selfPrune): this run's
-     * pruned re-decode image.  Constructed lazily at the first pruned
-     * dispatch — promotion state is per run (counter values and
-     * coverage are), so it cannot live on the engine.
+     * Self-pruning (cfg.selfPrune): one flag per instruction, set on
+     * the branches maybePromote promoted, which the block tier then
+     * retires with no bookkeeping, and the PCs of those branches, so
+     * the next counter reset demotes them in O(promoted).  Allocated
+     * only when pruning engages; promotion state is per run (counter
+     * values and coverage are), so it cannot live on the engine.
      */
-    std::unique_ptr<sim::SuperblockCache> superblocks;
+    std::vector<uint8_t> promoted;
+    std::vector<uint32_t> promotedPcs;
+
+    /** True when the branch at @p pc is promoted. */
+    bool promotedAt(uint32_t pc) const
+    {
+        return pc < promoted.size() && promoted[pc];
+    }
 
     /** Watchdog cancel token; null for the vast majority of runs. */
     const std::atomic<bool> *cancel = nullptr;
@@ -101,19 +109,55 @@ softwareCosts(const PeConfig &cfg)
 }
 
 /**
- * Per-instruction cycle charge the cost model adds on top of what
- * runBlock reports (base opcode cost plus, through a memory port,
- * memory latency and NT-store log cost): the software model's JIT
- * dilation, zero under the hardware model.  Bulk-charging
- * `blockOut.cycles + n * blockDilation(cfg)` is exactly what the
- * per-step loop accumulates through chargeStep for the same
- * instructions.  Callers also pass it as runBlock's perInstExtra, so
- * in-block clocks (memory access times, the CMP cycle budget) see it.
+ * Per-instruction cycle charge the cost model adds to an
+ * instruction's base cost: the software model's JIT dilation, zero
+ * under the hardware model.  Callers pass it as runBlock's
+ * perInstExtra, so BlockOut::cycles is exactly what the per-step loop
+ * accumulates through chargeStep for the same instructions, and the
+ * in-block clock (memory access times, the CMP cycle budget) sees it.
  */
 inline uint64_t
 blockDilation(const PeConfig &cfg)
 {
     return softwareCosts(cfg) ? cfg.swCosts.perInstructionDilation : 0;
+}
+
+/**
+ * Instruction budget of one taken-path bulk dispatch: what is left of
+ * the instruction limit, clipped at the next counter reset.  A block
+ * therefore never runs across a reset, so advanceResetClock lands
+ * every reset on the instruction where the per-step loop resets, and
+ * promoted branches run only in the counter epoch that promoted them.
+ */
+inline uint64_t
+takenBudget(const PeConfig &cfg, const PathExpanderEngine::RunState &state)
+{
+    return std::min(
+        cfg.maxTakenInstructions - state.result.takenInstructions,
+        cfg.counterResetInterval - state.sinceCounterReset);
+}
+
+/**
+ * Advance the counter-reset clock by @p n retired taken-path
+ * instructions (CounterResetInterval, Section 4.2).  At the boundary
+ * zero the BTB exercise counters and demote every promoted branch: the
+ * counters its promotion found at the cap start over, so its
+ * bookkeeping has teeth again until it re-saturates.  With
+ * PathExpander off nothing touches the BTB, so a reset there changes
+ * nothing.
+ */
+inline void
+advanceResetClock(const PeConfig &cfg, PathExpanderEngine::RunState &state,
+                  uint64_t n)
+{
+    state.sinceCounterReset += n;
+    if (state.sinceCounterReset < cfg.counterResetInterval)
+        return;
+    state.btb.resetCounters();
+    state.sinceCounterReset = 0;
+    for (uint32_t pc : state.promotedPcs)
+        state.promoted[pc] = 0;
+    state.promotedPcs.clear();
 }
 
 /**
@@ -182,9 +226,9 @@ shouldSpawn(const PeConfig &cfg, PathExpanderEngine::RunState &state,
 
 /**
  * The runtime saturation predicate (self-pruning, cfg.selfPrune):
- * after the instrumented path has fully bookkept a resolved branch,
- * promote it into the superblock cache when every piece of that
- * bookkeeping has provably become a no-op:
+ * after the per-step path has fully bookkept a resolved branch, set
+ * its promoted flag, which lets the block tier run it, when every
+ * piece of that bookkeeping has provably become a no-op:
  *
  *  - statically eligible: its BTB set can never evict, so skipping
  *    the LRU stamp cannot change a victim (analysis/regions.hh);
@@ -198,18 +242,15 @@ shouldSpawn(const PeConfig &cfg, PathExpanderEngine::RunState &state,
  *    with threshold <= cap enforced by the caller's activation gate,
  *    count < threshold can never hold again this epoch).
  *
- * The next counter reset invalidates every promotion wholesale (the
- * epoch check in SuperblockCache::syncEpoch) and the branch falls
- * back to the instrumented path until it re-saturates.
+ * The next counter reset demotes every promotion (advanceResetClock)
+ * and the branch falls back to the per-step path until it
+ * re-saturates.
  */
 inline void
 maybePromote(PathExpanderEngine::RunState &state,
              const sim::DecodedProgram &decoded, uint32_t pc)
 {
-    // Static eligibility is folded into the cache's bits at
-    // construction; one lookup covers both legs.
-    sim::SuperblockCache &sc = *state.superblocks;
-    if (!sc.eligible(pc) || sc.promoted(pc))
+    if (!decoded.pruneEligible(pc) || state.promoted[pc])
         return;
     const coverage::BranchCoverage &cov = state.result.coverage;
     if (!cov.takenEdgeCovered(pc, false) ||
@@ -224,7 +265,8 @@ maybePromote(PathExpanderEngine::RunState &state,
         }
         return;     // this direction's spawn check still has teeth
     }
-    sc.promote(pc);
+    state.promoted[pc] = 1;
+    state.promotedPcs.push_back(pc);
 }
 
 /** Direction and entry PC of the non-taken edge of a resolved branch. */

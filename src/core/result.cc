@@ -69,7 +69,7 @@ RunResult::printSummary(std::ostream &os) const
     os << "instructions: " << takenInstructions << " taken, "
        << ntInstructions << " NT";
     if (prunedInstructions)
-        os << " (" << prunedInstructions << " self-pruned)";
+        os << " (" << prunedInstructions << " self-pruned branches)";
     os << "\n"
        << "cycles:       " << cycles << "\n";
 

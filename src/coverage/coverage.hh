@@ -63,16 +63,6 @@ class BranchCoverage
                (takenBits[word] >> (bit & 63)) & 1;
     }
 
-    /**
-     * Dirty counter for consumers caching decisions derived from this
-     * tracker's bits: bumped whenever the bit set actually changes —
-     * a 0->1 flip in either bitmap, a mergeFrom() that contributes
-     * new bits or grows the edge universe, or a restoreWords()
-     * overwrite.  Idempotent re-records leave it untouched, so during
-     * a run it advances only while coverage is still growing.
-     */
-    uint64_t generation() const { return gen; }
-
     size_t totalEdges() const { return total; }
     size_t takenCovered() const { return popcount(takenBits); }
     size_t ntOnlyCovered() const;
@@ -124,9 +114,7 @@ class BranchCoverage
     {
         // Non-branch pcs never reach here; the bitmap spans every pc.
         uint64_t &word = bits[bit >> 6];
-        uint64_t mask = uint64_t{1} << (bit & 63);
-        gen += (word & mask) == 0;  // only a 0->1 flip is a change
-        word |= mask;
+        word |= uint64_t{1} << (bit & 63);
     }
 
     static size_t popcount(const std::vector<uint64_t> &bits)
@@ -140,7 +128,6 @@ class BranchCoverage
     size_t total;
     std::vector<uint64_t> takenBits;
     std::vector<uint64_t> ntBits;
-    uint64_t gen = 0;
 };
 
 /**

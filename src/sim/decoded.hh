@@ -6,25 +6,23 @@
  * path: each `isa::Instruction` becomes a 16-byte DecodedInst with
  * its opcode-table HandlerKind (optable.hh), static branch and jump
  * targets are validated, the base cycle cost is precomputed, and the
- * engine's no-spawn ranges and doomed NT edges fold into per-PC flags.
+ * engine's no-spawn ranges, doomed NT edges and self-pruning
+ * eligibility fold into per-PC flags.
  *
- * Three tiers execute the image.  `sim::step` (interpreter.hh) runs
- * any instruction and reports a StepResult.  The two bulk tiers share
- * one dispatch loop (dispatch.cc) and run block-safe instructions
- * without a StepResult, stopping *before* the first instruction the
- * engine must observe — detector hooks and memory ops with a detector
- * attached, syscalls, anything that would crash — which surfaces to
- * `sim::step`, so results are bit-identical to the per-step loop by
- * construction:
- *
- *  - the block tier, `runBlock` below, with a cycle budget, the
- *    NT-entry predicate prologue, an optional memory port through
- *    which detector-free runs execute loads and stores in-block and,
- *    when PathExpander is off, an optional branch-coverage sink that
- *    runs conditional branches in-block;
- *  - the superblock tier, `runSuperblock` (superblock.hh), over a
- *    self-pruned image whose saturated branches run with no coverage
- *    write or counter bump.
+ * Two tiers execute the image.  `sim::step` (interpreter.hh) runs any
+ * instruction and reports a StepResult.  The block tier, `runBlock`
+ * below, runs block-safe instructions in one dispatch loop
+ * (dispatch.cc) without a StepResult, stopping *before* the first
+ * instruction the engine must observe — detector hooks and memory ops
+ * with a detector attached, syscalls, conditional branches it was not
+ * given, anything that would crash — which surfaces to `sim::step`,
+ * so results are bit-identical to the per-step loop by construction.
+ * Besides a cycle budget and the NT-entry predicate prologue, the
+ * block tier takes three opt-ins: a memory port through which
+ * detector-free runs execute loads and stores, a branch-coverage sink
+ * that runs every conditional branch when PathExpander is off, and
+ * the run's promoted branches, which run self-pruned branches with no
+ * coverage write, counter bump or spawn check.
  *
  * The dispatch loop uses computed goto, so it needs GCC or Clang.
  */
@@ -55,9 +53,9 @@ namespace pe::sim
 {
 
 /**
- * How the bulk tiers execute one instruction: `Surface`, or the kind
+ * How the block tier executes one instruction: `Surface`, or the kind
  * of its own opcode, one per opcode-table row.  Surface marks what the
- * tiers never run, which the engine runs through `sim::step` instead:
+ * tier never runs, which the engine runs through `sim::step` instead:
  * Surface-class opcodes and statically invalid branch and jump
  * targets.  Dense: the kinds index the dispatch loop's label table.
  */
@@ -106,6 +104,10 @@ struct DecodedInst
     static constexpr uint8_t FlagDoomedFall = 1u << 1;
     /** Same, for the taken-direction NT-Path. */
     static constexpr uint8_t FlagDoomedTaken = 1u << 2;
+    /** Self-pruning: this branch's BTB set can never evict, so the
+     *  engine may promote it once it saturates
+     *  (analysis::computeSaturationEligibility). */
+    static constexpr uint8_t FlagPruneEligible = 1u << 3;
 };
 
 // The decoded array is the hottest data structure in the simulator:
@@ -117,8 +119,8 @@ static_assert(sizeof(DecodedInst) == 16,
 
 /**
  * A program decoded once per engine against a fixed TimingConfig.
- * Read-only after construction (plus markNoSpawn calls), so one
- * instance is safely shared by every run of the owning engine.
+ * Read-only once the owning engine's constructor has folded its per-PC
+ * flags in, so one instance is safely shared by every run of it.
  */
 class DecodedProgram
 {
@@ -156,16 +158,31 @@ class DecodedProgram
         return pc < insts.size() && (insts[pc].flags & flag) != 0;
     }
 
+    /** Mark the branch at @p pc as eligible for self-pruning. */
+    void markPruneEligible(uint32_t pc)
+    {
+        if (pc < insts.size())
+            insts[pc].flags |= DecodedInst::FlagPruneEligible;
+    }
+
+    /** True when the branch at @p pc may ever be promoted. */
+    bool pruneEligible(uint32_t pc) const
+    {
+        return pc < insts.size() &&
+               (insts[pc].flags & DecodedInst::FlagPruneEligible) != 0;
+    }
+
     /**
      * True when the instruction at @p pc can start a block — the
      * engine's cheap pre-check that skips the runBlock call entirely
      * on surfacing-dense stretches (a zero-instruction call costs a
      * prologue and a writeback for nothing).  runBlock itself remains
      * correct without it.  @p execBranches mirrors whether the caller
-     * will pass a branch-coverage sink, @p inertChecks whether the run
-     * has no detector and @p execMemory whether it will pass a memory
-     * port: only then do conditional branches (respectively
-     * Chkb/Assert, loads and stores) start a block.
+     * will pass a branch-coverage sink or has promoted the branch at
+     * @p pc, @p inertChecks whether the run has no detector and
+     * @p execMemory whether it will pass a memory port: only then do
+     * conditional branches (respectively Chkb/Assert, loads and
+     * stores) start a block.
      */
     bool startsBlock(uint32_t pc, bool execBranches = false,
                      bool inertChecks = false,
@@ -206,12 +223,28 @@ struct MemPort
     uint64_t ntStoreCost = 0;       //!< extra cycles per retired store
 };
 
+/**
+ * Self-pruning: the run's promoted conditional branches, as runBlock
+ * reads them.  A promoted branch's coverage write, counter bumps and
+ * spawn check are proven no-ops (engine_impl.hh, maybePromote), so the
+ * block tier runs it.
+ */
+struct Promotion
+{
+    const uint8_t *flags = nullptr; //!< one per instruction; set = promoted
+    /** Cycles a promoted branch costs beyond its base opcode cost (the
+     *  software cost model's branch analysis). */
+    uint64_t branchExtra = 0;
+    uint64_t retired = 0;           //!< promoted branches run, summed
+};
+
 /** What one runBlock call retired in bulk. */
 struct BlockOut
 {
     uint64_t instructions = 0;  //!< instructions executed
-    /** Their summed base opcode cost plus, through a memory port, each
-     *  access's latency and each store's ntStoreCost. */
+    /** What the per-step loop charges for them: base opcode costs, the
+     *  cost model's extras and, through a memory port, each access's
+     *  latency and each store's ntStoreCost. */
     uint64_t cycles = 0;
 };
 
@@ -221,16 +254,17 @@ struct BlockOut
  * surface to the engine and after at most @p maxInstructions.
  *
  * The returned cycle total is exactly what the legacy loop
- * accumulates through `chargeStep` for these instructions, less the
- * software cost model's per-instruction dilation, which the engine
- * adds on top: their base opcode costs plus, for loads and stores
- * run through @p port, the memory latency and NT-store log cost.
+ * accumulates through `chargeStep` for these instructions: their base
+ * opcode costs, @p perInstExtra per instruction (the software cost
+ * model's dilation), each promoted branch's `branchExtra` and, for
+ * loads and stores run through @p port, the memory latency and
+ * NT-store log cost.  The same running total is the block's clock,
+ * which times memory accesses and meets the cycle budget.
  *
- * @p cycleBudget bounds the *effective* cycles (base cost plus
- * @p perInstExtra per instruction plus memory latency) the block may
- * consume: an instruction starts only while the effective cycles
- * retired so far are <= the budget.  This is how the CMP engine
- * reproduces its least-advanced-core scheduling exactly: a core may
+ * @p cycleBudget bounds the cycles the block may consume: an
+ * instruction starts only while the cycles retired so far are <= the
+ * budget.  This is how the CMP engine reproduces its
+ * least-advanced-core scheduling exactly: a core may
  * keep executing precisely while its clock would still make it the
  * scheduler's pick, and the other cores' clocks are frozen while it
  * runs, so a budget computed once at dispatch is exact, not
@@ -247,8 +281,14 @@ struct BlockOut
  * `branchSink->onTakenEdge(pc, taken)` and redirects, charging only
  * its base opcode cost.  Valid only in a regime where that is the
  * branch's whole effect — PathExpander off, where the engine neither
- * bumps BTB counters nor considers spawning.  When null (every PE-on
- * caller), branches surface untouched.
+ * bumps BTB counters nor considers spawning.
+ *
+ * @p promotion, when non-null, opts the branches its flags mark into
+ * the block: each resolves, redirects, charges its base opcode cost
+ * plus `branchExtra`, adds one to `retired` and does nothing else.
+ * The caller keeps the flags fixed for the call, so it clips the block
+ * at the next counter reset, which demotes them.  A conditional branch
+ * that neither operand opts in surfaces untouched.
  *
  * @p inertChecks, when true, asserts the run carries no detector, in
  * which case Chkb and Assert retire in-block as opcode-cost NOPs:
@@ -259,10 +299,10 @@ struct BlockOut
  * @p port, when non-null, also asserts a detector-free run and opts
  * loads and stores into the block.  Each access goes through
  * `port->ctx` and is charged `hierarchy.accessLatency` at the
- * port's start cycle plus the effective cycles retired so far plus
- * its opcode cost — the `now + cost` chargeStep passes, so shared
- * port waits come out the same.  An out-of-range address surfaces
- * untouched (sim::step raises BadAddress).  A store that leaves
+ * port's start cycle plus the cycles retired so far plus its opcode
+ * cost — the `now + cost` chargeStep passes, so shared port waits come
+ * out the same.  An out-of-range address surfaces untouched
+ * (sim::step raises BadAddress).  A store that leaves
  * ctx's buffer above `ntLineBound` lines retires and ends the block;
  * the caller stops the NT-Path before anything else runs.  When null,
  * loads and stores surface.
@@ -273,7 +313,8 @@ BlockOut runBlock(const DecodedProgram &decoded, Core &core,
                   uint64_t perInstExtra = 0,
                   coverage::BranchCoverage *branchSink = nullptr,
                   bool inertChecks = false,
-                  const MemPort *port = nullptr);
+                  const MemPort *port = nullptr,
+                  Promotion *promotion = nullptr);
 
 } // namespace pe::sim
 

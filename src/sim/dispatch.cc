@@ -1,18 +1,13 @@
 /**
  * @file
- * The bulk dispatch loop, shared by the block and superblock tiers.
+ * The bulk dispatch loop: the block tier, `runBlock`.
  *
  * One computed-goto loop with one label per opcode-table row runs
  * every block-safe instruction; execute() gives each table class its
- * semantics.  A tier policy supplies what differs between the tiers:
- *
- *  - BlockTier (runBlock): a cycle budget with a per-instruction
- *    extra, the NT-entry predicate prologue, an optional memory port
- *    without which loads and stores surface, and an optional
- *    branch-coverage sink without which branches surface;
- *  - SuperTier (runSuperblock): the pruned image, whose branch kinds
- *    are all promoted and so execute, counted; no budget and no
- *    memory port.
+ * semantics.  Three optional operands opt more of the program into the
+ * loop: a memory port (loads and stores), a branch-coverage sink (every
+ * conditional branch, PathExpander off) and the run's promoted branches
+ * (self-pruned branches, PathExpander on).
  */
 
 #include <iterator>
@@ -20,8 +15,7 @@
 #include "src/coverage/coverage.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/versioned_buffer.hh"
-#include "src/sim/superblock.hh"
-#include "src/support/status.hh"
+#include "src/sim/decoded.hh"
 
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "the bulk dispatch loop needs labels-as-values (GCC or Clang)"
@@ -33,46 +27,13 @@ namespace pe::sim
 namespace
 {
 
-struct BlockTier
+/** The operands of one runBlock call that execute() consults. */
+struct Block
 {
-    static constexpr bool predicated = true;
-    uint64_t cycleBudget;
-    uint64_t perInstExtra;
     coverage::BranchCoverage *branchSink;
+    Promotion *promotion;
     bool inertChecks;
     const MemPort *port;
-
-    bool overBudget(uint64_t cycles) const { return cycles > cycleBudget; }
-    bool runsBranches() const { return branchSink != nullptr; }
-    void onBranch(uint32_t pc, bool taken) const
-    {
-        branchSink->onTakenEdge(pc, taken);
-    }
-    /** BlockOut reports base cost only: drop the extra share once. */
-    BlockOut out(uint64_t n, uint64_t cycles, uint64_t) const
-    {
-        return {n, cycles - perInstExtra * n};
-    }
-};
-
-// A promoted branch's whole effect is resolve, redirect, charge: the
-// promotion predicate proved its coverage write and counter bumps
-// no-ops, so the tier leaves both untouched.  The pruned path only
-// runs on the taken path, never at an NT entrance.
-struct SuperTier
-{
-    static constexpr bool predicated = false;
-    static constexpr uint64_t perInstExtra = 0;
-    static constexpr const MemPort *port = nullptr;
-    bool inertChecks;
-
-    static bool overBudget(uint64_t) { return false; }
-    static bool runsBranches() { return true; }
-    static void onBranch(uint32_t, bool) {}
-    static SuperOut out(uint64_t n, uint64_t cycles, uint64_t branches)
-    {
-        return {n, cycles, branches};
-    }
 };
 
 /** What execute() did with one instruction. */
@@ -90,9 +51,9 @@ enum class Exec : uint8_t
  * Pfix and Pfixst reach here only with the NT-entry predicate clear,
  * where they retire as opcode-cost NOPs.
  */
-template <OpClass C, class Tier, class Expr>
+template <OpClass C, class Expr>
 [[gnu::always_inline]] inline Exec
-execute(const Tier &tier, Core &core, const DecodedInst &di,
+execute(const Block &blk, Core &core, const DecodedInst &di,
         uint32_t codeSize, uint32_t &pc, uint64_t &cycles, Expr expr)
 {
     auto a = [&] { return core.readReg(di.rs1); };
@@ -110,10 +71,21 @@ execute(const Tier &tier, Core &core, const DecodedInst &di,
             return Exec::Surface;   // step() raises DivByZero
         core.writeReg(di.rd, expr(a(), divisor));
     } else if constexpr (C == OpClass::Branch) {
-        if (!tier.runsBranches())
+        Promotion *const promo = blk.promotion;
+        if (!blk.branchSink && !(promo && promo->flags[pc]))
             return Exec::Surface;
         const bool taken = expr(a(), b());
-        tier.onBranch(pc, taken);
+        if (blk.branchSink) {
+            blk.branchSink->onTakenEdge(pc, taken);
+        } else {
+            // A promoted branch's whole effect is resolve, redirect,
+            // charge: the promotion predicate proved its coverage
+            // write, counter bumps and spawn check no-ops.  Counted in
+            // memory: a counter the loop keeps in a register costs
+            // every other path through it about 2%.
+            cycles += promo->branchExtra;
+            ++promo->retired;
+        }
         if (taken)
             next = static_cast<uint32_t>(di.imm);   // valid: decode
     } else if constexpr (C == OpClass::Jump || C == OpClass::Link) {
@@ -127,14 +99,14 @@ execute(const Tier &tier, Core &core, const DecodedInst &di,
         next = static_cast<uint32_t>(target);
     } else if constexpr (C == OpClass::Check) {
         // Nothing consumes Chkb/Assert events without a detector.
-        if (!tier.inertChecks)
+        if (!blk.inertChecks)
             return Exec::Surface;
     } else if constexpr (C == OpClass::Load || C == OpClass::Store) {
         // Without a detector an access changes a register or the
         // path's write set, and the cache model.
-        if (!tier.port)
+        if (!blk.port)
             return Exec::Surface;
-        const MemPort &port = *tier.port;
+        const MemPort &port = *blk.port;
         const auto addr = static_cast<uint32_t>(wrapAdd(a(), di.imm));
         if constexpr (C == OpClass::Load) {
             int32_t value;
@@ -161,25 +133,20 @@ execute(const Tier &tier, Core &core, const DecodedInst &di,
     return Exec::Retired;
 }
 
-/**
- * Run @p image from @p core.pc under the Tier built from @p params
- * until an instruction surfaces, @p maxInstructions have retired, the
- * tier's budget is spent or the PC leaves the code; @p core.pc is
- * left on the first unexecuted instruction.  Its parameter list is
- * the tier's public entry point's, so that entry point is a tail call.
- */
-template <class Tier, class Image, class... Params>
-auto
-dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
-         const Params... params)
+} // namespace
+
+BlockOut
+runBlock(const DecodedProgram &decoded, Core &core,
+         const uint64_t maxInstructions, const uint64_t cycleBudget,
+         const uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
+         bool inertChecks, const MemPort *port, Promotion *promotion)
 {
-    const Tier tier{params...};
-    const DecodedInst *const insts = image.data();
-    const uint32_t codeSize = image.size();
+    const Block blk{branchSink, promotion, inertChecks, port};
+    const DecodedInst *const insts = decoded.data();
+    const uint32_t codeSize = decoded.size();
     uint64_t left = maxInstructions;
     uint32_t pc = core.pc;
     uint64_t cycles = 0;
-    uint64_t branches = 0;
     const DecodedInst *di;
 
     static const void *const kLabels[] = {
@@ -193,7 +160,7 @@ dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
 
 #define PE_NEXT()                                                       \
     do {                                                                \
-        if (left == 0 || pc >= codeSize || tier.overBudget(cycles))     \
+        if (left == 0 || pc >= codeSize || cycles > cycleBudget)        \
             goto H_Surface;                                             \
         di = insts + pc;                                                \
         goto *kLabels[static_cast<uint8_t>(di->kind)];                  \
@@ -203,26 +170,22 @@ dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
     // leading predicated fixes run — Pfix performs its write, Pfixst
     // (a potential memory write) surfaces — and the first other
     // instruction clears it, exactly the per-step rule.
-    if constexpr (Tier::predicated) {
-        while (core.ntEntryPred) [[unlikely]] {
-            if (left == 0 || pc >= codeSize || tier.overBudget(cycles))
-                goto H_Surface;
-            di = insts + pc;
-            if (di->kind == HandlerKind::Surface ||
-                di->cls == OpClass::FixStore) {
-                goto H_Surface;
-            }
-            if (di->cls != OpClass::Fix) {
-                core.ntEntryPred = false;
-                break;
-            }
-            core.writeReg(di->rd, di->imm);
-            --left;
-            cycles += di->cost + tier.perInstExtra;
-            ++pc;
+    while (core.ntEntryPred) [[unlikely]] {
+        if (left == 0 || pc >= codeSize || cycles > cycleBudget)
+            goto H_Surface;
+        di = insts + pc;
+        if (di->kind == HandlerKind::Surface ||
+            di->cls == OpClass::FixStore) {
+            goto H_Surface;
         }
-    } else {
-        pe_assert(!core.ntEntryPred, "NT entrance in an unpredicated tier");
+        if (di->cls != OpClass::Fix) {
+            core.ntEntryPred = false;
+            break;
+        }
+        core.writeReg(di->rd, di->imm);
+        --left;
+        cycles += di->cost + perInstExtra;
+        ++pc;
     }
 
     PE_NEXT();
@@ -230,15 +193,14 @@ dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
 #define PE_HANDLER(op, cls, field, ...)                                 \
   H_##op: {                                                             \
     const Exec done = execute<OpClass::cls>(                            \
-        tier, core, *di, codeSize, pc, cycles,                          \
+        blk, core, *di, codeSize, pc, cycles,                           \
         []([[maybe_unused]] int32_t a, [[maybe_unused]] int32_t b) {    \
             return __VA_ARGS__;                                         \
         });                                                             \
     if (done == Exec::Surface)                                          \
         goto H_Surface;                                                 \
     --left;                                                             \
-    cycles += di->cost + tier.perInstExtra;                             \
-    branches += OpClass::cls == OpClass::Branch;                        \
+    cycles += di->cost + perInstExtra;                                  \
     if (done == Exec::Last)                                             \
         goto H_Surface;                                                 \
     PE_NEXT();                                                          \
@@ -250,27 +212,7 @@ dispatch(const Image &image, Core &core, const uint64_t maxInstructions,
 
   H_Surface:
     core.pc = pc;
-    return tier.out(maxInstructions - left, cycles, branches);
-}
-
-} // namespace
-
-BlockOut
-runBlock(const DecodedProgram &decoded, Core &core,
-         uint64_t maxInstructions, uint64_t cycleBudget,
-         uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
-         bool inertChecks, const MemPort *port)
-{
-    return dispatch<BlockTier>(decoded, core, maxInstructions, cycleBudget,
-                               perInstExtra, branchSink, inertChecks,
-                               port);
-}
-
-SuperOut
-runSuperblock(const SuperblockCache &cache, Core &core,
-              uint64_t maxInstructions, bool inertChecks)
-{
-    return dispatch<SuperTier>(cache, core, maxInstructions, inertChecks);
+    return {maxInstructions - left, cycles};
 }
 
 } // namespace pe::sim

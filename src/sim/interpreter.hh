@@ -9,8 +9,8 @@
  * and nowhere else.  Its loads and stores are the reference the block
  * tier's memory port (decoded.hh) must match for detector-free runs,
  * while its ALU, immediate, trapping and branch cases are generated
- * from the opcode table (optable.hh) that the bulk tiers (decoded.hh,
- * superblock.hh) dispatch through too.
+ * from the opcode table (optable.hh) that the block tier (decoded.hh)
+ * dispatches through too.
  *
  * The interpreter is deliberately policy-free; PathExpander policy
  * (NT-Path selection, sandboxing, termination, detector invocation,

@@ -7,7 +7,7 @@
  *
  * Everything that classifies or executes instructions is generated
  * from it: HandlerKind and the decode classification (decoded.hh),
- * the bulk tiers' dispatch labels (dispatch.cc), sim::step's ALU and
+ * the block tier's dispatch labels (dispatch.cc), sim::step's ALU and
  * branch cases (interpreter.cc) and opcodeCost (timing.cc).  Adding
  * an opcode is one row here, in isa::Opcode order; a Surface-, Load-
  * or Store-class row also needs its case in sim::step.
@@ -22,7 +22,7 @@
 namespace pe::sim
 {
 
-/** How the bulk tiers (runBlock, runSuperblock) treat an opcode. */
+/** How the block tier (runBlock) treats an opcode. */
 enum class OpClass : uint8_t
 {
     Surface,    //!< only sim::step runs it: Alloc, objects, Sys

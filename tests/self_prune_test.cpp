@@ -1,19 +1,20 @@
 /**
  * @file
- * Differential proof of the self-pruning superblock path.
+ * Differential proof of self-pruning: promoted branches retired by the
+ * block tier with no coverage write, counter bump or spawn check.
  *
  * `cfg.selfPrune` selects an execution *strategy*, not a behavior:
  * runs with the flag on and off must produce bit-identical RunResults
  * in every field except the `prunedInstructions` diagnostic (which
- * exists precisely so these tests can assert the pruned path actually
+ * exists precisely so these tests can assert promotion actually
  * engaged).  This file extends the block-step identity methodology
- * (tests/block_step_test.cpp) to the pruned path: the full workload ×
- * mode grid, engineered saturation kernels, the epoch-invalidation
- * corners (counter reset landing inside a would-be superblock), the
- * activation gates that must keep the flag inert, a random-program
- * sweep, and unit tests of the new building blocks (BTB reset epoch,
- * coverage generation counter, static saturation eligibility, the
- * cache's promote/demote lifecycle).
+ * (tests/block_step_test.cpp) to promotion: the full workload × mode
+ * grid, engineered saturation kernels, the reset corners (a counter
+ * reset landing inside a would-be block, which must stop there and
+ * demote every promoted branch), the activation gates that must keep
+ * the flag inert, random-program and configuration sweeps against the
+ * per-step loop, and unit tests of the building blocks (the BTB's
+ * saturation probe and static saturation eligibility).
  */
 
 #include <gtest/gtest.h>
@@ -26,11 +27,9 @@
 #include "src/analysis/regions.hh"
 #include "src/branch/btb.hh"
 #include "src/core/engine.hh"
-#include "src/coverage/coverage.hh"
 #include "src/detect/detector.hh"
 #include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
-#include "src/sim/superblock.hh"
 #include "src/workloads/workload.hh"
 #include "tier_identity.hh"
 
@@ -44,8 +43,8 @@ using test::generateProgram;
 /**
  * Run @p program on @p input under @p cfg twice — selfPrune on and
  * off — with a fresh detector instance each time, require identity,
- * and return how many instructions the pruned run retired through the
- * superblock loop (0 when the flag never engaged).
+ * and return how many promoted branches the pruned run retired in the
+ * block tier (0 when the flag never engaged).
  */
 uint64_t
 comparePrune(const isa::Program &program, core::PeConfig cfg,
@@ -148,15 +147,17 @@ TEST_P(SelfPruneWorkloads, BitIdenticalToInstrumentedRun)
         SCOPED_TRACE("benign input");
         uint64_t pruned =
             comparePrune(program, cfg, w.tools, w.benignInputs[0]);
-        if (mode != core::PeMode::Standard)
+        if (mode != core::PeMode::Standard) {
             EXPECT_EQ(pruned, 0u);
+        }
     }
     if (!w.triggerInputs.empty()) {
         SCOPED_TRACE("trigger input " + w.triggerInputs.begin()->first);
         uint64_t pruned = comparePrune(program, cfg, w.tools,
                                        w.triggerInputs.begin()->second);
-        if (mode != core::PeMode::Standard)
+        if (mode != core::PeMode::Standard) {
             EXPECT_EQ(pruned, 0u);
+        }
     }
 }
 
@@ -187,8 +188,8 @@ TEST(SelfPrune, EngagesOnSaturatedKernel)
 {
     auto program = saturatedKernel(300);
     uint64_t pruned = comparePrune(program, saturatingConfig(), "", {});
-    // Most of the run is the saturated inner loop; after warmup it
-    // must retire through the superblock path.
+    // Most of the run is the saturated inner loop; after warmup its
+    // branches must be promoted.
     EXPECT_GT(pruned, 0u);
 }
 
@@ -236,10 +237,10 @@ TEST(SelfPrune, GatesKeepTheFlagInert)
 }
 
 // ---------------------------------------------------------------------
-// Epoch invalidation: counter resets landing where a superblock would
-// otherwise keep running.  The budget clip must stop the superblock at
-// the exact legacy reset boundary, the reset must demote every
-// promoted branch, and re-saturation must re-engage — all invisibly.
+// Counter resets landing where a block would otherwise keep running.
+// The budget clip must stop the block at the exact legacy reset
+// boundary, the reset must demote every promoted branch, and
+// re-saturation must re-engage — all invisibly.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneEpochs, CounterResetMidSuperblock)
@@ -296,7 +297,7 @@ TEST(SelfPruneCorners, SpawnPreFilterAndNoFixing)
 TEST(SelfPruneCorners, InstructionLimit)
 {
     // The limit must cut the run at the exact same instruction even
-    // when it lands inside a superblock.
+    // when it lands inside a block of promoted branches.
     auto program = saturatedKernel(100000);
     for (uint64_t limit : {1000ull, 12345ull}) {
         SCOPED_TRACE("limit " + std::to_string(limit));
@@ -308,8 +309,8 @@ TEST(SelfPruneCorners, InstructionLimit)
 
 TEST(SelfPruneCorners, DetectorKeepsChecksSurfacing)
 {
-    // With a detector attached, Chkb/Assert must still surface from
-    // the pruned image (startsSuper's inertChecks leg).
+    // With a detector attached, Chkb/Assert and memory ops must still
+    // surface between promoted branches.
     const auto &w = workloads::getWorkload("pe_bc");
     auto program = minic::compile(w.source, w.name);
     auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
@@ -363,20 +364,133 @@ TEST(SelfPruneRandom, SeedSweepIsBitIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Unit tests of the building blocks.
+// Configuration sweep against the per-step loop: reset intervals that
+// land a reset at every position of a block, thresholds around the
+// counter cap, a BTB small enough to evict, both modes (CMP must leave
+// the flag inert) on the saturated kernel and a workload.  Each
+// configuration takes its own slice of the interval ranges, so every
+// interval runs once without running the full cross product.
 // ---------------------------------------------------------------------
 
-TEST(BtbEpoch, ResetBumpsEpoch)
+TEST(SelfPruneSweep, MatchesPerStepLoop)
 {
-    branch::Btb btb;
-    EXPECT_EQ(btb.resetEpoch(), 0u);
-    btb.increment(42, true);
-    EXPECT_EQ(btb.resetEpoch(), 0u);    // increments don't invalidate
-    btb.resetCounters();
-    EXPECT_EQ(btb.resetEpoch(), 1u);
-    btb.resetCounters();
-    EXPECT_EQ(btb.resetEpoch(), 2u);
+    const auto &w = workloads::getWorkload("schedule");
+    struct Case
+    {
+        const char *name;
+        isa::Program program;
+        std::vector<int32_t> input;
+        uint32_t maxNtPathLength;
+    };
+    const std::vector<Case> cases = {
+        {"saturated kernel", saturatedKernel(40), {}, 100},
+        {"schedule", minic::compile(w.source, w.name), w.benignInputs[0],
+         w.maxNtPathLength}};
+
+    std::vector<uint64_t> intervals;
+    for (uint64_t i = 1; i <= 64; ++i)
+        intervals.push_back(i);
+    for (uint64_t i = 400; i <= 463; ++i)
+        intervals.push_back(i);
+
+    branch::BtbParams tinyBtb;
+    tinyBtb.entries = 4;
+    tinyBtb.ways = 2;
+
+    size_t slice = 0;
+    uint64_t totalPruned = 0;
+    for (const Case &c : cases) {
+        for (core::PeMode mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+            for (const branch::BtbParams &btb : {branch::BtbParams{}, tinyBtb}) {
+                for (uint8_t threshold : {0, 1, 15, 16}) {
+                    const size_t slices = 2 * 2 * 2 * 4;
+                    for (size_t i = slice; i < intervals.size();
+                         i += slices) {
+                        SCOPED_TRACE(std::string(c.name) + ", " +
+                                     core::peModeName(mode) + ", btb " +
+                                     std::to_string(btb.entries) +
+                                     ", threshold " +
+                                     std::to_string(threshold) +
+                                     ", interval " +
+                                     std::to_string(intervals[i]));
+                        auto cfg = core::PeConfig::forMode(mode);
+                        cfg.maxNtPathLength = c.maxNtPathLength;
+                        cfg.btbParams = btb;
+                        cfg.ntPathCounterThreshold = threshold;
+                        cfg.counterResetInterval = intervals[i];
+                        auto runWith = [&](bool prune, bool legacy) {
+                            core::PeConfig k = cfg;
+                            k.selfPrune = prune;
+                            k.legacyStepLoop = legacy;
+                            core::PathExpanderEngine engine(c.program, k,
+                                                            nullptr);
+                            return engine.run(c.input);
+                        };
+                        core::RunResult pruned = runWith(true, false);
+                        expectIdentical(pruned, runWith(false, true));
+                        if (mode == core::PeMode::Cmp) {
+                            EXPECT_EQ(pruned.prunedInstructions, 0u);
+                        }
+                        totalPruned += pruned.prunedInstructions;
+                    }
+                    ++slice;
+                }
+            }
+        }
+    }
+    EXPECT_GT(totalPruned, 0u);
 }
+
+// ---------------------------------------------------------------------
+// The block clock under the software cost model: promoted branches and
+// L1-missing loads share blocks, and the L2 port is held longer than
+// an L2 hit, so each load's port wait depends on its exact issue
+// cycle — which counts the branch analysis cost of every promoted
+// branch retired before it in the block.
+// ---------------------------------------------------------------------
+
+TEST(SelfPruneCorners, SoftwareCostsOnTheBlockClock)
+{
+    // The saturated kernel's alternating inner branch, with a load per
+    // inner iteration sweeping 2048 lines (four times the L1).
+    std::ostringstream src;
+    src << "li r8, 0\nli r20, 60\nli r21, 4\n"
+        << "li r22, 65536\nli r23, 0\n"
+        << "outer:\n"
+        << "li r12, 0\n"
+        << "inner:\n"
+        << "andi r13, r12, 1\n"
+        << "beq r13, r0, even\n"
+        << "addi r9, r9, 1\n"
+        << "even:\n"
+        << "add r24, r22, r23\n"
+        << "ld r25, 0(r24)\n"
+        << "addi r23, r23, 8\n"
+        << "andi r23, r23, 16383\n"
+        << "addi r12, r12, 1\n"
+        << "blt r12, r21, inner\n"
+        << "addi r8, r8, 1\n"
+        << "blt r8, r20, outer\n"
+        << "sys exit\n";
+    auto program = isa::assemble(src.str(), "load_kernel");
+
+    auto cfg = saturatingConfig();
+    cfg.costModel = core::CostModelKind::Software;
+    cfg.timing.mem.l2PortHold = 1000;
+    EXPECT_GT(comparePrune(program, cfg, "", {}), 0u);
+
+    cfg.selfPrune = true;
+    core::PathExpanderEngine pruned(program, cfg, nullptr);
+    cfg.legacyStepLoop = true;
+    core::PathExpanderEngine perStep(program, cfg, nullptr);
+    core::RunResult r = pruned.run({});
+    expectIdentical(r, perStep.run({}));
+    EXPECT_GT(r.l2ContentionCycles, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Unit tests of the building blocks.
+// ---------------------------------------------------------------------
 
 TEST(BtbEpoch, AtCapTracksSaturation)
 {
@@ -390,63 +504,6 @@ TEST(BtbEpoch, AtCapTracksSaturation)
     EXPECT_TRUE(btb.atCap(7, false));
     btb.resetCounters();
     EXPECT_FALSE(btb.atCap(7, false));
-}
-
-TEST(CoverageGeneration, BumpsOnlyOnRealChange)
-{
-    isa::Program p;
-    p.code.push_back(isa::makeLi(8, 1));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Beq, 8, 0, 0));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Bne, 8, 0, 0));
-
-    coverage::BranchCoverage cov(p);
-    EXPECT_EQ(cov.generation(), 0u);
-    EXPECT_FALSE(cov.takenEdgeCovered(1, true));
-
-    cov.onTakenEdge(1, true);
-    EXPECT_TRUE(cov.takenEdgeCovered(1, true));
-    EXPECT_FALSE(cov.takenEdgeCovered(1, false));
-    uint64_t g = cov.generation();
-    EXPECT_GT(g, 0u);
-
-    cov.onTakenEdge(1, true);           // idempotent re-record
-    EXPECT_EQ(cov.generation(), g);
-
-    cov.onNtEdge(2, false);             // NT bitmap counts too
-    EXPECT_GT(cov.generation(), g);
-}
-
-TEST(CoverageGeneration, MergeAndRestoreInvalidate)
-{
-    isa::Program p;
-    p.code.push_back(isa::makeLi(8, 1));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Beq, 8, 0, 0));
-
-    coverage::BranchCoverage a(p);
-    coverage::BranchCoverage b(p);
-    b.onTakenEdge(1, false);
-
-    uint64_t g = a.generation();
-    a.mergeFrom(b);                     // contributes a new bit
-    EXPECT_GT(a.generation(), g);
-    EXPECT_TRUE(a.takenEdgeCovered(1, false));
-
-    g = a.generation();
-    a.mergeFrom(b);                     // no-op merge
-    EXPECT_EQ(a.generation(), g);
-
-    // Universe growth counts as a change even with no new bits.
-    isa::Program bigger = p;
-    bigger.code.push_back(isa::makeBranch(isa::Opcode::Bne, 8, 0, 0));
-    coverage::BranchCoverage c(bigger);
-    g = c.generation();
-    c.mergeFrom(a);
-    EXPECT_GT(c.generation(), g);
-
-    // restoreWords may clear bits: always a change.
-    g = a.generation();
-    a.restoreWords(a.takenWords(), a.ntWords());
-    EXPECT_GT(a.generation(), g);
 }
 
 TEST(SaturationEligibility, ConflictingSetsAreExcluded)
@@ -498,47 +555,6 @@ TEST(SaturationEligibility, CountsRegionsOverTheCfg)
     EXPECT_EQ(elig.eligibleBranches, elig.condBranches);
     analysis::Cfg cfg(program);
     EXPECT_GT(analysis::countEligibleRegions(cfg, elig), 0u);
-}
-
-TEST(SuperblockCacheUnit, PromoteDemoteLifecycle)
-{
-    auto program = isa::assemble("li r8, 0\n"
-                                 "li r9, 5\n"
-                                 "loop:\n"
-                                 "addi r8, r8, 1\n"
-                                 "blt r8, r9, loop\n"
-                                 "sys exit\n",
-                                 "tiny_loop");
-    const uint32_t branchPc = 3;
-    sim::DecodedProgram decoded(program,
-                                sim::TimingConfig::standardConfig());
-    std::vector<bool> elig(program.code.size(), true);
-    sim::SuperblockCache cache(decoded, elig);
-
-    // Fresh cache: branch demoted, straight-line kinds intact.
-    EXPECT_TRUE(cache.eligible(branchPc));
-    EXPECT_FALSE(cache.promoted(branchPc));
-    EXPECT_FALSE(cache.startsSuper(branchPc, true));
-    EXPECT_TRUE(cache.startsSuper(0, true));        // li
-    EXPECT_FALSE(cache.startsSuper(4, true));       // sys: Surface
-    EXPECT_EQ(cache.epoch(), 0u);
-
-    cache.promote(branchPc);
-    EXPECT_TRUE(cache.promoted(branchPc));
-    EXPECT_TRUE(cache.startsSuper(branchPc, true));
-    EXPECT_EQ(cache.promotedCount(), 1u);
-
-    cache.syncEpoch(0);                 // same epoch: no-op
-    EXPECT_TRUE(cache.promoted(branchPc));
-
-    cache.syncEpoch(1);                 // reset intervened: demote all
-    EXPECT_FALSE(cache.promoted(branchPc));
-    EXPECT_FALSE(cache.startsSuper(branchPc, true));
-    EXPECT_EQ(cache.promotedCount(), 0u);
-    EXPECT_EQ(cache.epoch(), 1u);
-
-    cache.promote(branchPc);            // re-saturation re-promotes
-    EXPECT_TRUE(cache.promoted(branchPc));
 }
 
 } // namespace

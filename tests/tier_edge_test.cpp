@@ -2,16 +2,16 @@
  * @file
  * Edge operands through every execution tier.
  *
- * Every opcode runs through `sim::step`, through the block tier —
+ * Every opcode runs through `sim::step` and through the block tier —
  * without a branch sink, with one, and one instruction per dispatch
  * under a zero cycle budget; loads and stores also with a memory
- * port — and through the superblock tier with its branch promoted.
+ * port; branches also with their promoted flag set and clear.
  * ALU, immediate and branch opcodes take every pair of INT32_MIN,
  * INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and -1.  Each
  * result is checked against a value computed here from
  * first principles (64-bit arithmetic, floor division), never from the
- * simulator's opcode table, which every tier shares: this is what
- * keeps the per-step loop an independent oracle for the bulk tiers.
+ * simulator's opcode table, which both tiers share: this is what
+ * keeps the per-step loop an independent oracle for the block tier.
  * The memory port's boundary cases — bad addresses, the NT write-set
  * bound and shared L2 port waits — run through the engine against
  * the per-step loop.
@@ -31,7 +31,6 @@
 #include "src/isa/instruction.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/sim/interpreter.hh"
-#include "src/sim/superblock.hh"
 #include "tier_identity.hh"
 
 namespace
@@ -185,15 +184,37 @@ struct Machine
                              inert);
     }
 
-    /** The block tier with a memory port on core 0 from cycle 0. */
+    /**
+     * The block tier with a memory port on core 0 from cycle 0 and the
+     * branches at @p promotePcs promoted.
+     */
     sim::BlockOut
-    portBlock()
+    portBlock(const std::vector<uint32_t> &promotePcs = {})
     {
         mem::MemHierarchy hierarchy(1, mem::MemTimingParams{});
         mem::MemCtx ctx(memory, buf);
         const sim::MemPort port{ctx, hierarchy};
         return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, nullptr,
-                             true, &port);
+                             true, &port, promote(promotePcs));
+    }
+
+    /** The block tier with the branches at @p promotePcs promoted. */
+    sim::BlockOut
+    promotedBlock(const std::vector<uint32_t> &promotePcs = {})
+    {
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, nullptr,
+                             true, nullptr, promote(promotePcs));
+    }
+
+    /** A fresh promotion of the branches at @p pcs. */
+    sim::Promotion *
+    promote(const std::vector<uint32_t> &pcs)
+    {
+        flags.assign(program.code.size(), 0);
+        for (uint32_t pc : pcs)
+            flags[pc] = 1;
+        promotion = sim::Promotion{flags.data()};
+        return &promotion;
     }
 
     /**
@@ -216,17 +237,6 @@ struct Machine
         return total;
     }
 
-    /** The superblock tier, with the branch at @p promotePc promoted. */
-    sim::SuperOut
-    superblock(std::optional<uint32_t> promotePc = std::nullopt)
-    {
-        std::vector<bool> eligible(program.code.size(), true);
-        sim::SuperblockCache cache(decoded, eligible);
-        if (promotePc)
-            cache.promote(*promotePc);
-        return sim::runSuperblock(cache, core, 100, true);
-    }
-
     int32_t reg(uint8_t r) const { return core.readReg(r); }
 
     sim::MachineLayout layout;
@@ -236,6 +246,8 @@ struct Machine
     sim::Core core;
     sim::IoChannel io;
     mem::VersionedBuffer *buf = nullptr;
+    std::vector<uint8_t> flags;
+    sim::Promotion promotion;
 };
 
 std::string
@@ -261,7 +273,7 @@ checkAluOnEveryTier(Opcode op, bool imm)
         for (int32_t b : kSecond) {
             SCOPED_TRACE(caseName(op, a, b));
             const std::optional<int32_t> want = reference(op, a, b);
-            // A trap surfaces from the bulk tiers before the opcode.
+            // A trap surfaces from the block tier before the opcode.
             const uint64_t bulkCount = want ? 3 : 2;
             const int32_t bulkR10 = want ? *want : 0;
             {
@@ -288,14 +300,6 @@ checkAluOnEveryTier(Opcode op, bool imm)
                 SCOPED_TRACE("block, zero cycle budget");
                 Machine m(aluProgram(op, imm, a, b));
                 EXPECT_EQ(m.budgetBlocks(nullptr), bulkCount);
-                EXPECT_EQ(m.reg(10), bulkR10);
-            }
-            {
-                SCOPED_TRACE("superblock");
-                Machine m(aluProgram(op, imm, a, b));
-                sim::SuperOut out = m.superblock();
-                EXPECT_EQ(out.instructions, bulkCount);
-                EXPECT_EQ(out.branches, 0u);
                 EXPECT_EQ(m.reg(10), bulkR10);
             }
         }
@@ -365,17 +369,17 @@ TEST(TierEdgeOperands, BranchOpcodes)
                     EXPECT_FALSE(cov.takenEdgeCovered(branchPc, !taken));
                 }
                 {
-                    SCOPED_TRACE("superblock, not promoted");
+                    SCOPED_TRACE("block, flag clear surfaces");
                     Machine m(branchProgram(op, a, b));
-                    EXPECT_EQ(m.superblock().instructions, 2u);
+                    EXPECT_EQ(m.promotedBlock().instructions, 2u);
+                    EXPECT_EQ(m.promotion.retired, 0u);
                     EXPECT_EQ(m.core.pc, branchPc);
                 }
                 {
-                    SCOPED_TRACE("superblock, promoted");
+                    SCOPED_TRACE("block, promoted");
                     Machine m(branchProgram(op, a, b));
-                    sim::SuperOut out = m.superblock(branchPc);
-                    EXPECT_EQ(out.instructions, 4u);
-                    EXPECT_EQ(out.branches, 1u);
+                    EXPECT_EQ(m.promotedBlock({branchPc}).instructions, 4u);
+                    EXPECT_EQ(m.promotion.retired, 1u);
                     EXPECT_EQ(m.core.pc, endPc);
                     EXPECT_EQ(m.reg(10), want);
                 }
@@ -384,23 +388,18 @@ TEST(TierEdgeOperands, BranchOpcodes)
     }
 }
 
-/** Each bulk tier retires exactly @p n instructions of @p code. */
+/** The block tier retires exactly @p n instructions of @p code. */
 void
-expectBulkRetires(const std::vector<isa::Instruction> &code, uint64_t n,
-                  bool inert = true)
+expectBlockRetires(const std::vector<isa::Instruction> &code, uint64_t n,
+                   bool inert = true)
 {
     Machine blk(code);
     EXPECT_EQ(blk.block(nullptr, inert).instructions, n);
-    Machine sup(code);
-    std::vector<bool> eligible(code.size(), true);
-    sim::SuperblockCache cache(sup.decoded, eligible);
-    EXPECT_EQ(sim::runSuperblock(cache, sup.core, 100, inert).instructions,
-              n);
 }
 
 TEST(TierEdgeOperands, NopAndDirectJumps)
 {
-    expectBulkRetires({isa::Instruction{}, isa::makeSys(isa::Syscall::Exit)},
+    expectBlockRetires({isa::Instruction{}, isa::makeSys(isa::Syscall::Exit)},
                       1);
 
     // jmp/jal 3 over "li r10, 1"; jal links pc + 1 into r3.
@@ -421,7 +420,7 @@ TEST(TierEdgeOperands, NopAndDirectJumps)
         EXPECT_EQ(b.block().instructions, 3u);
         EXPECT_EQ(b.reg(10), 2);
         EXPECT_EQ(b.reg(3), op == Opcode::Jal ? 2 : 0);
-        expectBulkRetires(code, 3);
+        expectBlockRetires(code, 3);
 
         // Invalid static targets surface; step raises BadJump there.
         for (int32_t target : {kMin, kMax, -1, 5}) {
@@ -431,7 +430,7 @@ TEST(TierEdgeOperands, NopAndDirectJumps)
             sim::StepResult res = bad.stepRun();
             EXPECT_EQ(res.crash, sim::CrashKind::BadJump);
             EXPECT_EQ(res.pc, 1u);
-            expectBulkRetires(code, 1);
+            expectBlockRetires(code, 1);
         }
     }
 }
@@ -451,7 +450,7 @@ TEST(TierEdgeOperands, RegisterJump)
     Machine b(program(4));
     EXPECT_EQ(b.block().instructions, 3u);
     EXPECT_EQ(b.reg(10), 2);
-    expectBulkRetires(program(4), 3);
+    expectBlockRetires(program(4), 3);
 
     for (int32_t target : {kMin, kMax, -1, 6}) {
         SCOPED_TRACE(target);
@@ -459,7 +458,7 @@ TEST(TierEdgeOperands, RegisterJump)
         sim::StepResult res = bad.stepRun();
         EXPECT_EQ(res.crash, sim::CrashKind::BadJump);
         EXPECT_EQ(res.pc, 1u);
-        expectBulkRetires(program(target), 1);
+        expectBlockRetires(program(target), 1);
     }
 }
 
@@ -487,8 +486,8 @@ TEST(TierEdgeOperands, DetectorHooks)
             EXPECT_EQ(as.assertId, a == 0 ? imm : 0);
 
             // Inert without a detector; surfacing with one.
-            expectBulkRetires(code, 3, /*inert=*/true);
-            expectBulkRetires(code, 1, /*inert=*/false);
+            expectBlockRetires(code, 3, /*inert=*/true);
+            expectBlockRetires(code, 1, /*inert=*/false);
         }
     }
 }
@@ -509,7 +508,7 @@ TEST(TierEdgeOperands, PredicatedFixes)
         m.stepRun();
         EXPECT_EQ(m.reg(10), 0);
         EXPECT_EQ(m.memory.read(40), 0);
-        expectBulkRetires(code, 3);
+        expectBlockRetires(code, 3);
 
         // Predicate set: step writes both; the block prologue runs
         // pfix and surfaces at pfixst, predicate still set.
@@ -561,7 +560,7 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
         EXPECT_EQ(m.reg(11), 64);           // the heap base
         EXPECT_EQ(m.io.intOutput, std::vector<int32_t>{v});
 
-        // Without a memory port every bulk tier surfaces at each of
+        // Without a memory port the block tier surfaces at each of
         // them.
         for (uint32_t pc : {0u, 1u, 3u, 4u, 5u, 6u, 7u}) {
             SCOPED_TRACE(pc);
@@ -569,7 +568,6 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
             b.core.pc = pc;
             EXPECT_FALSE(b.decoded.startsBlock(pc, true, true));
             EXPECT_EQ(b.block().instructions, 0u);
-            EXPECT_EQ(b.superblock().instructions, 0u);
         }
 
         // With one the block tier retires st and ld, then surfaces at
@@ -588,15 +586,40 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
             p.core.pc = pc;
             EXPECT_EQ(p.portBlock().instructions, 0u);
         }
-
-        // The superblock tier has no port, so a pruned dispatch never
-        // starts on st or ld.
-        std::vector<bool> eligible(code.size(), true);
-        sim::SuperblockCache cache(p.decoded, eligible);
-        EXPECT_FALSE(cache.startsSuper(0, true));
-        EXPECT_FALSE(cache.startsSuper(1, true));
-        EXPECT_TRUE(cache.startsSuper(2, true));
     }
+}
+
+TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
+{
+    // li r9, 3; loop: st r9, 40(r9); ld r10, 40(r9); addi r9, r9, -1;
+    // bgt r9, r0, loop; sys exit.  With the loop branch promoted and a
+    // memory port, one block runs the whole loop: three iterations of
+    // a store, a load and the branch, then surfaces at the syscall.
+    const uint32_t branchPc = 4;
+    const std::vector<isa::Instruction> code = {
+        isa::makeLi(9, 3),
+        isa::Instruction{Opcode::St, 0, 9, 9, 40},
+        isa::Instruction{Opcode::Ld, 10, 9, 0, 40},
+        isa::makeI(Opcode::Addi, 9, 9, -1),
+        isa::makeBranch(Opcode::Bgt, 9, 0, 1),
+        isa::makeSys(isa::Syscall::Exit)};
+    Machine step(code);
+    EXPECT_TRUE(step.stepRun().exited);
+
+    Machine p(code);
+    EXPECT_TRUE(p.decoded.startsBlock(branchPc, true, true, true));
+    EXPECT_EQ(p.portBlock({branchPc}).instructions, 1u + 3 * 4);
+    EXPECT_EQ(p.promotion.retired, 3u);
+    EXPECT_EQ(p.core.pc, 5u);
+    EXPECT_EQ(p.core.regs, step.core.regs);
+    for (uint32_t addr : {41u, 42u, 43u})
+        EXPECT_EQ(p.memory.read(addr), step.memory.read(addr));
+
+    // Without the flag the same block stops before the first branch.
+    Machine q(code);
+    EXPECT_EQ(q.portBlock().instructions, 4u);
+    EXPECT_EQ(q.promotion.retired, 0u);
+    EXPECT_EQ(q.core.pc, branchPc);
 }
 
 /** A program of @p code with the heap at word 64. */

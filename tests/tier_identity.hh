@@ -20,8 +20,8 @@ namespace pe::test
 
 /**
  * Require @p a and @p b identical in every field except the
- * prunedInstructions diagnostic, which counts the strategy, not the
- * behaviour.
+ * prunedInstructions diagnostic, which counts the promoted branches
+ * the block tier retired: how a run executed, not what it did.
  */
 inline void
 expectIdentical(const core::RunResult &a, const core::RunResult &b)
@@ -29,6 +29,8 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.programCrashed, b.programCrashed);
     EXPECT_EQ(a.programCrashKind, b.programCrashKind);
     EXPECT_EQ(a.hitInstructionLimit, b.hitInstructionLimit);
+    EXPECT_EQ(a.aborted, b.aborted);
+    EXPECT_EQ(a.stopCause, b.stopCause);
     EXPECT_EQ(a.takenInstructions, b.takenInstructions);
     EXPECT_EQ(a.ntInstructions, b.ntInstructions);
     EXPECT_EQ(a.cycles, b.cycles);
