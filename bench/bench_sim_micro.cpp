@@ -350,8 +350,10 @@ pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
 /**
  * The interpreter-throughput record: simulated MIPS of the legacy
  * per-step loop vs the block-stepped loop on the straight-line
- * kernel and on the branchy mixed loop, landing in the bench's JSON
- * artifact so the speedup trajectory is tracked across revisions.
+ * kernel and on the branchy mixed loop — the latter with PathExpander
+ * off and in Standard mode, where only branches that would spawn
+ * leave the block loop — landing in the bench's JSON artifact so the
+ * speedup trajectory is tracked across revisions.
  */
 void
 recordInterpreterMips(bench::BenchJson &json)
@@ -359,11 +361,15 @@ recordInterpreterMips(bench::BenchJson &json)
     auto offCfg = core::PeConfig::forMode(core::PeMode::Off);
     auto legacyCfg = offCfg;
     legacyCfg.legacyStepLoop = true;
+    auto stdCfg = core::PeConfig::forMode(core::PeMode::Standard);
+    auto stdLegacyCfg = stdCfg;
+    stdLegacyCfg.legacyStepLoop = true;
 
+    const auto loop = minic::compile(loopSource, "loop");
     const Paired straight =
         pairedMips(straightLineProgram(60000), legacyCfg, offCfg, 5);
-    const Paired mixed = pairedMips(minic::compile(loopSource, "loop"),
-                                    legacyCfg, offCfg, 21);
+    const Paired mixed = pairedMips(loop, legacyCfg, offCfg, 21);
+    const Paired mixedStd = pairedMips(loop, stdLegacyCfg, stdCfg, 21);
 
     json.set("mips_legacy_straightline", straight.a);
     json.set("mips_block_straightline", straight.b);
@@ -371,13 +377,17 @@ recordInterpreterMips(bench::BenchJson &json)
     json.set("mips_legacy_mixed", mixed.a);
     json.set("mips_block_mixed", mixed.b);
     json.set("mips_speedup_mixed", mixed.ratio);
+    json.set("mips_legacy_mixed_standard", mixedStd.a);
+    json.set("mips_block_mixed_standard", mixedStd.b);
+    json.set("mips_speedup_mixed_standard", mixedStd.ratio);
 
     printf("\nSimulated-MIPS (legacy -> block-stepped; medians, "
            "per-rep ratio):\n"
-           "  straight-line: %.1f -> %.1f MIPS (%.2fx)\n"
-           "  mixed loop:    %.1f -> %.1f MIPS (%.2fx)\n",
+           "  straight-line:         %.1f -> %.1f MIPS (%.2fx)\n"
+           "  mixed loop:            %.1f -> %.1f MIPS (%.2fx)\n"
+           "  mixed loop, Standard:  %.1f -> %.1f MIPS (%.2fx)\n",
            straight.a, straight.b, straight.ratio, mixed.a, mixed.b,
-           mixed.ratio);
+           mixed.ratio, mixedStd.a, mixedStd.b, mixedStd.ratio);
 }
 
 /**

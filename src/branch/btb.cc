@@ -5,44 +5,31 @@
 
 #include "src/branch/btb.hh"
 
+#include <bit>
+
 #include "src/support/status.hh"
 
 namespace pe::branch
 {
 
-Btb::Btb(const BtbParams &p) : params(p)
+Btb::Btb(const BtbParams &p) : ways(p.ways)
 {
-    pe_assert(p.entries % p.ways == 0, "entries not divisible by ways");
+    pe_assert(p.ways >= 1 && p.entries % p.ways == 0 &&
+                  std::has_single_bit(p.entries / p.ways),
+              "BTB needs a power-of-two set count");
     pe_assert(p.counterBits >= 1 && p.counterBits <= 8,
               "counter bits out of range");
-    numSets = p.entries / p.ways;
+    setMask = p.entries / p.ways - 1;
     saturation = static_cast<uint8_t>((1u << p.counterBits) - 1);
     entries.resize(p.entries);
 }
 
 Btb::Entry *
-Btb::find(uint32_t pc)
-{
-    Entry *base = &entries[static_cast<size_t>(setOf(pc)) * params.ways];
-    for (uint32_t w = 0; w < params.ways; ++w) {
-        if (base[w].valid && base[w].pc == pc)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const Btb::Entry *
-Btb::find(uint32_t pc) const
-{
-    return const_cast<Btb *>(this)->find(pc);
-}
-
-Btb::Entry *
 Btb::allocate(uint32_t pc)
 {
-    Entry *base = &entries[static_cast<size_t>(setOf(pc)) * params.ways];
+    Entry *base = setBase(pc);
     Entry *victim = base;
-    for (uint32_t w = 0; w < params.ways; ++w) {
+    for (uint32_t w = 0; w < ways; ++w) {
         if (!base[w].valid) {
             victim = &base[w];
             break;
@@ -56,30 +43,6 @@ Btb::allocate(uint32_t pc)
     victim->valid = true;
     victim->pc = pc;
     return victim;
-}
-
-uint8_t
-Btb::count(uint32_t pc, bool edgeTaken) const
-{
-    ++lookupCount;
-    const Entry *e = find(pc);
-    if (!e) {
-        ++lookupMisses;
-        return 0;   // BTB miss == exercise count of zero
-    }
-    return e->cnt[edgeTaken ? 1 : 0];
-}
-
-void
-Btb::increment(uint32_t pc, bool edgeTaken)
-{
-    Entry *e = find(pc);
-    if (!e)
-        e = allocate(pc);
-    e->lastUse = ++useClock;
-    uint8_t &c = e->cnt[edgeTaken ? 1 : 0];
-    if (c < saturation)
-        ++c;
 }
 
 void

@@ -106,6 +106,15 @@ PathExpanderEngine::runCmp(RunState &state)
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
     const bool detectorFree = detector == nullptr;
+    // Branch ports, as in the inline driver: the primary retires every
+    // branch that would not spawn in-block, the NT cores every branch
+    // unless the redirect ablation reads counters there.
+    sim::BranchPort takenBranches = takenBranchPort(cfg, state);
+    sim::BranchPort *const primaryBranches =
+        takenBranchesInBlock(cfg) ? &takenBranches : nullptr;
+    sim::BranchPort ntBranches = ntBranchPort(cfg, state);
+    sim::BranchPort *const coreBranches =
+        cfg.followNonTakenInNt ? nullptr : &ntBranches;
 
     auto currentPrimaryBuf = [&]() -> mem::VersionedBuffer * {
         return cmp.segments.empty() ? nullptr
@@ -254,9 +263,9 @@ PathExpanderEngine::runCmp(RunState &state)
         }
         mem::MemCtx ctx(state.memory, task.buf.get());
         if (useBlocks &&
-            decoded.startsBlock(task.cpu.pc, /*execBranches=*/false,
+            decoded.startsBlock(task.cpu.pc, coreBranches != nullptr,
                                 detectorFree, detectorFree)) {
-            // Straight-line stretch on the NT core.  The cycle budget,
+            // A stretch on the NT core.  The cycle budget,
             // which counts each access's memory latency, stops the
             // block exactly where the least-advanced-core scheduler
             // would stop picking this core (strict inequality against
@@ -280,7 +289,7 @@ PathExpanderEngine::runCmp(RunState &state)
             sim::BlockOut blk = sim::runBlock(
                 decoded, task.cpu,
                 blockCap(state, cfg.maxNtPathLength - task.length),
-                bound - cmp.coreTime[c], dilation, nullptr,
+                bound - cmp.coreTime[c], dilation, coreBranches,
                 detectorFree, detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 task.length += blk.instructions;
@@ -348,15 +357,17 @@ PathExpanderEngine::runCmp(RunState &state)
         }
         mem::MemCtx ctx(state.memory, currentPrimaryBuf());
         if (useBlocks &&
-            decoded.startsBlock(primary.pc, /*execBranches=*/false,
+            decoded.startsBlock(primary.pc, primaryBranches != nullptr,
                                 detectorFree, detectorFree)) {
-            // Straight-line stretch on the primary.  The cycle
-            // budget, which counts each access's memory latency,
-            // keeps the primary within the span where the scheduler
-            // would keep picking it (the primary wins clock ties), so
-            // no NT-core step is displaced and its memory accesses
-            // keep their places in the global order.  The instruction
-            // budget stops the block at the next counter reset.
+            // A stretch on the primary.  The cycle budget, which
+            // counts each access's memory latency, keeps the primary
+            // within the span where the scheduler would keep picking
+            // it (the primary wins clock ties), so no NT-core step is
+            // displaced and its memory accesses and BTB bumps keep
+            // their places in the global order.  The instruction
+            // budget stops the block at the next counter reset.  A
+            // branch that would spawn surfaces, so the block spawns
+            // nothing and leaves tryCommit nothing to do.
             uint64_t budget = UINT64_MAX;
             for (int c = 1; c < cfg.numCores; ++c) {
                 if (cmp.onCore[c] && cmp.coreTime[c] < budget)
@@ -368,7 +379,7 @@ PathExpanderEngine::runCmp(RunState &state)
                 cfg, state, ctx, 0, cmp.coreTime[0], /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
                 decoded, primary, blockCap(state, takenBudget(cfg, state)),
-                budget, dilation, nullptr, detectorFree,
+                budget, dilation, primaryBranches, detectorFree,
                 detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;

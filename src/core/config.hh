@@ -164,11 +164,10 @@ struct PeConfig
      * Record the taken-path branch-decision stream into
      * RunResult::branchTrace: one (pc << 1) | taken word per executed
      * conditional branch, in order, capped at edgeTraceCap events.
-     * Forces every conditional branch to surface from the block tier
-     * and disengages self-pruning (the block tier runs the branches it
-     * is given without per-branch visibility), so architectural
-     * results and cycle accounting are unchanged but the execution
-     * strategy is not the fastest one.  Part of configHash() as an
+     * The block tier appends the words of the branches it retires
+     * through its branch port, so tracing changes no result and keeps
+     * branches in the block loop; it disengages self-pruning, whose
+     * promoted branches append nothing.  Part of configHash() as an
      * engine-behavior input, like selfPrune.
      */
     bool recordEdgeTrace = false;

@@ -7,6 +7,7 @@
 
 #include "src/core/engine.hh"
 
+#include <bit>
 #include <mutex>
 #include <unordered_set>
 
@@ -115,6 +116,23 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
                  cfg.layout.memWords);
     }
 
+    // The BTB indexes its sets with the PC's low bits.
+    const branch::BtbParams &btb = cfg.btbParams;
+    if (btb.ways < 1)
+        pe_fatal("BTB needs at least one way, got ", btb.ways);
+    if (btb.entries % btb.ways != 0) {
+        pe_fatal("BTB entries must be a multiple of its ways, got ",
+                 btb.entries, " entries and ", btb.ways, " ways");
+    }
+    if (!std::has_single_bit(btb.entries / btb.ways)) {
+        pe_fatal("BTB set count (entries / ways) must be a power of two, "
+                 "got ", btb.entries / btb.ways, " sets");
+    }
+    if (btb.counterBits < 1 || btb.counterBits > 8) {
+        pe_fatal("BTB exercise counters need 1 to 8 bits, got ",
+                 static_cast<unsigned>(btb.counterBits));
+    }
+
     // Resolve the tagged checking functions (Section 6.2) to code
     // ranges once, folded into per-PC no-spawn flags.
     for (const auto &name : cfg.noSpawnFuncs) {
@@ -161,9 +179,6 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
     // Branches in BTB sets that could evict are excluded so skipping
     // their LRU stamps can't change a victim.
     if (cfg.selfPrune) {
-        pe_assert(cfg.btbParams.ways > 0 &&
-                      cfg.btbParams.entries >= cfg.btbParams.ways,
-                  "degenerate BTB geometry");
         const analysis::SaturationEligibility elig =
             analysis::computeSaturationEligibility(
                 program, cfg.btbParams.entries / cfg.btbParams.ways,
@@ -261,6 +276,11 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
     const bool useBlocks = !cfg.legacyStepLoop;
     const uint64_t dilation = blockDilation(cfg);
     const bool detectorFree = detector == nullptr;
+    // A branch's NT coverage bit is its whole effect unless the
+    // redirect ablation reads and bumps its counters.
+    sim::BranchPort ntBranches = ntBranchPort(cfg, state);
+    sim::BranchPort *const branches =
+        cfg.followNonTakenInNt ? nullptr : &ntBranches;
 
     for (;;) {
         if (cancelRequested(state)) {
@@ -275,19 +295,18 @@ exploreNtInline(const isa::Program &program, const PeConfig &cfg,
             break;
         }
         if (useBlocks &&
-            decoded.startsBlock(core.pc, /*execBranches=*/false,
+            decoded.startsBlock(core.pc, branches != nullptr,
                                 detectorFree, detectorFree)) {
-            // Straight-line stretch: no StepResult, no engine
-            // round-trip.  Without a detector, stores write the
-            // versioned buffer in-block; the one that overflows it
-            // ends the block, and the path stops right after it, as
-            // in the per-step loop.
+            // A stretch with no StepResult and no engine round-trip.
+            // Without a detector, stores write the versioned buffer
+            // in-block; the one that overflows it ends the block, and
+            // the path stops right after it, as in the per-step loop.
             const sim::MemPort port = memPort(
                 cfg, state, ctx, 0, startCycle + cycles, /*inNt=*/true);
             sim::BlockOut blk = sim::runBlock(
                 decoded, core,
                 blockCap(state, cfg.maxNtPathLength - record.length),
-                UINT64_MAX, dilation, nullptr, detectorFree,
+                UINT64_MAX, dilation, branches, detectorFree,
                 detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 record.length += blk.instructions;
@@ -377,31 +396,26 @@ PathExpanderEngine::runInline(RunState &state)
     // predicate's no-op proof holds (see maybePromote): the Standard
     // main path, no random spawn factor to consume RNG draws at a
     // pruned branch, no NT redirect ablation reading frozen counters
-    // from NT-Paths, and a threshold within the counter range so "at
-    // cap" really does freeze the spawn compare false.
-    // Branch tracing needs every conditional branch to surface from
-    // the block tier, which runs the ones it is given silently; the
-    // result bits are unchanged, only the execution strategy slows
-    // down.
+    // from NT-Paths, no edge trace (promoted branches append no trace
+    // word), and a threshold within the counter range so "at cap"
+    // really does freeze the spawn compare false.
     const bool traceEdges = cfg.recordEdgeTrace;
     const bool pruneActive =
         useBlocks && peActive && cfg.selfPrune && !traceEdges &&
         cfg.randomSpawnFraction == 0.0 && !cfg.followNonTakenInNt &&
         cfg.ntPathCounterThreshold <= state.btb.maxCount();
-    sim::Promotion promotion;
+    // Branches retire in-block through the branch port unless they
+    // would spawn: with PE off that is every branch, under PE every
+    // one whose spawn check is false.  Likewise Chkb/Assert are inert
+    // without a detector, and loads and stores run in-block through a
+    // memory port.
+    sim::BranchPort takenBranches = takenBranchPort(cfg, state);
     if (pruneActive) {
         state.promoted.assign(decoded.size(), 0);
-        promotion.flags = state.promoted.data();
-        if (softwareCosts(cfg))
-            promotion.branchExtra = cfg.swCosts.branchAnalysisCost;
+        takenBranches.promoted = state.promoted.data();
     }
-    // With PE off, a branch's whole effect is opcode cost plus a
-    // coverage bit, so blocks run straight through them: pass the
-    // run's coverage tracker as the in-block branch sink.  With PE on,
-    // only promoted branches run in-block.  Likewise Chkb/Assert are
-    // inert without a detector, and loads and stores run in-block
-    // through a memory port.
-    const bool branchesInBlock = !peActive && !traceEdges;
+    sim::BranchPort *const branches =
+        takenBranchesInBlock(cfg) ? &takenBranches : nullptr;
 
     for (;;) {
         if (cancelRequested(state)) {
@@ -416,17 +430,14 @@ PathExpanderEngine::runInline(RunState &state)
         }
 
         if (useBlocks &&
-            decoded.startsBlock(core.pc,
-                                branchesInBlock || state.promotedAt(core.pc),
+            decoded.startsBlock(core.pc, branches != nullptr,
                                 detectorFree, detectorFree)) {
             const sim::MemPort port =
                 memPort(cfg, state, ctx, 0, cycles, /*inNt=*/false);
             sim::BlockOut blk = sim::runBlock(
                 decoded, core, blockCap(state, takenBudget(cfg, state)),
-                UINT64_MAX, dilation,
-                branchesInBlock ? &result.coverage : nullptr,
-                detectorFree, detectorFree ? &port : nullptr,
-                pruneActive ? &promotion : nullptr);
+                UINT64_MAX, dilation, branches, detectorFree,
+                detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
                 cycles += blk.cycles;
@@ -483,7 +494,7 @@ PathExpanderEngine::runInline(RunState &state)
 
         advanceResetClock(cfg, state, 1);
     }
-    result.prunedInstructions = promotion.retired;
+    result.prunedInstructions = takenBranches.promotedRetired;
 }
 
 uint64_t

@@ -58,12 +58,6 @@ struct PathExpanderEngine::RunState
     std::vector<uint8_t> promoted;
     std::vector<uint32_t> promotedPcs;
 
-    /** True when the branch at @p pc is promoted. */
-    bool promotedAt(uint32_t pc) const
-    {
-        return pc < promoted.size() && promoted[pc];
-    }
-
     /** Watchdog cancel token; null for the vast majority of runs. */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -87,11 +81,10 @@ cancelRequested(const PathExpanderEngine::RunState &state)
  * Instruction cap for one runBlock dispatch.  Without a watchdog a
  * block may run to the caller's full remaining budget; with one, a
  * single dispatch could otherwise retire hundreds of millions of
- * straight-line instructions (PE off runs branches in-block) before
- * the next poll.  Chunking is bit-identical — the engine loops
- * re-enter the block path at the updated pc and all counts
- * accumulate — it only bounds the poll interval, to well under a
- * millisecond.
+ * instructions (branches run in-block) before the next poll.
+ * Chunking is bit-identical — the engine loops re-enter the block
+ * path at the updated pc and all counts accumulate — it only bounds
+ * the poll interval, to well under a millisecond.
  */
 inline uint64_t
 blockCap(const PathExpanderEngine::RunState &state, uint64_t remaining)
@@ -126,8 +119,10 @@ blockDilation(const PeConfig &cfg)
  * Instruction budget of one taken-path bulk dispatch: what is left of
  * the instruction limit, clipped at the next counter reset.  A block
  * therefore never runs across a reset, so advanceResetClock lands
- * every reset on the instruction where the per-step loop resets, and
- * promoted branches run only in the counter epoch that promoted them.
+ * every reset on the instruction where the per-step loop resets, every
+ * branch a block retires reads and bumps the counters the per-step
+ * loop would, and promoted branches run only in the counter epoch that
+ * promoted them.
  */
 inline uint64_t
 takenBudget(const PeConfig &cfg, const PathExpanderEngine::RunState &state)
@@ -177,6 +172,63 @@ memPort(const PeConfig &cfg, PathExpanderEngine::RunState &state,
             now,
             inNt ? state.hierarchy.l1LineCapacity() : SIZE_MAX,
             inNt && softwareCosts(cfg) ? cfg.swCosts.ntWriteLogCost : 0};
+}
+
+/**
+ * The block tier's branch port for the taken path: the coverage bit
+ * alone with PathExpander off and no edge trace; otherwise the trace
+ * when recorded and, under PathExpander, the BTB, so only a branch
+ * that would spawn surfaces.  Pass it only where takenBranchesInBlock
+ * holds.
+ */
+inline sim::BranchPort
+takenBranchPort(const PeConfig &cfg, PathExpanderEngine::RunState &state)
+{
+    const bool peActive = cfg.mode != PeMode::Off;
+    sim::BranchPort port;
+    port.kind = peActive || cfg.recordEdgeTrace
+                    ? sim::BranchPort::Kind::Taken
+                    : sim::BranchPort::Kind::Coverage;
+    port.coverage = &state.result.coverage;
+    if (peActive) {
+        port.btb = &state.btb;
+        port.threshold = cfg.ntPathCounterThreshold;
+    }
+    if (cfg.recordEdgeTrace) {
+        port.trace = &state.result.branchTrace;
+        port.traceTruncated = &state.result.branchTraceTruncated;
+        port.traceCap = cfg.edgeTraceCap;
+    }
+    port.branchExtra =
+        softwareCosts(cfg) ? cfg.swCosts.branchAnalysisCost : 0;
+    return port;
+}
+
+/**
+ * True when taken-path branches may retire in the block tier.  Not
+ * under PathExpander with the random spawn factor: there a branch
+ * whose count is at the threshold still draws from the run's RNG.
+ */
+inline bool
+takenBranchesInBlock(const PeConfig &cfg)
+{
+    return cfg.mode == PeMode::Off || !(cfg.randomSpawnFraction > 0.0);
+}
+
+/**
+ * The block tier's branch port for an NT-Path: the NT coverage bit.
+ * Pass it only without followNonTakenInNt, whose redirect reads and
+ * bumps BTB counters at every NT-Path branch.
+ */
+inline sim::BranchPort
+ntBranchPort(const PeConfig &cfg, PathExpanderEngine::RunState &state)
+{
+    sim::BranchPort port;
+    port.kind = sim::BranchPort::Kind::Nt;
+    port.coverage = &state.result.coverage;
+    port.branchExtra =
+        softwareCosts(cfg) ? cfg.swCosts.branchAnalysisCost : 0;
+    return port;
 }
 
 /**

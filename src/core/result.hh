@@ -92,10 +92,9 @@ struct RunResult
     /**
      * Taken-path branch-decision stream (cfg.recordEdgeTrace): one
      * (pc << 1) | taken word per executed conditional branch, in
-     * execution order, capped at cfg.edgeTraceCap events.  Feeds the
-     * prime-path fold (coverage::PathCoverage).  Like
-     * prunedInstructions this is a diagnostic/metric channel excluded
-     * from bit-identity comparisons of engine results.
+     * execution order, capped at cfg.edgeTraceCap events; both tiers
+     * append it, so it is part of the bit-identity contract.  Feeds
+     * the prime-path fold (coverage::PathCoverage).
      */
     std::vector<uint32_t> branchTrace;
     bool branchTraceTruncated = false;

@@ -14,15 +14,15 @@
  * below, runs block-safe instructions in one dispatch loop
  * (dispatch.cc) without a StepResult, stopping *before* the first
  * instruction the engine must observe — detector hooks and memory ops
- * with a detector attached, syscalls, conditional branches it was not
- * given, anything that would crash — which surfaces to `sim::step`,
- * so results are bit-identical to the per-step loop by construction.
- * Besides a cycle budget and the NT-entry predicate prologue, the
- * block tier takes three opt-ins: a memory port through which
- * detector-free runs execute loads and stores, a branch-coverage sink
- * that runs every conditional branch when PathExpander is off, and
- * the run's promoted branches, which run self-pruned branches with no
- * coverage write, counter bump or spawn check.
+ * with a detector attached, syscalls, conditional branches that would
+ * spawn or that it was not given, anything that would crash — which
+ * surfaces to `sim::step`, so results are bit-identical to the
+ * per-step loop by construction.  Besides a cycle budget and the
+ * NT-entry predicate prologue, the block tier takes two opt-ins: a
+ * memory port through which detector-free runs execute loads and
+ * stores, and a branch port through which conditional branches
+ * retire with their coverage bit, edge-trace word and, on the taken
+ * path under PathExpander, their BTB counter bump.
  *
  * The dispatch loop uses computed goto, so it needs GCC or Clang.
  */
@@ -38,6 +38,11 @@
 #include "src/sim/core.hh"
 #include "src/sim/optable.hh"
 #include "src/sim/timing.hh"
+
+namespace pe::branch
+{
+class Btb;
+}
 
 namespace pe::coverage
 {
@@ -178,11 +183,10 @@ class DecodedProgram
      * on surfacing-dense stretches (a zero-instruction call costs a
      * prologue and a writeback for nothing).  runBlock itself remains
      * correct without it.  @p execBranches mirrors whether the caller
-     * will pass a branch-coverage sink or has promoted the branch at
-     * @p pc, @p inertChecks whether the run has no detector and
-     * @p execMemory whether it will pass a memory port: only then do
-     * conditional branches (respectively Chkb/Assert, loads and
-     * stores) start a block.
+     * will pass a branch port, @p inertChecks whether the run has no
+     * detector and @p execMemory whether it will pass a memory port:
+     * only then do conditional branches (respectively Chkb/Assert,
+     * loads and stores) start a block.
      */
     bool startsBlock(uint32_t pc, bool execBranches = false,
                      bool inertChecks = false,
@@ -224,18 +228,48 @@ struct MemPort
 };
 
 /**
- * Self-pruning: the run's promoted conditional branches, as runBlock
- * reads them.  A promoted branch's coverage write, counter bumps and
- * spawn check are proven no-ops (engine_impl.hh, maybePromote), so the
- * block tier runs it.
+ * A branch port: what the block tier needs to retire conditional
+ * branches itself instead of surfacing them.  Each kind is the whole
+ * effect a branch has in one regime, so retiring it in the loop
+ * changes nothing the per-step path would not.
  */
-struct Promotion
+struct BranchPort
 {
-    const uint8_t *flags = nullptr; //!< one per instruction; set = promoted
-    /** Cycles a promoted branch costs beyond its base opcode cost (the
-     *  software cost model's branch analysis). */
+    enum class Kind : uint8_t
+    {
+        /** PathExpander off, no edge trace: the taken-path coverage
+         *  bit is the branch's whole effect. */
+        Coverage,
+        /** The taken path otherwise: the coverage bit, the edge trace
+         *  when one is given and, when a BTB is given, the would-spawn
+         *  check and the exercise-counter bump. */
+        Taken,
+        /** An NT-Path that follows branch outcomes: the NT coverage
+         *  bit. */
+        Nt,
+    };
+
+    Kind kind = Kind::Coverage;
+    coverage::BranchCoverage *coverage = nullptr;
+    /** The run's BTB under PathExpander (Taken only): a branch whose
+     *  non-taken edge would spawn surfaces untouched; any other bumps
+     *  its taken-edge counter in-loop.  Null with PathExpander off. */
+    branch::Btb *btb = nullptr;
+    uint8_t threshold = 0;          //!< ntPathCounterThreshold
+    /** The taken-path edge trace (Taken only), or null: one
+     *  (pc << 1) | taken word per branch up to traceCap words, after
+     *  which *traceTruncated is set. */
+    std::vector<uint32_t> *trace = nullptr;
+    bool *traceTruncated = nullptr;
+    uint32_t traceCap = 0;
+    /** Cycles a branch costs beyond its base opcode cost (the
+     *  software cost model's branch analysis; zero with PE off). */
     uint64_t branchExtra = 0;
-    uint64_t retired = 0;           //!< promoted branches run, summed
+    /** Self-pruning (Taken only): one flag per instruction, set on the
+     *  promoted branches, which retire with no coverage write, trace
+     *  word, counter bump or spawn check.  Null when not engaged. */
+    const uint8_t *promoted = nullptr;
+    uint64_t promotedRetired = 0;   //!< promoted branches run, summed
 };
 
 /** What one runBlock call retired in bulk. */
@@ -256,8 +290,8 @@ struct BlockOut
  * The returned cycle total is exactly what the legacy loop
  * accumulates through `chargeStep` for these instructions: their base
  * opcode costs, @p perInstExtra per instruction (the software cost
- * model's dilation), each promoted branch's `branchExtra` and, for
- * loads and stores run through @p port, the memory latency and
+ * model's dilation), each branch's `branchExtra` and, for loads and
+ * stores run through @p port, the memory latency and
  * NT-store log cost.  The same running total is the block's clock,
  * which times memory accesses and meets the cycle budget.
  *
@@ -276,19 +310,20 @@ struct BlockOut
  * loop would have (cleared at the first non-fixing instruction;
  * leading Pfix instructions execute their writes).
  *
- * @p branchSink, when non-null, opts conditional branches into the
- * block: each executed branch records its edge via
- * `branchSink->onTakenEdge(pc, taken)` and redirects, charging only
- * its base opcode cost.  Valid only in a regime where that is the
- * branch's whole effect — PathExpander off, where the engine neither
- * bumps BTB counters nor considers spawning.
- *
- * @p promotion, when non-null, opts the branches its flags mark into
- * the block: each resolves, redirects, charges its base opcode cost
- * plus `branchExtra`, adds one to `retired` and does nothing else.
- * The caller keeps the flags fixed for the call, so it clips the block
- * at the next counter reset, which demotes them.  A conditional branch
- * that neither operand opts in surfaces untouched.
+ * @p branches, when non-null, opts conditional branches into the
+ * block.  Through a Taken port a promoted branch is tested for first:
+ * it resolves, redirects, charges its base cost plus `branchExtra`,
+ * adds one to `promotedRetired` and does nothing else.  Any other
+ * branch resolves and does its port kind's work.  On the taken path
+ * under PathExpander that starts with one BTB lookup: when the branch
+ * would spawn — it is not in a no-spawn range, its non-taken edge is
+ * not doomed, and that edge's count is below `threshold` — it
+ * surfaces untouched and `sim::step` redoes it and spawns; otherwise
+ * it bumps its counter.  Every retired branch then sets its coverage
+ * bit, appends its trace word, charges `branchExtra` and redirects.
+ * The caller keeps the BTB's counters and the promotion flags to this
+ * block (no counter reset inside it), so it clips taken-path blocks
+ * at the next reset.  When null, conditional branches surface.
  *
  * @p inertChecks, when true, asserts the run carries no detector, in
  * which case Chkb and Assert retire in-block as opcode-cost NOPs:
@@ -311,10 +346,9 @@ BlockOut runBlock(const DecodedProgram &decoded, Core &core,
                   uint64_t maxInstructions,
                   uint64_t cycleBudget = UINT64_MAX,
                   uint64_t perInstExtra = 0,
-                  coverage::BranchCoverage *branchSink = nullptr,
+                  BranchPort *branches = nullptr,
                   bool inertChecks = false,
-                  const MemPort *port = nullptr,
-                  Promotion *promotion = nullptr);
+                  const MemPort *port = nullptr);
 
 } // namespace pe::sim
 

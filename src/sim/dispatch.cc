@@ -4,14 +4,14 @@
  *
  * One computed-goto loop with one label per opcode-table row runs
  * every block-safe instruction; execute() gives each table class its
- * semantics.  Three optional operands opt more of the program into the
- * loop: a memory port (loads and stores), a branch-coverage sink (every
- * conditional branch, PathExpander off) and the run's promoted branches
- * (self-pruned branches, PathExpander on).
+ * semantics.  Two optional operands opt more of the program into the
+ * loop: a memory port (loads and stores) and a branch port (every
+ * conditional branch that would not spawn an NT-Path).
  */
 
 #include <iterator>
 
+#include "src/branch/btb.hh"
 #include "src/coverage/coverage.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/versioned_buffer.hh"
@@ -30,8 +30,7 @@ namespace
 /** The operands of one runBlock call that execute() consults. */
 struct Block
 {
-    coverage::BranchCoverage *branchSink;
-    Promotion *promotion;
+    BranchPort *branches;
     bool inertChecks;
     const MemPort *port;
 };
@@ -43,6 +42,50 @@ enum class Exec : uint8_t
     Retired,    //!< retired; the block goes on
     Last,       //!< retired; the block ends after it
 };
+
+/**
+ * Retire the conditional branch @p di at @p pc, resolved @p taken,
+ * through @p br, a port of any kind but Coverage, and add its extra
+ * cycles to @p cycles; or change nothing and return false when it
+ * would spawn.
+ */
+[[gnu::always_inline]] inline bool
+retireBranch(BranchPort &br, const DecodedInst &di, uint32_t pc,
+             bool taken, uint64_t &cycles)
+{
+    if (br.promoted && br.promoted[pc]) {
+        // A promoted branch's whole effect is resolve, redirect,
+        // charge: the promotion predicate proved its coverage write,
+        // counter bumps and spawn check no-ops.  Counted in memory: a
+        // counter the loop keeps in a register costs every other path
+        // through it about 2%.
+        ++br.promotedRetired;
+    } else if (br.kind == BranchPort::Kind::Nt) {
+        br.coverage->onNtEdge(pc, taken);
+    } else {
+        if (br.btb) {
+            // shouldSpawn's static legs: a no-spawn branch or a doomed
+            // non-taken edge never spawns, whatever its count.
+            const uint8_t waived =
+                DecodedInst::FlagNoSpawn |
+                (taken ? DecodedInst::FlagDoomedFall
+                       : DecodedInst::FlagDoomedTaken);
+            const uint8_t spawnBelow =
+                (di.flags & waived) ? 0 : br.threshold;
+            if (!br.btb->bumpUnlessBelow(pc, taken, spawnBelow))
+                return false;   // would spawn: sim::step redoes it
+        }
+        br.coverage->onTakenEdge(pc, taken);
+        if (br.trace) {
+            if (br.trace->size() < br.traceCap)
+                br.trace->push_back((pc << 1) | (taken ? 1u : 0u));
+            else
+                *br.traceTruncated = true;
+        }
+    }
+    cycles += br.branchExtra;
+    return true;
+}
 
 /**
  * Execute @p di, whose opcode-table class is C, advance @p pc and add
@@ -71,21 +114,16 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
             return Exec::Surface;   // step() raises DivByZero
         core.writeReg(di.rd, expr(a(), divisor));
     } else if constexpr (C == OpClass::Branch) {
-        Promotion *const promo = blk.promotion;
-        if (!blk.branchSink && !(promo && promo->flags[pc]))
+        BranchPort *const br = blk.branches;
+        if (!br)
             return Exec::Surface;
         const bool taken = expr(a(), b());
-        if (blk.branchSink) {
-            blk.branchSink->onTakenEdge(pc, taken);
-        } else {
-            // A promoted branch's whole effect is resolve, redirect,
-            // charge: the promotion predicate proved its coverage
-            // write, counter bumps and spawn check no-ops.  Counted in
-            // memory: a counter the loop keeps in a register costs
-            // every other path through it about 2%.
-            cycles += promo->branchExtra;
-            ++promo->retired;
-        }
+        // PathExpander off and untraced, tested first: the coverage
+        // bit is all, and the PE-off loop pays nothing for the rest.
+        if (br->kind == BranchPort::Kind::Coverage)
+            br->coverage->onTakenEdge(pc, taken);
+        else if (!retireBranch(*br, di, pc, taken, cycles))
+            return Exec::Surface;
         if (taken)
             next = static_cast<uint32_t>(di.imm);   // valid: decode
     } else if constexpr (C == OpClass::Jump || C == OpClass::Link) {
@@ -138,10 +176,10 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
 BlockOut
 runBlock(const DecodedProgram &decoded, Core &core,
          const uint64_t maxInstructions, const uint64_t cycleBudget,
-         const uint64_t perInstExtra, coverage::BranchCoverage *branchSink,
-         bool inertChecks, const MemPort *port, Promotion *promotion)
+         const uint64_t perInstExtra, BranchPort *branches,
+         bool inertChecks, const MemPort *port)
 {
-    const Block blk{branchSink, promotion, inertChecks, port};
+    const Block blk{branches, inertChecks, port};
     const DecodedInst *const insts = decoded.data();
     const uint32_t codeSize = decoded.size();
     uint64_t left = maxInstructions;

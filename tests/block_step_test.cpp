@@ -19,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/branch/btb.hh"
 #include "src/core/engine.hh"
 #include "src/detect/detector.hh"
 #include "src/isa/assembler.hh"
@@ -102,6 +104,19 @@ TEST_P(BlockStepWorkloads, BitIdenticalToLegacyLoop)
     for (const auto &[id, input] : w.triggerInputs) {
         SCOPED_TRACE("no detector, trigger input " + id);
         compareLoops(program, cfg, "", input);
+    }
+
+    // The edge trace, as path-objective sessions record it: branches
+    // that retire in-block append their words there.
+    auto traced = cfg;
+    traced.recordEdgeTrace = true;
+    {
+        SCOPED_TRACE("edge trace, benign input");
+        compareLoops(program, traced, w.tools, w.benignInputs[0]);
+    }
+    {
+        SCOPED_TRACE("edge trace, no detector, benign input");
+        compareLoops(program, traced, "", w.benignInputs[0]);
     }
 }
 
@@ -252,6 +267,199 @@ TEST(BlockStepRandom, SeedSweepIsBitIdentical)
     // The sweep is only meaningful if some seeds actually take the
     // crash-surfacing path (div/rem by zero).
     EXPECT_GT(crashes, 0);
+}
+
+// ---------------------------------------------------------------------
+// Conditional branches under PathExpander retire in the block loop
+// unless they would spawn, so the BTB's counters, LRU order and the
+// counter resets decide what surfaces.  Every configuration below runs
+// against the per-step loop.
+// ---------------------------------------------------------------------
+
+/** Block-stepped and per-step runs of @p program agree; the first. */
+core::RunResult
+blockRunMatchesLegacy(const isa::Program &program, core::PeConfig cfg,
+                      const std::vector<int32_t> &input)
+{
+    auto runWith = [&](bool legacy) {
+        cfg.legacyStepLoop = legacy;
+        core::PathExpanderEngine engine(program, cfg, nullptr);
+        return engine.run(input);
+    };
+    core::RunResult blk = runWith(false);
+    expectIdentical(blk, runWith(true));
+    return blk;
+}
+
+TEST(BlockStepBranches, SweepMatchesPerStepLoop)
+{
+    struct Case
+    {
+        std::string name;
+        isa::Program program;
+        std::vector<int32_t> input;
+        uint32_t maxNtPathLength;
+        std::string checker;    //!< a function for noSpawnFuncs
+    };
+    const auto &w = workloads::getWorkload("schedule");
+    std::vector<Case> cases;
+    cases.push_back({"schedule", minic::compile(w.source, w.name),
+                     w.benignInputs[0], w.maxNtPathLength, ""});
+    for (const auto &f : cases.back().program.funcs) {
+        if (f.name != "main") {
+            cases.back().checker = f.name;
+            break;
+        }
+    }
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        const std::string name = "generated_" + std::to_string(seed);
+        cases.push_back({name,
+                         isa::assemble(generateProgram(seed, 3, 8), name),
+                         {}, 60, ""});
+    }
+
+    branch::BtbParams tiny;     // 2 sets of 2 ways
+    tiny.entries = 4;
+    tiny.ways = 2;
+    branch::BtbParams direct;   // 8 sets of 1 way
+    direct.entries = 8;
+    direct.ways = 1;
+    const branch::BtbParams btbs[] = {branch::BtbParams{}, tiny, direct};
+    const uint8_t thresholds[] = {0, 1, 5, 15, 16};
+    enum Option { None, PreFilter, NoSpawn, SelfPrune, FollowNt,
+                  RandomSandbox, NumOptions };
+    const char *optionNames[] = {"none", "spawnPreFilter", "noSpawnFuncs",
+                                 "selfPrune", "followNonTakenInNt",
+                                 "randomSpawnFraction+sandboxIo"};
+
+    // Each configuration takes the next counter-reset interval of
+    // 1-64 and the next option, so the sweep covers every interval
+    // and every option across thresholds, BTBs, modes and cost models
+    // without running their full product.
+    uint64_t slot = 0;
+    uint64_t spawned = 0;
+    for (const Case &c : cases) {
+        for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+            for (auto cost : {core::CostModelKind::Hardware,
+                              core::CostModelKind::Software}) {
+                for (const branch::BtbParams &btb : btbs) {
+                    for (uint8_t threshold : thresholds) {
+                        const uint64_t interval = 1 + slot % 64;
+                        const auto option =
+                            static_cast<Option>(slot % NumOptions);
+                        ++slot;
+                        SCOPED_TRACE(
+                            c.name + ", " + core::peModeName(mode) +
+                            (cost == core::CostModelKind::Software
+                                 ? ", software"
+                                 : ", hardware") +
+                            ", btb " + std::to_string(btb.entries) + "x" +
+                            std::to_string(btb.ways) + ", threshold " +
+                            std::to_string(threshold) + ", interval " +
+                            std::to_string(interval) + ", " +
+                            optionNames[option]);
+                        auto cfg = core::PeConfig::forMode(mode);
+                        cfg.maxNtPathLength = c.maxNtPathLength;
+                        cfg.costModel = cost;
+                        cfg.btbParams = btb;
+                        cfg.ntPathCounterThreshold = threshold;
+                        cfg.counterResetInterval = interval;
+                        cfg.spawnPreFilter = option == PreFilter;
+                        if (option == NoSpawn && !c.checker.empty())
+                            cfg.noSpawnFuncs = {c.checker};
+                        cfg.selfPrune = option == SelfPrune;
+                        cfg.followNonTakenInNt = option == FollowNt;
+                        if (option == RandomSandbox) {
+                            cfg.randomSpawnFraction = 0.3;
+                            cfg.sandboxIo = true;
+                        }
+                        spawned += blockRunMatchesLegacy(c.program, cfg,
+                                                         c.input)
+                                       .ntPathsSpawned;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(spawned, 0u);
+}
+
+TEST(BlockStepBranches, TraceTruncatesInsideABlock)
+{
+    // 400 branches; once a branch's spawn check is false it retires
+    // in-block, so the cap falls in the middle of a block.
+    const auto program = isa::assemble("li r20, 200\n"
+                                       "li r12, 0\n"
+                                       "loop:\n"
+                                       "andi r13, r12, 1\n"
+                                       "beq r13, r0, even\n"
+                                       "addi r9, r9, 1\n"
+                                       "even:\n"
+                                       "addi r12, r12, 1\n"
+                                       "addi r20, r20, -1\n"
+                                       "bgt r20, r0, loop\n"
+                                       "sys exit\n",
+                                       "trace_cap");
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = 20;
+        cfg.recordEdgeTrace = true;
+        cfg.edgeTraceCap = 150;
+        core::RunResult r = blockRunMatchesLegacy(program, cfg, {});
+        EXPECT_TRUE(r.branchTraceTruncated);
+        EXPECT_EQ(r.branchTrace.size(), 150u);
+    }
+}
+
+TEST(BlockStepBranches, HotBranchKeepsItsLruPlace)
+{
+    // In a two-set, two-way BTB a hot always-taken branch H shares
+    // set 0 (even PCs) with A and B, which run in alternate iterations
+    // and evict each other; the other two branches sit in set 1.  H's
+    // in-loop bumps keep it most recently used, so it never misses
+    // again and, at threshold 1, spawns exactly once.  A bump that
+    // skipped the LRU stamp would let A or B evict it.
+    std::ostringstream src;
+    src << "li r20, 40\n"
+        << "li r12, 0\n"
+        << "hot:\n"
+        << "beq r0, r0, body\n"     // pc 2: H
+        << "nop\n"
+        << "body:\n"
+        << "andi r13, r12, 1\n"
+        << "bne r13, r0, odd\n"     // pc 5
+        << "beq r0, r0, next\n"     // pc 6: A
+        << "nop\n"
+        << "jmp next\n"
+        << "nop\n"
+        << "odd:\n"
+        << "beq r0, r0, next\n"     // pc 10: B
+        << "nop\n"
+        << "next:\n"
+        << "addi r12, r12, 1\n"
+        << "addi r20, r20, -1\n"
+        << "nop\n"
+        << "bgt r20, r0, hot\n"     // pc 15
+        << "sys exit\n";
+    const auto program = isa::assemble(src.str(), "lru_kernel");
+    const uint32_t hot = 2;
+    for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = 20;
+        cfg.ntPathCounterThreshold = 1;
+        cfg.btbParams.entries = 4;
+        cfg.btbParams.ways = 2;
+        core::RunResult r = blockRunMatchesLegacy(program, cfg, {});
+        size_t hotSpawns = 0;
+        for (const core::NtPathRecord &rec : r.ntRecords)
+            hotSpawns += rec.spawnBranchPc == hot;
+        EXPECT_EQ(hotSpawns, 1u);
+        // A and B miss on every execution, so they keep spawning.
+        EXPECT_GT(r.ntPathsSpawned, 40u);
+    }
 }
 
 } // namespace

@@ -21,7 +21,6 @@ TEST(Btb, MissReadsAsZero)
     Btb btb;
     EXPECT_EQ(btb.count(0x1234, true), 0);
     EXPECT_EQ(btb.count(0x1234, false), 0);
-    EXPECT_GT(btb.missesOnLookup(), 0u);
 }
 
 TEST(Btb, EdgesCountIndependently)
@@ -79,6 +78,41 @@ TEST(Btb, LruEvictionWithinSet)
     EXPECT_EQ(btb.count(0, true), 1);
     EXPECT_EQ(btb.count(4, true), 1);
     EXPECT_GT(btb.evictions(), 0u);
+}
+
+TEST(Btb, BumpUnlessBelowIsTheSpawnCheckAndTheBump)
+{
+    Btb btb;
+    // A miss reads zero: below a threshold of 1, nothing is allocated.
+    EXPECT_FALSE(btb.bumpUnlessBelow(100, true, 1));
+    EXPECT_EQ(btb.count(100, true), 0);
+    // Threshold 0 never spawns: the taken edge is counted.
+    EXPECT_TRUE(btb.bumpUnlessBelow(100, true, 0));
+    EXPECT_EQ(btb.count(100, true), 1);
+    EXPECT_EQ(btb.count(100, false), 0);
+    // The non-taken edge (here the fall-through) decides, not the
+    // taken one.
+    EXPECT_FALSE(btb.bumpUnlessBelow(100, true, 1));
+    btb.increment(100, false);
+    EXPECT_TRUE(btb.bumpUnlessBelow(100, true, 1));
+    EXPECT_EQ(btb.count(100, true), 2);
+    EXPECT_FALSE(btb.bumpUnlessBelow(100, false, 3));
+    EXPECT_EQ(btb.count(100, false), 1);
+}
+
+TEST(Btb, BumpUnlessBelowStampsLru)
+{
+    BtbParams p;
+    p.entries = 4;
+    p.ways = 2;     // 2 sets; pcs 0,2,4 share set 0
+    Btb btb(p);
+    btb.increment(0, true);
+    btb.increment(2, true);
+    EXPECT_TRUE(btb.bumpUnlessBelow(0, true, 0));  // 0 is now MRU
+    btb.increment(4, true);                         // evicts 2
+    EXPECT_EQ(btb.count(0, true), 2);
+    EXPECT_EQ(btb.count(2, true), 0);
+    EXPECT_EQ(btb.evictions(), 1u);
 }
 
 TEST(Btb, CustomCounterWidth)

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "src/branch/btb.hh"
 #include "src/core/engine.hh"
 #include "src/minic/compiler.hh"
 #include "src/support/status.hh"
@@ -359,6 +360,52 @@ TEST(Engine, RefusesLayoutWithoutHeapOrStackFrame)
     EXPECT_EQ(layoutError(sim::MachineLayout{}.memWords,
                           sim::MachineLayout{}.stackWords),
               "");
+}
+
+/** An engine over loopy with BTB geometry @p btb, then one run. */
+void
+buildAndRun(const branch::BtbParams &btb, core::PeMode mode)
+{
+    auto program = minic::compile(loopy, "loopy");
+    auto cfg = core::PeConfig::forMode(mode);
+    cfg.btbParams = btb;
+    core::PathExpanderEngine engine(program, cfg);
+    engine.run({});
+}
+
+TEST(Engine, RefusesDegenerateBtbGeometry)
+{
+    // Each rule with its own witness, in every mode: before this check
+    // a zero-way or zero-entry BTB divided by zero.
+    auto geometry = [](uint32_t entries, uint32_t ways, uint8_t bits) {
+        branch::BtbParams p;
+        p.entries = entries;
+        p.ways = ways;
+        p.counterBits = bits;
+        return p;
+    };
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        // ways >= 1
+        EXPECT_THROW(buildAndRun(geometry(2048, 0, 4), mode), FatalError);
+        // entries a multiple of ways
+        EXPECT_THROW(buildAndRun(geometry(2047, 2, 4), mode), FatalError);
+        EXPECT_THROW(buildAndRun(geometry(1, 2, 4), mode), FatalError);
+        // a power-of-two set count, so none of zero entries
+        EXPECT_THROW(buildAndRun(geometry(0, 2, 4), mode), FatalError);
+        EXPECT_THROW(buildAndRun(geometry(3072, 2, 4), mode), FatalError);
+        EXPECT_THROW(buildAndRun(geometry(24, 8, 4), mode), FatalError);
+        // counter bits from 1 to 8
+        EXPECT_THROW(buildAndRun(geometry(2048, 2, 0), mode), FatalError);
+        EXPECT_THROW(buildAndRun(geometry(2048, 2, 9), mode), FatalError);
+
+        // The bounds themselves are accepted.
+        EXPECT_NO_THROW(buildAndRun(geometry(2048, 2, 4), mode));
+        EXPECT_NO_THROW(buildAndRun(geometry(2, 2, 1), mode));
+        EXPECT_NO_THROW(buildAndRun(geometry(8, 1, 8), mode));
+        EXPECT_NO_THROW(buildAndRun(geometry(4096, 8, 4), mode));
+    }
 }
 
 } // namespace

@@ -3,9 +3,12 @@
  * Edge operands through every execution tier.
  *
  * Every opcode runs through `sim::step` and through the block tier —
- * without a branch sink, with one, and one instruction per dispatch
- * under a zero cycle budget; loads and stores also with a memory
- * port; branches also with their promoted flag set and clear.
+ * without a branch port, with a coverage-only one, and one
+ * instruction per dispatch under a zero cycle budget; loads and
+ * stores also with a memory port; branches also through every other
+ * port kind (an NT-Path's, the taken path's with a BTB that does and
+ * does not let them spawn, with an edge trace) and with their
+ * promoted flag set and clear.
  * ALU, immediate and branch opcodes take every pair of INT32_MIN,
  * INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and -1.  Each
  * result is checked against a value computed here from
@@ -26,6 +29,7 @@
 #include <set>
 #include <vector>
 
+#include "src/branch/btb.hh"
 #include "src/core/engine.hh"
 #include "src/coverage/coverage.hh"
 #include "src/isa/instruction.hh"
@@ -180,8 +184,8 @@ struct Machine
     sim::BlockOut
     block(coverage::BranchCoverage *sink = nullptr, bool inert = true)
     {
-        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, sink,
-                             inert);
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
+                             coveragePort(sink), inert);
     }
 
     /**
@@ -194,27 +198,76 @@ struct Machine
         mem::MemHierarchy hierarchy(1, mem::MemTimingParams{});
         mem::MemCtx ctx(memory, buf);
         const sim::MemPort port{ctx, hierarchy};
-        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, nullptr,
-                             true, &port, promote(promotePcs));
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
+                             promote(promotePcs), true, &port);
     }
 
     /** The block tier with the branches at @p promotePcs promoted. */
     sim::BlockOut
     promotedBlock(const std::vector<uint32_t> &promotePcs = {})
     {
-        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0, nullptr,
-                             true, nullptr, promote(promotePcs));
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
+                             promote(promotePcs), true);
     }
 
-    /** A fresh promotion of the branches at @p pcs. */
-    sim::Promotion *
+    /** The block tier with branches through @p kind's port. */
+    sim::BlockOut
+    kindBlock(sim::BranchPort::Kind kind, uint8_t threshold = 0)
+    {
+        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
+                             port(kind, threshold), true);
+    }
+
+    /** A coverage-only branch port over @p sink, or null. */
+    sim::BranchPort *
+    coveragePort(coverage::BranchCoverage *sink)
+    {
+        if (!sink)
+            return nullptr;
+        branches = sim::BranchPort{};
+        branches.coverage = sink;
+        return &branches;
+    }
+
+    /**
+     * A fresh branch port of @p kind over the fresh tracker cov.  A
+     * Taken port gets the BTB btb, @p threshold, the edge trace trace
+     * (cap 1) and a branch extra of 7 cycles; an Nt port the same
+     * extra.
+     */
+    sim::BranchPort *
+    port(sim::BranchPort::Kind kind, uint8_t threshold = 0)
+    {
+        cov.emplace(program);
+        branches = sim::BranchPort{};
+        branches.kind = kind;
+        branches.coverage = &*cov;
+        branches.branchExtra = 7;
+        if (kind == sim::BranchPort::Kind::Taken) {
+            branches.btb = &btb;
+            branches.threshold = threshold;
+            branches.trace = &trace;
+            branches.traceTruncated = &truncated;
+            branches.traceCap = 1;
+        }
+        return &branches;
+    }
+
+    /**
+     * A taken-path port with the branches at @p pcs promoted, over a
+     * cold BTB at threshold 1, where every other branch would spawn
+     * and so surfaces.
+     */
+    sim::BranchPort *
     promote(const std::vector<uint32_t> &pcs)
     {
         flags.assign(program.code.size(), 0);
         for (uint32_t pc : pcs)
             flags[pc] = 1;
-        promotion = sim::Promotion{flags.data()};
-        return &promotion;
+        port(sim::BranchPort::Kind::Taken, 1);
+        branches.branchExtra = 0;
+        branches.promoted = flags.data();
+        return &branches;
     }
 
     /**
@@ -227,8 +280,8 @@ struct Machine
     {
         uint64_t total = 0;
         for (int i = 0; i < 64; ++i) {
-            sim::BlockOut out =
-                sim::runBlock(decoded, core, 100, 0, 1, sink, true);
+            sim::BlockOut out = sim::runBlock(decoded, core, 100, 0, 1,
+                                              coveragePort(sink), true);
             EXPECT_LE(out.instructions, 1u);
             if (out.instructions == 0)
                 break;
@@ -247,8 +300,20 @@ struct Machine
     sim::IoChannel io;
     mem::VersionedBuffer *buf = nullptr;
     std::vector<uint8_t> flags;
-    sim::Promotion promotion;
+    std::optional<coverage::BranchCoverage> cov;
+    branch::Btb btb;
+    std::vector<uint32_t> trace;
+    bool truncated = false;
+    sim::BranchPort branches;
 };
+
+/** True when @p cov holds NT edge (@p pc, @p taken). */
+bool
+ntCovered(const coverage::BranchCoverage &cov, uint32_t pc, bool taken)
+{
+    const uint64_t bit = (uint64_t{pc} << 1) | (taken ? 1 : 0);
+    return (cov.ntWords()[bit >> 6] >> (bit & 63)) & 1;
+}
 
 std::string
 caseName(Opcode op, int32_t a, int32_t b)
@@ -372,16 +437,62 @@ TEST(TierEdgeOperands, BranchOpcodes)
                     SCOPED_TRACE("block, flag clear surfaces");
                     Machine m(branchProgram(op, a, b));
                     EXPECT_EQ(m.promotedBlock().instructions, 2u);
-                    EXPECT_EQ(m.promotion.retired, 0u);
+                    EXPECT_EQ(m.branches.promotedRetired, 0u);
                     EXPECT_EQ(m.core.pc, branchPc);
                 }
                 {
                     SCOPED_TRACE("block, promoted");
                     Machine m(branchProgram(op, a, b));
                     EXPECT_EQ(m.promotedBlock({branchPc}).instructions, 4u);
-                    EXPECT_EQ(m.promotion.retired, 1u);
+                    EXPECT_EQ(m.branches.promotedRetired, 1u);
                     EXPECT_EQ(m.core.pc, endPc);
                     EXPECT_EQ(m.reg(10), want);
+                    EXPECT_FALSE(m.cov->takenEdgeCovered(branchPc, taken));
+                    EXPECT_EQ(m.btb.count(branchPc, taken), 0);
+                }
+                {
+                    SCOPED_TRACE("block, NT port");
+                    Machine m(branchProgram(op, a, b));
+                    sim::BlockOut out =
+                        m.kindBlock(sim::BranchPort::Kind::Nt);
+                    EXPECT_EQ(out.instructions, 4u);
+                    EXPECT_EQ(m.core.pc, endPc);
+                    EXPECT_EQ(m.reg(10), want);
+                    EXPECT_TRUE(ntCovered(*m.cov, branchPc, taken));
+                    EXPECT_FALSE(ntCovered(*m.cov, branchPc, !taken));
+                    EXPECT_FALSE(m.cov->takenEdgeCovered(branchPc, taken));
+                }
+                {
+                    SCOPED_TRACE("block, taken port, would spawn");
+                    Machine m(branchProgram(op, a, b));
+                    sim::BlockOut out =
+                        m.kindBlock(sim::BranchPort::Kind::Taken, 1);
+                    EXPECT_EQ(out.instructions, 2u);
+                    EXPECT_EQ(m.core.pc, branchPc);
+                    EXPECT_FALSE(m.cov->takenEdgeCovered(branchPc, taken));
+                    EXPECT_EQ(m.btb.count(branchPc, taken), 0);
+                    EXPECT_TRUE(m.trace.empty());
+                }
+                {
+                    SCOPED_TRACE("block, taken port, counted");
+                    Machine m(branchProgram(op, a, b));
+                    sim::BlockOut out =
+                        m.kindBlock(sim::BranchPort::Kind::Taken, 0);
+                    EXPECT_EQ(out.instructions, 4u);
+                    EXPECT_EQ(m.core.pc, endPc);
+                    EXPECT_EQ(m.reg(10), want);
+                    EXPECT_TRUE(m.cov->takenEdgeCovered(branchPc, taken));
+                    EXPECT_FALSE(
+                        m.cov->takenEdgeCovered(branchPc, !taken));
+                    EXPECT_EQ(m.btb.count(branchPc, taken), 1);
+                    EXPECT_EQ(m.btb.count(branchPc, !taken), 0);
+                    EXPECT_EQ(m.trace, std::vector<uint32_t>{
+                                           (branchPc << 1) | taken});
+                    // The base costs of li, li, branch, li plus the
+                    // branch's extra.
+                    const sim::TimingConfig t;
+                    EXPECT_EQ(out.cycles, 3 * t.aluCost +
+                                              t.branchCost + 7);
                 }
             }
         }
@@ -589,6 +700,70 @@ TEST(TierEdgeOperands, SurfaceOpcodesRunOnlyInStep)
     }
 }
 
+TEST(TierEdgeOperands, WouldSpawnBranchSurfacesWithTheBtbUnchanged)
+{
+    // A one-entry BTB holding another branch: allocating an entry for
+    // the branch at pc 2 would evict it.  Below threshold 1 a miss
+    // would spawn, so the branch surfaces and the BTB keeps its entry.
+    const uint32_t branchPc = 2;
+    Machine m(branchProgram(Opcode::Beq, 0, 0));
+    m.btb = branch::Btb({1, 1, 4});
+    for (int i = 0; i < 3; ++i)
+        m.btb.increment(99, true);
+    sim::BlockOut out = m.kindBlock(sim::BranchPort::Kind::Taken, 1);
+    EXPECT_EQ(out.instructions, 2u);
+    EXPECT_EQ(out.cycles, 2u);
+    EXPECT_EQ(m.core.pc, branchPc);
+    EXPECT_EQ(m.btb.count(99, true), 3);
+    EXPECT_EQ(m.btb.evictions(), 0u);
+    EXPECT_FALSE(m.cov->takenEdgeCovered(branchPc, true));
+    EXPECT_TRUE(m.trace.empty());
+}
+
+TEST(TierEdgeOperands, NonSpawningBranchRetiresAndBumpsItsCounter)
+{
+    // The taken branch at pc 2 would spawn its fall-through edge while
+    // that edge's count is below the threshold.
+    const uint32_t branchPc = 2;
+    const sim::TimingConfig t;
+    const uint64_t blockCycles = 3 * t.aluCost + t.branchCost + 7;
+    {
+        SCOPED_TRACE("non-taken count at the threshold");
+        Machine m(branchProgram(Opcode::Beq, 0, 0));
+        m.btb.increment(branchPc, false);
+        sim::BlockOut out = m.kindBlock(sim::BranchPort::Kind::Taken, 1);
+        EXPECT_EQ(out.instructions, 4u);
+        EXPECT_EQ(out.cycles, blockCycles);
+        EXPECT_EQ(m.core.pc, 6u);
+        EXPECT_EQ(m.btb.count(branchPc, true), 1);
+        EXPECT_EQ(m.btb.count(branchPc, false), 1);
+        EXPECT_TRUE(m.cov->takenEdgeCovered(branchPc, true));
+        EXPECT_EQ(m.trace, std::vector<uint32_t>{(branchPc << 1) | 1});
+    }
+    // Waived edges never spawn, whatever their count: the branch
+    // retires from a cold BTB.
+    for (bool noSpawn : {true, false}) {
+        SCOPED_TRACE(noSpawn ? "no-spawn range" : "doomed fall-through");
+        Machine m(branchProgram(Opcode::Beq, 0, 0));
+        if (noSpawn)
+            m.decoded.markNoSpawn(0, 7);
+        else
+            m.decoded.markDoomedEdge(branchPc, false);
+        sim::BlockOut out = m.kindBlock(sim::BranchPort::Kind::Taken, 5);
+        EXPECT_EQ(out.instructions, 4u);
+        EXPECT_EQ(out.cycles, blockCycles);
+        EXPECT_EQ(m.btb.count(branchPc, true), 1);
+    }
+    {
+        SCOPED_TRACE("only the other edge doomed");
+        Machine m(branchProgram(Opcode::Beq, 0, 0));
+        m.decoded.markDoomedEdge(branchPc, true);
+        EXPECT_EQ(m.kindBlock(sim::BranchPort::Kind::Taken, 5).instructions,
+                  2u);
+        EXPECT_EQ(m.btb.count(branchPc, true), 0);
+    }
+}
+
 TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
 {
     // li r9, 3; loop: st r9, 40(r9); ld r10, 40(r9); addi r9, r9, -1;
@@ -609,7 +784,7 @@ TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
     Machine p(code);
     EXPECT_TRUE(p.decoded.startsBlock(branchPc, true, true, true));
     EXPECT_EQ(p.portBlock({branchPc}).instructions, 1u + 3 * 4);
-    EXPECT_EQ(p.promotion.retired, 3u);
+    EXPECT_EQ(p.branches.promotedRetired, 3u);
     EXPECT_EQ(p.core.pc, 5u);
     EXPECT_EQ(p.core.regs, step.core.regs);
     for (uint32_t addr : {41u, 42u, 43u})
@@ -618,7 +793,7 @@ TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
     // Without the flag the same block stops before the first branch.
     Machine q(code);
     EXPECT_EQ(q.portBlock().instructions, 4u);
-    EXPECT_EQ(q.promotion.retired, 0u);
+    EXPECT_EQ(q.branches.promotedRetired, 0u);
     EXPECT_EQ(q.core.pc, branchPc);
 }
 

@@ -21,7 +21,9 @@ namespace pe::test
 /**
  * Require @p a and @p b identical in every field except the
  * prunedInstructions diagnostic, which counts the promoted branches
- * the block tier retired: how a run executed, not what it did.
+ * the block tier retired: how a run executed, not what it did.  The
+ * edge trace counts: both sides must run one config, so both record it
+ * or neither does.
  */
 inline void
 expectIdentical(const core::RunResult &a, const core::RunResult &b)
@@ -44,6 +46,8 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.io.inputPos, b.io.inputPos);
     EXPECT_EQ(a.coverage.takenWords(), b.coverage.takenWords());
     EXPECT_EQ(a.coverage.ntWords(), b.coverage.ntWords());
+    EXPECT_EQ(a.branchTrace, b.branchTrace);
+    EXPECT_EQ(a.branchTraceTruncated, b.branchTraceTruncated);
 
     ASSERT_EQ(a.ntRecords.size(), b.ntRecords.size());
     for (size_t i = 0; i < a.ntRecords.size(); ++i) {
