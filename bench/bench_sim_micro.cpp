@@ -300,15 +300,16 @@ median(std::vector<double> v)
 }
 
 /**
- * Host microseconds of one engine run of @p program under @p cfg, and
- * the simulated (taken plus NT) instructions it retired.
+ * Host microseconds of one engine run of @p program on @p input under
+ * @p cfg, and the simulated (taken plus NT) instructions it retired.
  */
 std::pair<double, uint64_t>
-timedRun(const isa::Program &program, const core::PeConfig &cfg)
+timedRun(const isa::Program &program, const core::PeConfig &cfg,
+         const std::vector<int32_t> &input)
 {
     auto start = std::chrono::steady_clock::now();
     core::PathExpanderEngine engine(program, cfg);
-    auto r = engine.run({});
+    auto r = engine.run(input);
     benchmark::DoNotOptimize(r.cycles);
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - start)
@@ -329,17 +330,18 @@ struct Paired
 };
 
 /**
- * Simulated MIPS of @p program under @p cfgA and @p cfgB, the two arms
- * alternating run by run over @p reps reps.
+ * Simulated MIPS of @p program on @p input under @p cfgA and @p cfgB,
+ * the two arms alternating run by run over @p reps reps.
  */
 Paired
 pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
-           const core::PeConfig &cfgB, int reps)
+           const core::PeConfig &cfgB, int reps,
+           const std::vector<int32_t> &input = {})
 {
     std::vector<double> a, b, ratio;
     for (int i = 0; i < reps; ++i) {
-        auto [usA, nA] = timedRun(program, cfgA);
-        auto [usB, nB] = timedRun(program, cfgB);
+        auto [usA, nA] = timedRun(program, cfgA, input);
+        auto [usB, nB] = timedRun(program, cfgB, input);
         a.push_back(static_cast<double>(nA) / usA);
         b.push_back(static_cast<double>(nB) / usB);
         ratio.push_back(b.back() / a.back());
@@ -350,10 +352,11 @@ pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
 /**
  * The interpreter-throughput record: simulated MIPS of the legacy
  * per-step loop vs the block-stepped loop on the straight-line
- * kernel and on the branchy mixed loop — the latter with PathExpander
- * off and in Standard mode, where only branches that would spawn
- * leave the block loop — landing in the bench's JSON artifact so the
- * speedup trajectory is tracked across revisions.
+ * kernel, on the branchy mixed loop — with PathExpander off and in
+ * Standard mode, where only branches that would spawn leave the block
+ * loop — and on pe_go in Cmp mode, where each core runs to its next
+ * shared event, landing in the bench's JSON artifact so the speedup
+ * trajectory is tracked across revisions.
  */
 void
 recordInterpreterMips(bench::BenchJson &json)
@@ -365,11 +368,19 @@ recordInterpreterMips(bench::BenchJson &json)
     auto stdLegacyCfg = stdCfg;
     stdLegacyCfg.legacyStepLoop = true;
 
+    auto cmpCfg = core::PeConfig::forMode(core::PeMode::Cmp);
+    auto cmpLegacyCfg = cmpCfg;
+    cmpLegacyCfg.legacyStepLoop = true;
+
     const auto loop = minic::compile(loopSource, "loop");
     const Paired straight =
         pairedMips(straightLineProgram(60000), legacyCfg, offCfg, 5);
     const Paired mixed = pairedMips(loop, legacyCfg, offCfg, 21);
     const Paired mixedStd = pairedMips(loop, stdLegacyCfg, stdCfg, 21);
+    const auto &go = workloads::getWorkload("pe_go");
+    const Paired cmp =
+        pairedMips(minic::compile(go.source, go.name), cmpLegacyCfg,
+                   cmpCfg, 11, go.benignInputs[0]);
 
     json.set("mips_legacy_straightline", straight.a);
     json.set("mips_block_straightline", straight.b);
@@ -380,14 +391,19 @@ recordInterpreterMips(bench::BenchJson &json)
     json.set("mips_legacy_mixed_standard", mixedStd.a);
     json.set("mips_block_mixed_standard", mixedStd.b);
     json.set("mips_speedup_mixed_standard", mixedStd.ratio);
+    json.set("mips_legacy_cmp", cmp.a);
+    json.set("mips_block_cmp", cmp.b);
+    json.set("mips_speedup_cmp", cmp.ratio);
 
     printf("\nSimulated-MIPS (legacy -> block-stepped; medians, "
            "per-rep ratio):\n"
            "  straight-line:         %.1f -> %.1f MIPS (%.2fx)\n"
            "  mixed loop:            %.1f -> %.1f MIPS (%.2fx)\n"
-           "  mixed loop, Standard:  %.1f -> %.1f MIPS (%.2fx)\n",
+           "  mixed loop, Standard:  %.1f -> %.1f MIPS (%.2fx)\n"
+           "  pe_go, Cmp:            %.1f -> %.1f MIPS (%.2fx)\n",
            straight.a, straight.b, straight.ratio, mixed.a, mixed.b,
-           mixed.ratio, mixedStd.a, mixedStd.b, mixedStd.ratio);
+           mixed.ratio, mixedStd.a, mixedStd.b, mixedStd.ratio, cmp.a,
+           cmp.b, cmp.ratio);
 }
 
 /**

@@ -17,13 +17,29 @@
  *    immediately so the taken path never stalls.
  *
  * Timing: every core has its own cycle clock; the scheduler always
- * advances the globally least-advanced active core, so cross-core
- * interleaving and shared L2/memory port contention are modeled.
- * Spawning charges the primary core the register-copy overhead
- * (Table 2: 20 cycles); squash charges the NT core (10 cycles).
+ * advances the globally least-advanced active core (the primary wins
+ * ties, then the lower core index), so cross-core interleaving and
+ * shared L2/memory port contention are modeled.  Spawning charges the
+ * primary core the register-copy overhead (Table 2: 20 cycles);
+ * squash charges the NT core (10 cycles).
+ *
+ * Quanta: a picked core runs its *private* work in one block — ALU
+ * ops, L1 hits, branches that retire in the block loop, stores that
+ * cannot overflow its write set — because no other core reads what
+ * that work changes.  It stops before its next *shared* event (an L1
+ * miss, a spawn attempt, an NT-Path end, exit, a crash, the
+ * instruction limit, anything that surfaces), which runs through
+ * sim::step only when the core is picked, so shared events keep the
+ * per-step loop's global order.  The primary's blocks have no cycle
+ * budget; an NT core's block starts no instruction at or after the
+ * primary's clock, because the primary's spawns and its exit read
+ * NT-Path lengths.  Under followNonTakenInNt NT-Paths read and bump
+ * BTB counters, so there the driver steps every instruction.
  */
 
+#include <algorithm>
 #include <deque>
+#include <list>
 #include <memory>
 
 #include "src/core/engine_impl.hh"
@@ -38,49 +54,48 @@ using namespace engine_detail;
 namespace
 {
 
-/** One NT-Path in flight (running on a core or queued). */
+struct Segment;
+
+/** One live NT-Path (running on a core or queued). */
 struct NtTask
 {
     sim::Core cpu;
     uint32_t spawnPc = 0;
     bool ntDir = false;
     uint64_t spawnTime = 0;         //!< primary time at spawn
-    std::unique_ptr<mem::VersionedBuffer> buf;
-    std::unique_ptr<detect::ObjectRegistry> overlay;
+    mem::VersionedBuffer buf;
+    detect::ObjectRegistry overlay;
     std::unique_ptr<sim::IoChannel> specIo; //!< sandboxIo extension
+    Segment *segment = nullptr;     //!< the segment cut at its spawn
     int core = -1;                  //!< executing core, or -1 if queued
     uint64_t length = 0;
-    bool done = false;
-    NtStopCause cause = NtStopCause::MaxLength;
-    sim::CrashKind crashKind = sim::CrashKind::None;
+
+    NtTask(int pathId, const detect::ObjectRegistry *registry)
+        : buf(pathId), overlay(registry)
+    {}
 };
 
 /** One uncommitted taken-path segment. */
 struct Segment
 {
     std::unique_ptr<mem::VersionedBuffer> buf;
-    NtTask *sibling = nullptr;      //!< must squash before we commit
+    NtTask *sibling = nullptr;      //!< live NT-Path; commits after it
 };
 
-/** Scheduler and version-management state of one CMP run. */
+/**
+ * Scheduler and version-management state of one CMP run.  Only live
+ * NT-Paths exist: an ending path leaves `live`, which frees its
+ * buffer, overlay and I/O copy, once finishNt has cleared the
+ * pointers to it (its segment's sibling, the queue).
+ */
 struct CmpState
 {
     std::vector<uint64_t> coreTime;             //!< per-core clocks
     std::vector<NtTask *> onCore;               //!< core -> task
-    std::vector<std::unique_ptr<NtTask>> tasks; //!< all spawned tasks
+    std::list<NtTask> live;                     //!< in spawn order
     std::deque<NtTask *> queue;                 //!< spawned, no core yet
     std::deque<Segment> segments;               //!< oldest first
     int nextPathId = 1;
-
-    size_t outstanding() const
-    {
-        size_t n = 0;
-        for (const auto &t : tasks) {
-            if (!t->done)
-                ++n;
-        }
-        return n;
-    }
 
     int allocPathId()
     {
@@ -103,18 +118,18 @@ PathExpanderEngine::runCmp(RunState &state)
     cmp.onCore.assign(cfg.numCores, nullptr);
 
     const uint32_t l1Capacity = state.hierarchy.l1LineCapacity();
-    const bool useBlocks = !cfg.legacyStepLoop;
+    // Under the redirect ablation an NT-Path reads and bumps the BTB
+    // counters that the primary's in-block branches bump, so no core
+    // has private work to run ahead: step every instruction.
+    const bool useBlocks = !cfg.legacyStepLoop && !cfg.followNonTakenInNt;
     const uint64_t dilation = blockDilation(cfg);
     const bool detectorFree = detector == nullptr;
     // Branch ports, as in the inline driver: the primary retires every
-    // branch that would not spawn in-block, the NT cores every branch
-    // unless the redirect ablation reads counters there.
+    // branch that would not spawn in-block, the NT cores every branch.
     sim::BranchPort takenBranches = takenBranchPort(cfg, state);
     sim::BranchPort *const primaryBranches =
         takenBranchesInBlock(cfg) ? &takenBranches : nullptr;
     sim::BranchPort ntBranches = ntBranchPort(cfg, state);
-    sim::BranchPort *const coreBranches =
-        cfg.followNonTakenInNt ? nullptr : &ntBranches;
 
     auto currentPrimaryBuf = [&]() -> mem::VersionedBuffer * {
         return cmp.segments.empty() ? nullptr
@@ -128,9 +143,9 @@ PathExpanderEngine::runCmp(RunState &state)
             if (seg.buf->parent() == dead)
                 seg.buf->setParent(replacement);
         }
-        for (auto &t : cmp.tasks) {
-            if (!t->done && t->buf->parent() == dead)
-                t->buf->setParent(replacement);
+        for (NtTask &t : cmp.live) {
+            if (t.buf.parent() == dead)
+                t.buf.setParent(replacement);
         }
     };
 
@@ -138,7 +153,7 @@ PathExpanderEngine::runCmp(RunState &state)
     auto tryCommit = [&]() {
         while (!cmp.segments.empty()) {
             Segment &front = cmp.segments.front();
-            if (front.sibling && !front.sibling->done)
+            if (front.sibling)
                 break;  // waiting for the squash token
             front.buf->commitTo(state.memory);
             reparentChildrenOf(front.buf.get(), front.buf->parent());
@@ -146,12 +161,9 @@ PathExpanderEngine::runCmp(RunState &state)
         }
     };
 
+    // End @p task: record it, hand its core on and drop it.
     auto finishNt = [&](NtTask &task, NtStopCause cause,
                         sim::CrashKind crashKind) {
-        task.done = true;
-        task.cause = cause;
-        task.crashKind = crashKind;
-
         NtPathRecord record;
         record.spawnBranchPc = task.spawnPc;
         record.spawnEdgeTaken = task.ntDir;
@@ -160,24 +172,27 @@ PathExpanderEngine::runCmp(RunState &state)
         record.crashKind = crashKind;
         result.ntRecords.push_back(record);
 
-        if (task.core >= 0) {
-            int c = task.core;
+        task.segment->sibling = nullptr;    // the squash token
+        const int c = task.core;
+        if (c < 0) {
+            cmp.queue.erase(
+                std::find(cmp.queue.begin(), cmp.queue.end(), &task));
+        }
+        cmp.live.remove_if([&](const NtTask &t) { return &t == &task; });
+
+        if (c >= 0) {
             // Gang-invalidation of the path's tagged lines.
             cmp.coreTime[c] += cfg.timing.squashOverhead;
             cmp.onCore[c] = nullptr;
-            task.core = -1;
             // Hand the freed core to the oldest queued NT-Path.
-            while (!cmp.queue.empty()) {
+            if (!cmp.queue.empty()) {
                 NtTask *next = cmp.queue.front();
                 cmp.queue.pop_front();
-                if (next->done)
-                    continue;
                 next->core = c;
                 cmp.onCore[c] = next;
                 cmp.coreTime[c] =
                     std::max(cmp.coreTime[c], next->spawnTime) +
                     cfg.timing.spawnOverhead;
-                break;
             }
         }
         tryCommit();
@@ -186,7 +201,7 @@ PathExpanderEngine::runCmp(RunState &state)
     // Squash the oldest NT-Path blocking the segment chain.
     auto forceSquashOldest = [&]() {
         for (auto &seg : cmp.segments) {
-            if (seg.sibling && !seg.sibling->done) {
+            if (seg.sibling) {
                 finishNt(*seg.sibling, NtStopCause::ForcedSquash,
                          sim::CrashKind::None);
                 return;
@@ -195,7 +210,7 @@ PathExpanderEngine::runCmp(RunState &state)
     };
 
     auto spawn = [&](const sim::StepResult &branchRes) {
-        if (cmp.outstanding() >= cfg.maxNumNtPaths) {
+        if (cmp.live.size() >= cfg.maxNumNtPaths) {
             ++result.ntPathsSkippedBusy;
             return;
         }
@@ -204,20 +219,17 @@ PathExpanderEngine::runCmp(RunState &state)
         ++result.ntPathsSpawned;
         result.coverage.onNtEdge(branchRes.pc, ntDir);
 
-        auto task = std::make_unique<NtTask>();
-        task->cpu = primary;  // fast register copy, core to core
-        task->cpu.pc = ntEdgeTarget(branchRes);
-        task->cpu.ntEntryPred = cfg.variableFixing;
-        task->spawnPc = branchRes.pc;
-        task->ntDir = ntDir;
-        task->spawnTime = cmp.coreTime[0];
-        task->buf =
-            std::make_unique<mem::VersionedBuffer>(cmp.allocPathId());
-        task->buf->setParent(currentPrimaryBuf());
-        task->overlay =
-            std::make_unique<detect::ObjectRegistry>(&state.registry);
+        NtTask &task =
+            cmp.live.emplace_back(cmp.allocPathId(), &state.registry);
+        task.cpu = primary;  // fast register copy, core to core
+        task.cpu.pc = ntEdgeTarget(branchRes);
+        task.cpu.ntEntryPred = cfg.variableFixing;
+        task.spawnPc = branchRes.pc;
+        task.ntDir = ntDir;
+        task.spawnTime = cmp.coreTime[0];
+        task.buf.setParent(currentPrimaryBuf());
         if (cfg.sandboxIo) {
-            task->specIo =
+            task.specIo =
                 std::make_unique<sim::IoChannel>(result.io);
         }
 
@@ -227,8 +239,9 @@ PathExpanderEngine::runCmp(RunState &state)
         seg.buf =
             std::make_unique<mem::VersionedBuffer>(cmp.allocPathId());
         seg.buf->setParent(currentPrimaryBuf());
-        seg.sibling = task.get();
+        seg.sibling = &task;
         cmp.segments.push_back(std::move(seg));
+        task.segment = &cmp.segments.back();
 
         // The primary core pays the register-copy spawn overhead.
         cmp.coreTime[0] += cfg.timing.spawnOverhead;
@@ -242,14 +255,13 @@ PathExpanderEngine::runCmp(RunState &state)
             }
         }
         if (idle >= 0) {
-            task->core = idle;
-            cmp.onCore[idle] = task.get();
+            task.core = idle;
+            cmp.onCore[idle] = &task;
             cmp.coreTime[idle] = std::max(cmp.coreTime[idle],
                                           cmp.coreTime[0]);
         } else {
-            cmp.queue.push_back(task.get());
+            cmp.queue.push_back(&task);
         }
-        cmp.tasks.push_back(std::move(task));
 
         if (cmp.segments.size() > cfg.maxSegmentDepth)
             forceSquashOldest();
@@ -261,48 +273,32 @@ PathExpanderEngine::runCmp(RunState &state)
             finishNt(task, NtStopCause::MaxLength, sim::CrashKind::None);
             return;
         }
-        mem::MemCtx ctx(state.memory, task.buf.get());
+        mem::MemCtx ctx(state.memory, &task.buf);
         if (useBlocks &&
-            decoded.startsBlock(task.cpu.pc, coreBranches != nullptr,
+            decoded.startsBlock(task.cpu.pc, /*execBranches=*/true,
                                 detectorFree, detectorFree)) {
-            // A stretch on the NT core.  The cycle budget,
-            // which counts each access's memory latency, stops the
-            // block exactly where the least-advanced-core scheduler
-            // would stop picking this core (strict inequality against
-            // lower-indexed cores, which win clock ties), so every
-            // instruction retires at the same position in the global
-            // step order as under the per-step loop: the shared L2
-            // port and bus see the same acquisition order, nothing
-            // else reads this path's buffer, and the instruction
-            // count at a later force-squash is identical.
-            uint64_t bound = cmp.coreTime[0] - 1;
-            for (int j = 1; j < cfg.numCores; ++j) {
-                if (j == c || !cmp.onCore[j])
-                    continue;
-                uint64_t b = j < c ? cmp.coreTime[j] - 1
-                                   : cmp.coreTime[j];
-                if (b < bound)
-                    bound = b;
-            }
-            const sim::MemPort port = memPort(
-                cfg, state, ctx, c, cmp.coreTime[c], /*inNt=*/true);
+            // The core's private work, up to its next shared event:
+            // the hit-only port surfaces L1 misses and the store that
+            // would overflow the write set.  The block starts no
+            // instruction at or after the primary's clock (the primary
+            // wins ties), because the primary's spawns and its exit
+            // read this path's length.
+            sim::MemPort port = memPort(cfg, state, ctx, c,
+                                        cmp.coreTime[c], /*inNt=*/true);
+            port.hitOnly = true;
             sim::BlockOut blk = sim::runBlock(
                 decoded, task.cpu,
                 blockCap(state, cfg.maxNtPathLength - task.length),
-                bound - cmp.coreTime[c], dilation, coreBranches,
-                detectorFree, detectorFree ? &port : nullptr);
+                cmp.coreTime[0] - 1 - cmp.coreTime[c], dilation,
+                &ntBranches, detectorFree, detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 task.length += blk.instructions;
                 result.ntInstructions += blk.instructions;
                 cmp.coreTime[c] += blk.cycles;
-                // A store that overflowed the write set ended the
-                // block; the per-step loop stops the path there too.
-                if (task.buf->numLines() > l1Capacity)
-                    finishNt(task, NtStopCause::CapacityOverflow,
-                             sim::CrashKind::None);
                 return;
             }
         }
+        // A shared event, and this core is the scheduler's pick.
         sim::IoChannel &ntIo =
             task.specIo ? *task.specIo : result.io;
         sim::StepResult res = sim::step(decoded, task.cpu, ctx, ntIo,
@@ -323,7 +319,7 @@ PathExpanderEngine::runCmp(RunState &state)
         cmp.coreTime[c] +=
             chargeStep(program, cfg, state, detector, c, res,
                        cmp.coreTime[c], /*inNt=*/true);
-        routeEvents(program, cfg, state, detector, *task.overlay, ctx,
+        routeEvents(program, cfg, state, detector, task.overlay, ctx,
                     res, /*fromNt=*/true, task.spawnPc);
 
         if (res.exited) {
@@ -342,7 +338,7 @@ PathExpanderEngine::runCmp(RunState &state)
             }
             result.coverage.onNtEdge(res.pc, followed);
         }
-        if (task.buf->numLines() > l1Capacity)
+        if (task.buf.numLines() > l1Capacity)
             finishNt(task, NtStopCause::CapacityOverflow,
                      sim::CrashKind::None);
     };
@@ -359,27 +355,21 @@ PathExpanderEngine::runCmp(RunState &state)
         if (useBlocks &&
             decoded.startsBlock(primary.pc, primaryBranches != nullptr,
                                 detectorFree, detectorFree)) {
-            // A stretch on the primary.  The cycle budget, which
-            // counts each access's memory latency, keeps the primary
-            // within the span where the scheduler would keep picking
-            // it (the primary wins clock ties), so no NT-core step is
-            // displaced and its memory accesses and BTB bumps keep
-            // their places in the global order.  The instruction
-            // budget stops the block at the next counter reset.  A
-            // branch that would spawn surfaces, so the block spawns
-            // nothing and leaves tryCommit nothing to do.
-            uint64_t budget = UINT64_MAX;
-            for (int c = 1; c < cfg.numCores; ++c) {
-                if (cmp.onCore[c] && cmp.coreTime[c] < budget)
-                    budget = cmp.coreTime[c];
-            }
-            if (budget != UINT64_MAX)
-                budget -= cmp.coreTime[0];
-            const sim::MemPort port = memPort(
-                cfg, state, ctx, 0, cmp.coreTime[0], /*inNt=*/false);
+            // The primary's private work, with no cycle budget, up to
+            // the next counter reset.  A branch that would spawn
+            // surfaces, so the block spawns nothing and leaves
+            // tryCommit nothing to do.  While an NT core runs, the
+            // hit-only port surfaces L1 misses; with none running,
+            // nothing else happens before the block's end, so its
+            // misses run in-block too.
+            sim::MemPort port = memPort(cfg, state, ctx, 0,
+                                        cmp.coreTime[0], /*inNt=*/false);
+            port.hitOnly = std::any_of(
+                cmp.onCore.begin() + 1, cmp.onCore.end(),
+                [](const NtTask *t) { return t != nullptr; });
             sim::BlockOut blk = sim::runBlock(
                 decoded, primary, blockCap(state, takenBudget(cfg, state)),
-                budget, dilation, primaryBranches, detectorFree,
+                UINT64_MAX, dilation, primaryBranches, detectorFree,
                 detectorFree ? &port : nullptr);
             if (blk.instructions) {
                 result.takenInstructions += blk.instructions;
@@ -442,12 +432,11 @@ PathExpanderEngine::runCmp(RunState &state)
             stepNt(next);
     }
 
-    // Program ended: outstanding NT-Paths are squashed and the
-    // remaining segments drain into memory.
-    for (auto &t : cmp.tasks) {
-        if (!t->done)
-            finishNt(*t, NtStopCause::ForcedSquash,
-                     sim::CrashKind::None);
+    // Program ended: outstanding NT-Paths are squashed in spawn order
+    // and the remaining segments drain into memory.
+    while (!cmp.live.empty()) {
+        finishNt(cmp.live.front(), NtStopCause::ForcedSquash,
+                 sim::CrashKind::None);
     }
     tryCommit();
     pe_assert(cmp.segments.empty(), "uncommitted segments at exit");

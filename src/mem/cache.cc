@@ -35,20 +35,14 @@ Cache::Cache(const CacheGeometry &g) : geom(g)
 bool
 Cache::access(uint32_t wordAddr)
 {
+    if (accessIfHit(wordAddr))
+        return true;
+
+    // Miss: fill the LRU (or first invalid) way.
     uint32_t set, tag;
     indexOf(wordAddr, set, tag);
     Way *base = &ways[static_cast<size_t>(set) * geom.ways];
     ++useClock;
-
-    for (uint32_t w = 0; w < geom.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lastUse = useClock;
-            ++hitCount;
-            return true;
-        }
-    }
-
-    // Miss: fill the LRU (or first invalid) way.
     ++missCount;
     Way *victim = base;
     for (uint32_t w = 0; w < geom.ways; ++w) {

@@ -13,6 +13,7 @@
 #ifndef PE_MEM_CACHE_HH
 #define PE_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,26 @@ class Cache
      * @return true on hit.  On miss the line is filled (LRU victim).
      */
     bool access(uint32_t wordAddr);
+
+    /**
+     * Access @p wordAddr only if its line is present: on a hit, update
+     * the LRU order and hit count exactly as access() does and return
+     * true; on a miss, change nothing and return false.
+     */
+    bool accessIfHit(uint32_t wordAddr)
+    {
+        uint32_t set, tag;
+        indexOf(wordAddr, set, tag);
+        Way *base = &ways[static_cast<size_t>(set) * geom.ways];
+        for (uint32_t w = 0; w < geom.ways; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lastUse = ++useClock;
+                ++hitCount;
+                return true;
+            }
+        }
+        return false;
+    }
 
     /** Probe without side effects. */
     bool contains(uint32_t wordAddr) const;

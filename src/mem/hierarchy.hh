@@ -52,6 +52,19 @@ class MemHierarchy
      */
     uint64_t accessLatency(int core, uint32_t wordAddr, uint64_t now);
 
+    /**
+     * Model the access by @p core to @p wordAddr only if it hits the
+     * core's L1, which touches nothing another core reads: true after
+     * accessLatency's effects (its latency is l1HitLatency()), false
+     * with nothing changed on a miss.
+     */
+    bool accessIfL1Hit(int core, uint32_t wordAddr)
+    {
+        return l1s[static_cast<size_t>(core)]->accessIfHit(wordAddr);
+    }
+
+    uint64_t l1HitLatency() const { return params.l1HitLatency; }
+
     /** Gang-invalidate a core's L1 (NT-Path squash). */
     void invalidateL1(int core);
 

@@ -225,6 +225,12 @@ struct MemPort
      *  the block (an NT-Path's write-set bound; none on a taken path). */
     size_t ntLineBound = SIZE_MAX;
     uint64_t ntStoreCost = 0;       //!< extra cycles per retired store
+    /** Hit-only: run only the accesses whose effects stay on this
+     *  core.  A load or store whose line misses the core's L1, and a
+     *  store into a buffer already holding ntLineBound lines, surface
+     *  untouched instead.  Selects the dispatch loop's hit-only
+     *  variant once per call, not a test per access. */
+    bool hitOnly = false;
 };
 
 /**
@@ -297,13 +303,10 @@ struct BlockOut
  *
  * @p cycleBudget bounds the cycles the block may consume: an
  * instruction starts only while the cycles retired so far are <= the
- * budget.  This is how the CMP engine reproduces its
- * least-advanced-core scheduling exactly: a core may
- * keep executing precisely while its clock would still make it the
- * scheduler's pick, and the other cores' clocks are frozen while it
- * runs, so a budget computed once at dispatch is exact, not
- * conservative.  The first instruction is always within budget (the
- * caller was just picked).
+ * budget.  The CMP driver bounds an NT core's block this way, so the
+ * block starts no instruction at or after the primary core's clock;
+ * the first instruction is always within budget (the caller was just
+ * picked, so its clock is below the primary's).
  *
  * On return `core.pc` rests on the first unexecuted instruction and
  * the NT-entry predicate has been maintained exactly as the per-step
@@ -339,8 +342,12 @@ struct BlockOut
  * out the same.  An out-of-range address surfaces untouched
  * (sim::step raises BadAddress).  A store that leaves
  * ctx's buffer above `ntLineBound` lines retires and ends the block;
- * the caller stops the NT-Path before anything else runs.  When null,
- * loads and stores surface.
+ * the caller stops the NT-Path before anything else runs.  Through a
+ * hit-only port an access runs only when its line hits the core's L1
+ * (charged the L1 hit latency, whatever the clock) and, for a store,
+ * when ctx's buffer holds fewer than `ntLineBound` lines; any other
+ * access surfaces with nothing changed, so no store overflows the
+ * buffer in-block.  When null, loads and stores surface.
  */
 BlockOut runBlock(const DecodedProgram &decoded, Core &core,
                   uint64_t maxInstructions,

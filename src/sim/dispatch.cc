@@ -6,7 +6,9 @@
  * every block-safe instruction; execute() gives each table class its
  * semantics.  Two optional operands opt more of the program into the
  * loop: a memory port (loads and stores) and a branch port (every
- * conditional branch that would not spawn an NT-Path).
+ * conditional branch that would not spawn an NT-Path).  A hit-only
+ * memory port selects a second instantiation of the loop, once per
+ * call, so the other loop carries no per-access test for it.
  */
 
 #include <iterator>
@@ -92,9 +94,10 @@ retireBranch(BranchPort &br, const DecodedInst &di, uint32_t pc,
  * any memory latency to @p cycles, the effective cycles the block has
  * retired before @p di — or change nothing when it must surface.
  * Pfix and Pfixst reach here only with the NT-entry predicate clear,
- * where they retire as opcode-cost NOPs.
+ * where they retire as opcode-cost NOPs.  HitOnly is the memory
+ * port's hitOnly flag.
  */
-template <OpClass C, class Expr>
+template <OpClass C, bool HitOnly, class Expr>
 [[gnu::always_inline]] inline Exec
 execute(const Block &blk, Core &core, const DecodedInst &di,
         uint32_t codeSize, uint32_t &pc, uint64_t &cycles, Expr expr)
@@ -146,6 +149,20 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
             return Exec::Surface;
         const MemPort &port = *blk.port;
         const auto addr = static_cast<uint32_t>(wrapAdd(a(), di.imm));
+        if constexpr (HitOnly) {
+            // Only what stays on this core runs: an L1 hit, and a
+            // store that cannot overflow the write set.  The rest
+            // surfaces untouched, for the caller to step in order.
+            if (!port.ctx.valid(addr))
+                return Exec::Surface;   // step() raises BadAddress
+            if constexpr (C == OpClass::Store) {
+                const mem::VersionedBuffer *buf = port.ctx.buffer();
+                if (buf && buf->numLines() >= port.ntLineBound)
+                    return Exec::Surface;
+            }
+            if (!port.hierarchy.accessIfL1Hit(port.coreId, addr))
+                return Exec::Surface;
+        }
         if constexpr (C == OpClass::Load) {
             int32_t value;
             if (!port.ctx.tryRead(addr, value))
@@ -155,13 +172,18 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
             return Exec::Surface;       // step() raises BadAddress
         }
         // Issued at the instruction's start clock plus its opcode
-        // cost: the `now + cost` chargeStep passes.
-        cycles += port.hierarchy.accessLatency(
-            port.coreId, addr, port.startCycle + cycles + di.cost);
+        // cost: the `now + cost` chargeStep passes.  A hit's latency
+        // does not depend on it.
+        if constexpr (HitOnly) {
+            cycles += port.hierarchy.l1HitLatency();
+        } else {
+            cycles += port.hierarchy.accessLatency(
+                port.coreId, addr, port.startCycle + cycles + di.cost);
+        }
         if constexpr (C == OpClass::Store) {
             cycles += port.ntStoreCost;
             const mem::VersionedBuffer *buf = port.ctx.buffer();
-            if (buf && buf->numLines() > port.ntLineBound) {
+            if (!HitOnly && buf && buf->numLines() > port.ntLineBound) {
                 pc = next;
                 return Exec::Last;      // the caller stops the path
             }
@@ -171,13 +193,13 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
     return Exec::Retired;
 }
 
-} // namespace
-
+/** runBlock's loop; HitOnly is the memory port's hitOnly flag. */
+template <bool HitOnly>
 BlockOut
-runBlock(const DecodedProgram &decoded, Core &core,
-         const uint64_t maxInstructions, const uint64_t cycleBudget,
-         const uint64_t perInstExtra, BranchPort *branches,
-         bool inertChecks, const MemPort *port)
+runLoop(const DecodedProgram &decoded, Core &core,
+        const uint64_t maxInstructions, const uint64_t cycleBudget,
+        const uint64_t perInstExtra, BranchPort *branches,
+        bool inertChecks, const MemPort *port)
 {
     const Block blk{branches, inertChecks, port};
     const DecodedInst *const insts = decoded.data();
@@ -230,7 +252,7 @@ runBlock(const DecodedProgram &decoded, Core &core,
 
 #define PE_HANDLER(op, cls, field, ...)                                 \
   H_##op: {                                                             \
-    const Exec done = execute<OpClass::cls>(                            \
+    const Exec done = execute<OpClass::cls, HitOnly>(                   \
         blk, core, *di, codeSize, pc, cycles,                           \
         []([[maybe_unused]] int32_t a, [[maybe_unused]] int32_t b) {    \
             return __VA_ARGS__;                                         \
@@ -251,6 +273,22 @@ runBlock(const DecodedProgram &decoded, Core &core,
   H_Surface:
     core.pc = pc;
     return {maxInstructions - left, cycles};
+}
+
+} // namespace
+
+BlockOut
+runBlock(const DecodedProgram &decoded, Core &core,
+         const uint64_t maxInstructions, const uint64_t cycleBudget,
+         const uint64_t perInstExtra, BranchPort *branches,
+         bool inertChecks, const MemPort *port)
+{
+    if (port && port->hitOnly) {
+        return runLoop<true>(decoded, core, maxInstructions, cycleBudget,
+                             perInstExtra, branches, inertChecks, port);
+    }
+    return runLoop<false>(decoded, core, maxInstructions, cycleBudget,
+                          perInstExtra, branches, inertChecks, port);
 }
 
 } // namespace pe::sim

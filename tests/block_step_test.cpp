@@ -35,6 +35,7 @@ namespace
 {
 
 using namespace pe;
+using test::blockRunMatchesLegacy;
 using test::expectIdentical;
 using test::generateProgram;
 
@@ -275,21 +276,6 @@ TEST(BlockStepRandom, SeedSweepIsBitIdentical)
 // counter resets decide what surfaces.  Every configuration below runs
 // against the per-step loop.
 // ---------------------------------------------------------------------
-
-/** Block-stepped and per-step runs of @p program agree; the first. */
-core::RunResult
-blockRunMatchesLegacy(const isa::Program &program, core::PeConfig cfg,
-                      const std::vector<int32_t> &input)
-{
-    auto runWith = [&](bool legacy) {
-        cfg.legacyStepLoop = legacy;
-        core::PathExpanderEngine engine(program, cfg, nullptr);
-        return engine.run(input);
-    };
-    core::RunResult blk = runWith(false);
-    expectIdentical(blk, runWith(true));
-    return blk;
-}
 
 TEST(BlockStepBranches, SweepMatchesPerStepLoop)
 {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.hh"
+#include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
 #include "src/workloads/workload.hh"
 
@@ -160,6 +161,46 @@ TEST(Cmp, SingleIdleCoreStillWorks)
     auto off = run(program, core::PeConfig::forMode(core::PeMode::Off));
     EXPECT_GT(r.ntPathsSpawned, 0u);
     EXPECT_EQ(r.io.charOutput, off.io.charOutput);
+}
+
+TEST(Cmp, FinalSquashFollowsSpawnOrder)
+{
+    // Five spawn branches in a row, each NT-Path spinning past the
+    // taken path's exit: three run on the idle cores, two wait in the
+    // queue, and the squash at exit ends all five, oldest first.
+    const auto program = isa::assemble("beq r0, r0, a\n"
+                                       "jmp spin\n"
+                                       "a:\n"
+                                       "beq r0, r0, b\n"
+                                       "jmp spin\n"
+                                       "b:\n"
+                                       "beq r0, r0, c\n"
+                                       "jmp spin\n"
+                                       "c:\n"
+                                       "beq r0, r0, d\n"
+                                       "jmp spin\n"
+                                       "d:\n"
+                                       "beq r0, r0, e\n"
+                                       "jmp spin\n"
+                                       "e:\n"
+                                       "sys exit\n"
+                                       "spin:\n"
+                                       "jmp spin\n",
+                                       "final_squash");
+    for (bool legacy : {false, true}) {
+        SCOPED_TRACE(legacy ? "per-step loop" : "block loop");
+        auto cfg = core::PeConfig::forMode(core::PeMode::Cmp);
+        cfg.legacyStepLoop = legacy;
+        cfg.maxNtPathLength = 100'000;
+        auto r = run(program, cfg);
+        ASSERT_EQ(r.ntRecords.size(), 5u);
+        for (uint32_t i = 0; i < 5; ++i) {
+            EXPECT_EQ(r.ntRecords[i].spawnBranchPc, 2 * i);
+            EXPECT_EQ(r.ntRecords[i].cause, core::NtStopCause::ForcedSquash);
+        }
+        EXPECT_GT(r.ntRecords[0].length, 0u);
+        EXPECT_EQ(r.ntRecords[4].length, 0u);   // never got a core
+    }
 }
 
 TEST(Cmp, DeterministicAcrossRuns)

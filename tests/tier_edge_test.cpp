@@ -42,6 +42,7 @@ namespace
 
 using namespace pe;
 using isa::Opcode;
+using test::blockRunMatchesLegacy;
 
 constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
 constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
@@ -807,23 +808,6 @@ programOf(std::vector<isa::Instruction> code)
     return program;
 }
 
-/**
- * Run @p program detector-free under @p cfg block-stepped and with the
- * per-step loop, require the results identical and return the first.
- */
-core::RunResult
-runBothLoops(const isa::Program &program, core::PeConfig cfg)
-{
-    auto runWith = [&](bool legacy) {
-        cfg.legacyStepLoop = legacy;
-        core::PathExpanderEngine engine(program, cfg, nullptr);
-        return engine.run({});
-    };
-    core::RunResult blocks = runWith(false);
-    test::expectIdentical(blocks, runWith(true));
-    return blocks;
-}
-
 /** The record of the NT-Path spawned at @p pc; fails if there is none. */
 core::NtPathRecord
 ntRecordAt(const core::RunResult &result, uint32_t pc)
@@ -867,7 +851,7 @@ TEST(TierEdgeOperands, BadAddressesSurfaceFromThePort)
             for (auto mode : {core::PeMode::Off, core::PeMode::Standard,
                               core::PeMode::Cmp}) {
                 SCOPED_TRACE(core::peModeName(mode));
-                core::RunResult r = runBothLoops(
+                core::RunResult r = blockRunMatchesLegacy(
                     programOf(code), core::PeConfig::forMode(mode));
                 EXPECT_TRUE(r.programCrashed);
                 EXPECT_EQ(r.programCrashKind, sim::CrashKind::BadAddress);
@@ -884,7 +868,7 @@ TEST(TierEdgeOperands, BadAddressesSurfaceFromThePort)
                 isa::makeBranch(Opcode::Bgt, 20, 0, 7), kExit};
             for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
                 SCOPED_TRACE(core::peModeName(mode));
-                core::RunResult r = runBothLoops(
+                core::RunResult r = blockRunMatchesLegacy(
                     programOf(nt), core::PeConfig::forMode(mode));
                 EXPECT_FALSE(r.programCrashed);
                 const core::NtPathRecord rec = ntRecordAt(r, 2);
@@ -921,7 +905,7 @@ TEST(TierEdgeOperands, CapacityOverflowStopsAfterTheStore)
         // The fill path's segment stays uncommitted while the spin's
         // own NT-Paths pile segments on top of it.
         cfg.maxSegmentDepth = 1024;
-        core::RunResult r = runBothLoops(programOf(code), cfg);
+        core::RunResult r = blockRunMatchesLegacy(programOf(code), cfg);
         const core::NtPathRecord rec = ntRecordAt(r, 2);
         EXPECT_EQ(rec.cause, core::NtStopCause::CapacityOverflow);
         EXPECT_EQ(rec.length, 4 * (lines / 2) + 1);
@@ -956,7 +940,7 @@ TEST(TierEdgeOperands, PortContentionMatchesPerStepLoop)
         SCOPED_TRACE(core::peModeName(mode));
         auto cfg = core::PeConfig::forMode(mode);
         cfg.maxNtPathLength = 100'000;
-        core::RunResult r = runBothLoops(programOf(code), cfg);
+        core::RunResult r = blockRunMatchesLegacy(programOf(code), cfg);
         // On one core each miss's latency is on the clock before the
         // next access, so only CMP contends for the port.
         if (mode == core::PeMode::Cmp)

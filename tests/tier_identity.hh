@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers of the execution-tier identity tests: a field-by-field
- * RunResult comparison and the random-program generator.
+ * RunResult comparison, a block-stepped against per-step run and the
+ * random-program generator.
  */
 
 #ifndef PE_TESTS_TIER_IDENTITY_HH
@@ -11,7 +12,9 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/core/engine.hh"
 #include "src/core/result.hh"
 #include "src/support/rng.hh"
 
@@ -74,6 +77,25 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
         EXPECT_EQ(x.ntSpawnPc, y.ntSpawnPc);
         EXPECT_EQ(x.site, y.site);
     }
+}
+
+/**
+ * Run @p program on @p input detector-free under @p cfg, block-stepped
+ * and with the per-step loop; require the results identical and return
+ * the block-stepped one.
+ */
+inline core::RunResult
+blockRunMatchesLegacy(const isa::Program &program, core::PeConfig cfg,
+                      const std::vector<int32_t> &input = {})
+{
+    auto runWith = [&](bool legacy) {
+        cfg.legacyStepLoop = legacy;
+        core::PathExpanderEngine engine(program, cfg, nullptr);
+        return engine.run(input);
+    };
+    core::RunResult blk = runWith(false);
+    expectIdentical(blk, runWith(true));
+    return blk;
 }
 
 /**
