@@ -34,7 +34,12 @@
  * budget; an NT core's block starts no instruction at or after the
  * primary's clock, because the primary's spawns and its exit read
  * NT-Path lengths.  Under followNonTakenInNt NT-Paths read and bump
- * BTB counters, so there the driver steps every instruction.
+ * BTB counters, so there every instruction steps.
+ *
+ * This file holds the policy only: the pick rule, the hit-only choice,
+ * an NT core's cycle budget, spawn, ending a path and commit.  Every
+ * path moves through engine_impl.hh's PathAdvancer: the primary by
+ * advanceTaken, an NT core by advanceNt.
  */
 
 #include <algorithm>
@@ -43,8 +48,6 @@
 #include <memory>
 
 #include "src/core/engine_impl.hh"
-#include "src/mem/versioned_buffer.hh"
-#include "src/support/status.hh"
 
 namespace pe::core
 {
@@ -57,22 +60,14 @@ namespace
 struct Segment;
 
 /** One live NT-Path (running on a core or queued). */
-struct NtTask
+struct NtTask : NtPath
 {
-    sim::Core cpu;
-    uint32_t spawnPc = 0;
-    bool ntDir = false;
+    using NtPath::NtPath;
+
+    sim::Core cpu;                  //!< its core's registers
     uint64_t spawnTime = 0;         //!< primary time at spawn
-    mem::VersionedBuffer buf;
-    detect::ObjectRegistry overlay;
-    std::unique_ptr<sim::IoChannel> specIo; //!< sandboxIo extension
     Segment *segment = nullptr;     //!< the segment cut at its spawn
     int core = -1;                  //!< executing core, or -1 if queued
-    uint64_t length = 0;
-
-    NtTask(int pathId, const detect::ObjectRegistry *registry)
-        : buf(pathId), overlay(registry)
-    {}
 };
 
 /** One uncommitted taken-path segment. */
@@ -112,24 +107,11 @@ PathExpanderEngine::runCmp(RunState &state)
 {
     RunResult &result = state.result;
     sim::Core &primary = state.primary;
+    PathAdvancer paths(program, cfg, decoded, detector, state);
 
     CmpState cmp;
     cmp.coreTime.assign(cfg.numCores, 0);
     cmp.onCore.assign(cfg.numCores, nullptr);
-
-    const uint32_t l1Capacity = state.hierarchy.l1LineCapacity();
-    // Under the redirect ablation an NT-Path reads and bumps the BTB
-    // counters that the primary's in-block branches bump, so no core
-    // has private work to run ahead: step every instruction.
-    const bool useBlocks = !cfg.legacyStepLoop && !cfg.followNonTakenInNt;
-    const uint64_t dilation = blockDilation(cfg);
-    const bool detectorFree = detector == nullptr;
-    // Branch ports, as in the inline driver: the primary retires every
-    // branch that would not spawn in-block, the NT cores every branch.
-    sim::BranchPort takenBranches = takenBranchPort(cfg, state);
-    sim::BranchPort *const primaryBranches =
-        takenBranchesInBlock(cfg) ? &takenBranches : nullptr;
-    sim::BranchPort ntBranches = ntBranchPort(cfg, state);
 
     auto currentPrimaryBuf = [&]() -> mem::VersionedBuffer * {
         return cmp.segments.empty() ? nullptr
@@ -161,16 +143,11 @@ PathExpanderEngine::runCmp(RunState &state)
         }
     };
 
-    // End @p task: record it, hand its core on and drop it.
-    auto finishNt = [&](NtTask &task, NtStopCause cause,
-                        sim::CrashKind crashKind) {
-        NtPathRecord record;
-        record.spawnBranchPc = task.spawnPc;
-        record.spawnEdgeTaken = task.ntDir;
-        record.length = task.length;
-        record.cause = cause;
-        record.crashKind = crashKind;
-        result.ntRecords.push_back(record);
+    // End @p task: record it, hand its core on and drop it.  A segment
+    // commits only once its sibling has ended, so this is the one place
+    // that commits.
+    auto finishNt = [&](NtTask &task, NtEnd end) {
+        paths.recordNt(task, end);
 
         task.segment->sibling = nullptr;    // the squash token
         const int c = task.core;
@@ -202,8 +179,7 @@ PathExpanderEngine::runCmp(RunState &state)
     auto forceSquashOldest = [&]() {
         for (auto &seg : cmp.segments) {
             if (seg.sibling) {
-                finishNt(*seg.sibling, NtStopCause::ForcedSquash,
-                         sim::CrashKind::None);
+                finishNt(*seg.sibling, {NtStopCause::ForcedSquash});
                 return;
             }
         }
@@ -214,24 +190,12 @@ PathExpanderEngine::runCmp(RunState &state)
             ++result.ntPathsSkippedBusy;
             return;
         }
-        bool ntDir = ntEdgeDir(branchRes);
-        state.btb.increment(branchRes.pc, ntDir);
-        ++result.ntPathsSpawned;
-        result.coverage.onNtEdge(branchRes.pc, ntDir);
-
-        NtTask &task =
-            cmp.live.emplace_back(cmp.allocPathId(), &state.registry);
+        NtTask &task = cmp.live.emplace_back(cmp.allocPathId(),
+                                             &state.registry, branchRes);
         task.cpu = primary;  // fast register copy, core to core
-        task.cpu.pc = ntEdgeTarget(branchRes);
-        task.cpu.ntEntryPred = cfg.variableFixing;
-        task.spawnPc = branchRes.pc;
-        task.ntDir = ntDir;
+        paths.enterNt(branchRes, task.cpu, task);
         task.spawnTime = cmp.coreTime[0];
         task.buf.setParent(currentPrimaryBuf());
-        if (cfg.sandboxIo) {
-            task.specIo =
-                std::make_unique<sim::IoChannel>(result.io);
-        }
 
         // Cut the taken path: a new segment begins after the branch;
         // its sibling is the NT-Path just spawned.
@@ -267,154 +231,7 @@ PathExpanderEngine::runCmp(RunState &state)
             forceSquashOldest();
     };
 
-    auto stepNt = [&](int c) {
-        NtTask &task = *cmp.onCore[c];
-        if (task.length >= cfg.maxNtPathLength) {
-            finishNt(task, NtStopCause::MaxLength, sim::CrashKind::None);
-            return;
-        }
-        mem::MemCtx ctx(state.memory, &task.buf);
-        if (useBlocks &&
-            decoded.startsBlock(task.cpu.pc, /*execBranches=*/true,
-                                detectorFree, detectorFree)) {
-            // The core's private work, up to its next shared event:
-            // the hit-only port surfaces L1 misses and the store that
-            // would overflow the write set.  The block starts no
-            // instruction at or after the primary's clock (the primary
-            // wins ties), because the primary's spawns and its exit
-            // read this path's length.
-            sim::MemPort port = memPort(cfg, state, ctx, c,
-                                        cmp.coreTime[c], /*inNt=*/true);
-            port.hitOnly = true;
-            sim::BlockOut blk = sim::runBlock(
-                decoded, task.cpu,
-                blockCap(state, cfg.maxNtPathLength - task.length),
-                cmp.coreTime[0] - 1 - cmp.coreTime[c], dilation,
-                &ntBranches, detectorFree, detectorFree ? &port : nullptr);
-            if (blk.instructions) {
-                task.length += blk.instructions;
-                result.ntInstructions += blk.instructions;
-                cmp.coreTime[c] += blk.cycles;
-                return;
-            }
-        }
-        // A shared event, and this core is the scheduler's pick.
-        sim::IoChannel &ntIo =
-            task.specIo ? *task.specIo : result.io;
-        sim::StepResult res = sim::step(decoded, task.cpu, ctx, ntIo,
-                                        /*allowIo=*/cfg.sandboxIo,
-                                        cfg.layout);
-        if (res.crashed()) {
-            finishNt(task, NtStopCause::Crash, res.crash);
-            return;
-        }
-        if (res.unsafeEvent) {
-            finishNt(task, NtStopCause::UnsafeEvent,
-                     sim::CrashKind::None);
-            return;
-        }
-
-        ++task.length;
-        ++result.ntInstructions;
-        cmp.coreTime[c] +=
-            chargeStep(program, cfg, state, detector, c, res,
-                       cmp.coreTime[c], /*inNt=*/true);
-        routeEvents(program, cfg, state, detector, task.overlay, ctx,
-                    res, /*fromNt=*/true, task.spawnPc);
-
-        if (res.exited) {
-            finishNt(task, NtStopCause::ProgramEnd,
-                     sim::CrashKind::None);
-            return;
-        }
-        if (res.branch) {
-            bool followed = res.branchTaken;
-            if (cfg.followNonTakenInNt &&
-                state.btb.count(res.pc, !res.branchTaken) == 0) {
-                followed = !res.branchTaken;
-                task.cpu.pc = followed ? res.branchTarget
-                                       : res.branchFallthrough;
-                state.btb.increment(res.pc, followed);
-            }
-            result.coverage.onNtEdge(res.pc, followed);
-        }
-        if (task.buf.numLines() > l1Capacity)
-            finishNt(task, NtStopCause::CapacityOverflow,
-                     sim::CrashKind::None);
-    };
-
-    bool primaryDone = false;
-    auto stepPrimary = [&]() {
-        if (result.takenInstructions >= cfg.maxTakenInstructions) {
-            result.hitInstructionLimit = true;
-            result.stopCause = RunStopCause::InstructionLimit;
-            primaryDone = true;
-            return;
-        }
-        mem::MemCtx ctx(state.memory, currentPrimaryBuf());
-        if (useBlocks &&
-            decoded.startsBlock(primary.pc, primaryBranches != nullptr,
-                                detectorFree, detectorFree)) {
-            // The primary's private work, with no cycle budget, up to
-            // the next counter reset.  A branch that would spawn
-            // surfaces, so the block spawns nothing and leaves
-            // tryCommit nothing to do.  While an NT core runs, the
-            // hit-only port surfaces L1 misses; with none running,
-            // nothing else happens before the block's end, so its
-            // misses run in-block too.
-            sim::MemPort port = memPort(cfg, state, ctx, 0,
-                                        cmp.coreTime[0], /*inNt=*/false);
-            port.hitOnly = std::any_of(
-                cmp.onCore.begin() + 1, cmp.onCore.end(),
-                [](const NtTask *t) { return t != nullptr; });
-            sim::BlockOut blk = sim::runBlock(
-                decoded, primary, blockCap(state, takenBudget(cfg, state)),
-                UINT64_MAX, dilation, primaryBranches, detectorFree,
-                detectorFree ? &port : nullptr);
-            if (blk.instructions) {
-                result.takenInstructions += blk.instructions;
-                cmp.coreTime[0] += blk.cycles;
-                advanceResetClock(cfg, state, blk.instructions);
-                return;
-            }
-        }
-        sim::StepResult res = sim::step(decoded, primary, ctx, result.io,
-                                        /*allowIo=*/true, cfg.layout);
-        if (res.crashed()) {
-            result.programCrashed = true;
-            result.programCrashKind = res.crash;
-            result.stopCause = RunStopCause::Crashed;
-            primaryDone = true;
-            return;
-        }
-        pe_assert(!res.unsafeEvent, "unsafe event on the taken path");
-
-        ++result.takenInstructions;
-        cmp.coreTime[0] +=
-            chargeStep(program, cfg, state, detector, 0, res,
-                       cmp.coreTime[0], /*inNt=*/false);
-        routeEvents(program, cfg, state, detector, state.registry, ctx,
-                    res, /*fromNt=*/false, 0);
-
-        if (res.exited) {
-            primaryDone = true;
-            return;
-        }
-        if (res.branch) {
-            result.coverage.onTakenEdge(res.pc, res.branchTaken);
-            if (cfg.recordEdgeTrace) {
-                result.recordBranchEvent(res.pc, res.branchTaken,
-                                         cfg.edgeTraceCap);
-            }
-            state.btb.increment(res.pc, res.branchTaken);
-            if (shouldSpawn(cfg, state, decoded, res.pc, ntEdgeDir(res)))
-                spawn(res);
-        }
-        advanceResetClock(cfg, state, 1);
-        tryCommit();
-    };
-
-    while (!primaryDone) {
+    for (;;) {
         if (cancelRequested(state)) {
             result.aborted = true;
             result.stopCause = RunStopCause::Deadline;
@@ -422,23 +239,45 @@ PathExpanderEngine::runCmp(RunState &state)
         }
         // Advance the least-advanced active core.
         int next = 0;
+        bool ntRunning = false;
         for (int c = 1; c < cfg.numCores; ++c) {
-            if (cmp.onCore[c] && cmp.coreTime[c] < cmp.coreTime[next])
+            if (!cmp.onCore[c])
+                continue;
+            ntRunning = true;
+            if (cmp.coreTime[c] < cmp.coreTime[next])
                 next = c;
         }
-        if (next == 0)
-            stepPrimary();
-        else
-            stepNt(next);
+        if (next == 0) {
+            // The primary's private work has no cycle budget.  While an
+            // NT core runs, the hit-only port surfaces its L1 misses;
+            // with none running, nothing else happens before the
+            // block's end, so its misses run in-block too.
+            mem::MemCtx ctx(state.memory, currentPrimaryBuf());
+            if (!paths.advanceTaken(cmp.coreTime[0], ctx, ntRunning,
+                                    spawn)) {
+                break;
+            }
+            continue;
+        }
+        // An NT core's private work starts no instruction at or after
+        // the primary's clock (the primary wins ties), because the
+        // primary's spawns and its exit read this path's length.
+        NtTask &task = *cmp.onCore[next];
+        if (auto end = paths.advanceNt(
+                task.cpu, task, next, cmp.coreTime[next],
+                cmp.coreTime[0] - 1 - cmp.coreTime[next],
+                /*hitOnly=*/true)) {
+            finishNt(task, *end);
+        }
     }
 
-    // Program ended: outstanding NT-Paths are squashed in spawn order
-    // and the remaining segments drain into memory.
-    while (!cmp.live.empty()) {
-        finishNt(cmp.live.front(), NtStopCause::ForcedSquash,
-                 sim::CrashKind::None);
-    }
-    tryCommit();
+    // The run ended: outstanding NT-Paths are squashed in spawn order
+    // (as host aborts when the watchdog cut the run short), which
+    // drains the remaining segments into memory.
+    const NtStopCause cause = result.aborted ? NtStopCause::HostAbort
+                                             : NtStopCause::ForcedSquash;
+    while (!cmp.live.empty())
+        finishNt(cmp.live.front(), {cause});
     pe_assert(cmp.segments.empty(), "uncommitted segments at exit");
 
     result.cycles = cmp.coreTime[0];

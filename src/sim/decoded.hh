@@ -294,10 +294,10 @@ struct BlockOut
  * surface to the engine and after at most @p maxInstructions.
  *
  * The returned cycle total is exactly what the legacy loop
- * accumulates through `chargeStep` for these instructions: their base
- * opcode costs, @p perInstExtra per instruction (the software cost
- * model's dilation), each branch's `branchExtra` and, for loads and
- * stores run through @p port, the memory latency and
+ * accumulates through the engine's `retire` for these instructions:
+ * their base opcode costs, @p perInstExtra per instruction (the
+ * software cost model's dilation), each branch's `branchExtra` and,
+ * for loads and stores run through @p port, the memory latency and
  * NT-store log cost.  The same running total is the block's clock,
  * which times memory accesses and meets the cycle budget.
  *
@@ -330,16 +330,16 @@ struct BlockOut
  *
  * @p inertChecks, when true, asserts the run carries no detector, in
  * which case Chkb and Assert retire in-block as opcode-cost NOPs:
- * every consumer of their events (detector latency in chargeStep,
- * onBoundsCheck/onAssert dispatch in routeEvents) is gated on a
- * detector being present.  When false they surface.
+ * every consumer of their events (the detector's check cost and its
+ * onBoundsCheck/onAssert dispatch, both in the engine's `retire`) is
+ * gated on a detector being present.  When false they surface.
  *
  * @p port, when non-null, also asserts a detector-free run and opts
  * loads and stores into the block.  Each access goes through
  * `port->ctx` and is charged `hierarchy.accessLatency` at the
  * port's start cycle plus the cycles retired so far plus its opcode
- * cost — the `now + cost` chargeStep passes, so shared port waits come
- * out the same.  An out-of-range address surfaces untouched
+ * cost — the `now + cost` the engine's `retire` passes, so shared port
+ * waits come out the same.  An out-of-range address surfaces untouched
  * (sim::step raises BadAddress).  A store that leaves
  * ctx's buffer above `ntLineBound` lines retires and ends the block;
  * the caller stops the NT-Path before anything else runs.  Through a

@@ -172,8 +172,8 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
             return Exec::Surface;       // step() raises BadAddress
         }
         // Issued at the instruction's start clock plus its opcode
-        // cost: the `now + cost` chargeStep passes.  A hit's latency
-        // does not depend on it.
+        // cost: the `now + cost` the engine's `retire` passes.  A hit's
+        // latency does not depend on it.
         if constexpr (HitOnly) {
             cycles += port.hierarchy.l1HitLatency();
         } else {

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/branch/btb.hh"
@@ -445,6 +446,98 @@ TEST(BlockStepBranches, HotBranchKeepsItsLruPlace)
         EXPECT_EQ(hotSpawns, 1u);
         // A and B miss on every execution, so they keep spawning.
         EXPECT_GT(r.ntPathsSpawned, 40u);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Detectors beyond each workload's own: the paper's CCured-like bounds
+// checker, and a detector that reports every load and store and charges
+// for every access and bounds check.  With a detector installed, loads,
+// stores and Chkb surface to sim::step, so these legs hold the
+// step-retire path's charges and detector dispatch, on the taken path
+// and on NT-Paths, to the per-step loop.
+// ---------------------------------------------------------------------
+
+/** Reports every load and store; charges each access and Chkb. */
+class EveryAccessDetector : public detect::Detector
+{
+  public:
+    const char *name() const override { return "every-access"; }
+
+    void
+    onMemAccess(const detect::DetectCtx &ctx, uint32_t addr,
+                bool isWrite) override
+    {
+        reportMem(ctx,
+                  isWrite ? detect::ReportKind::GuardHit
+                          : detect::ReportKind::WildAccess,
+                  addr);
+    }
+
+    uint64_t memAccessCost() const override { return 3; }
+    uint64_t boundsCheckCost() const override { return 5; }
+};
+
+/**
+ * Run @p workload's benign input 0 and its first trigger input under
+ * Off, Standard and Cmp, block-stepped and with the per-step loop, each
+ * with a fresh @p Det; require the results identical.  Returns the
+ * block-stepped runs' detector reports and NT-Paths, summed, so a leg
+ * can show it exercised something.
+ */
+template <typename Det>
+std::pair<size_t, size_t>
+compareWithDetector(const std::string &workload)
+{
+    const auto &w = workloads::getWorkload(workload);
+    const auto program = minic::compile(w.source, w.name);
+    std::vector<std::vector<int32_t>> inputs = {w.benignInputs[0]};
+    if (!w.triggerInputs.empty())
+        inputs.push_back(w.triggerInputs.begin()->second);
+    size_t reports = 0;
+    size_t ntPaths = 0;
+    for (auto mode :
+         {core::PeMode::Off, core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            SCOPED_TRACE(i == 0 ? "benign input" : "trigger input");
+            auto runWith = [&](bool legacy) {
+                auto cfg = core::PeConfig::forMode(mode);
+                cfg.maxNtPathLength = w.maxNtPathLength;
+                cfg.legacyStepLoop = legacy;
+                Det det;
+                core::PathExpanderEngine engine(program, cfg, &det);
+                return engine.run(inputs[i]);
+            };
+            const core::RunResult blk = runWith(false);
+            expectIdentical(blk, runWith(true));
+            reports += blk.monitor.reports().size();
+            ntPaths += blk.ntRecords.size();
+        }
+    }
+    return {reports, ntPaths};
+}
+
+TEST(BlockStepDetectors, BoundsCheckerMatchesPerStepLoop)
+{
+    for (const char *name : {"pe_bc", "pe_go", "pe_man"}) {
+        SCOPED_TRACE(name);
+        const auto [reports, ntPaths] =
+            compareWithDetector<detect::BoundsChecker>(name);
+        EXPECT_GT(reports, 0u);
+        EXPECT_GT(ntPaths, 0u);
+    }
+}
+
+TEST(BlockStepDetectors, EveryAccessDetectorMatchesPerStepLoop)
+{
+    // pe_go makes ~300k reports a run; these three keep the leg short.
+    for (const char *name : {"schedule", "print_tokens", "pe_bc"}) {
+        SCOPED_TRACE(name);
+        const auto [reports, ntPaths] =
+            compareWithDetector<EveryAccessDetector>(name);
+        EXPECT_GT(reports, 0u);
+        EXPECT_GT(ntPaths, 0u);
     }
 }
 

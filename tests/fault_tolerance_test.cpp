@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "src/core/campaign.hh"
+#include "src/core/engine.hh"
+#include "src/detect/detector.hh"
 #include "src/explore/explorer.hh"
 #include "src/fleet/checkpoint.hh"
 #include "src/fleet/coordinator.hh"
@@ -405,6 +407,61 @@ TEST(Watchdog, RunStopCauseNamesDistinctAndNonNull)
     EXPECT_STREQ(
         core::ntStopCauseName(core::NtStopCause::HostAbort),
         "host-abort");
+}
+
+/**
+ * Raises the run's cancel token at the @p at-th load or store an
+ * NT-Path makes: a deadline that lands, with no thread and no clock,
+ * while NT-Paths are in flight.
+ */
+class CancelOnNtAccess : public detect::Detector
+{
+  public:
+    CancelOnNtAccess(std::atomic<bool> &token, int at)
+        : token(token), left(at)
+    {}
+
+    const char *name() const override { return "cancel-on-nt-access"; }
+
+    void
+    onMemAccess(const detect::DetectCtx &ctx, uint32_t, bool) override
+    {
+        if (ctx.fromNtPath && --left == 0)
+            token.store(true, std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<bool> &token;
+    int left;
+};
+
+TEST(Watchdog, AbortSquashesInFlightNtPathsAsHostAbort)
+{
+    const auto &w = workloads::getWorkload("pe_go");
+    const auto program = minic::compile(w.source, w.name);
+    for (auto mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        cfg.maxNtPathLength = w.maxNtPathLength;
+        // Deep enough that no segment-depth squash (a ForcedSquash)
+        // happens before the abort.
+        cfg.maxSegmentDepth = 1'000'000;
+        std::atomic<bool> cancel{false};
+        CancelOnNtAccess detector(cancel, 500);
+        core::PathExpanderEngine engine(program, cfg, &detector);
+        const core::RunResult res = engine.run(w.benignInputs[0], &cancel);
+
+        EXPECT_TRUE(res.aborted);
+        EXPECT_EQ(res.stopCause, core::RunStopCause::Deadline);
+        size_t hostAborts = 0;
+        size_t forcedSquashes = 0;
+        for (const core::NtPathRecord &rec : res.ntRecords) {
+            hostAborts += rec.cause == core::NtStopCause::HostAbort;
+            forcedSquashes += rec.cause == core::NtStopCause::ForcedSquash;
+        }
+        EXPECT_GE(hostAborts, 1u);
+        EXPECT_EQ(forcedSquashes, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
