@@ -330,23 +330,33 @@ struct Paired
 };
 
 /**
- * Simulated MIPS of @p program on @p input under @p cfgA and @p cfgB,
- * the two arms alternating run by run over @p reps reps.
+ * Simulated MIPS of @p programA under @p cfgA and @p programB under
+ * @p cfgB, both on @p input, the two arms alternating run by run over
+ * @p reps reps.
  */
 Paired
-pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
-           const core::PeConfig &cfgB, int reps,
-           const std::vector<int32_t> &input = {})
+pairedMips(const isa::Program &programA, const core::PeConfig &cfgA,
+           const isa::Program &programB, const core::PeConfig &cfgB,
+           int reps, const std::vector<int32_t> &input = {})
 {
     std::vector<double> a, b, ratio;
     for (int i = 0; i < reps; ++i) {
-        auto [usA, nA] = timedRun(program, cfgA, input);
-        auto [usB, nB] = timedRun(program, cfgB, input);
+        auto [usA, nA] = timedRun(programA, cfgA, input);
+        auto [usB, nB] = timedRun(programB, cfgB, input);
         a.push_back(static_cast<double>(nA) / usA);
         b.push_back(static_cast<double>(nB) / usB);
         ratio.push_back(b.back() / a.back());
     }
     return {median(a), median(b), median(ratio)};
+}
+
+/** pairedMips with one program for both arms. */
+Paired
+pairedMips(const isa::Program &program, const core::PeConfig &cfgA,
+           const core::PeConfig &cfgB, int reps,
+           const std::vector<int32_t> &input = {})
+{
+    return pairedMips(program, cfgA, program, cfgB, reps, input);
 }
 
 /**
@@ -373,14 +383,21 @@ recordInterpreterMips(bench::BenchJson &json)
     cmpLegacyCfg.legacyStepLoop = true;
 
     const auto loop = minic::compile(loopSource, "loop");
-    const Paired straight =
-        pairedMips(straightLineProgram(60000), legacyCfg, offCfg, 5);
+    const isa::Program straightLine = straightLineProgram(60000);
+    const Paired straight = pairedMips(straightLine, legacyCfg, offCfg, 5);
     const Paired mixed = pairedMips(loop, legacyCfg, offCfg, 21);
     const Paired mixedStd = pairedMips(loop, stdLegacyCfg, stdCfg, 21);
     const auto &go = workloads::getWorkload("pe_go");
     const Paired cmp =
         pairedMips(minic::compile(go.source, go.name), cmpLegacyCfg,
                    cmpCfg, 11, go.benignInputs[0]);
+    // Both arms in the block tier, so the per-step loop's speed is in
+    // neither: the mixed loop, whose locals live in memory (a load or
+    // store every few instructions), over the straight-line kernel,
+    // which touches no memory.  The ratio is the share of the block
+    // loop's ALU speed that its memory path keeps.
+    const Paired memPath =
+        pairedMips(straightLine, offCfg, loop, offCfg, 21);
 
     json.set("mips_legacy_straightline", straight.a);
     json.set("mips_block_straightline", straight.b);
@@ -394,16 +411,22 @@ recordInterpreterMips(bench::BenchJson &json)
     json.set("mips_legacy_cmp", cmp.a);
     json.set("mips_block_cmp", cmp.b);
     json.set("mips_speedup_cmp", cmp.ratio);
+    json.set("mips_block_straightline_paired", memPath.a);
+    json.set("mips_block_mixed_paired", memPath.b);
+    json.set("mips_block_mixed_over_straightline", memPath.ratio);
 
     printf("\nSimulated-MIPS (legacy -> block-stepped; medians, "
            "per-rep ratio):\n"
            "  straight-line:         %.1f -> %.1f MIPS (%.2fx)\n"
            "  mixed loop:            %.1f -> %.1f MIPS (%.2fx)\n"
            "  mixed loop, Standard:  %.1f -> %.1f MIPS (%.2fx)\n"
-           "  pe_go, Cmp:            %.1f -> %.1f MIPS (%.2fx)\n",
+           "  pe_go, Cmp:            %.1f -> %.1f MIPS (%.2fx)\n"
+           "Block tier, straight-line -> mixed loop (medians, per-rep "
+           "ratio):\n"
+           "  memory path:           %.1f -> %.1f MIPS (%.2fx)\n",
            straight.a, straight.b, straight.ratio, mixed.a, mixed.b,
            mixed.ratio, mixedStd.a, mixedStd.b, mixedStd.ratio, cmp.a,
-           cmp.b, cmp.ratio);
+           cmp.b, cmp.ratio, memPath.a, memPath.b, memPath.ratio);
 }
 
 /**

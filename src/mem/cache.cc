@@ -15,9 +15,14 @@ namespace pe::mem
 
 Cache::Cache(const CacheGeometry &g) : geom(g)
 {
-    pe_assert(g.lineBytes >= 4 && g.lineBytes % 4 == 0,
-              "line size must be a multiple of a word");
-    pe_assert(g.numLines() % g.ways == 0, "lines not divisible by ways");
+    // Reject a degenerate geometry before dividing by any of it.
+    if (g.lineBytes < 4 || g.lineBytes % 4 != 0 || g.ways == 0 ||
+        g.numLines() < g.ways || g.numLines() % g.ways != 0) {
+        pe_fatal("cache geometry needs a line of whole words, at least "
+                 "one way and one set, and lines divisible by ways; got ",
+                 g.sizeBytes, " bytes, ", g.ways, " ways, ", g.lineBytes,
+                 "-byte lines");
+    }
     wordsPerLineLocal = g.lineBytes / 4;
     numSetsLocal = geom.numSets();
     ways.resize(static_cast<size_t>(numSetsLocal) * geom.ways);
@@ -32,16 +37,11 @@ Cache::Cache(const CacheGeometry &g) : geom(g)
     }
 }
 
-bool
-Cache::access(uint32_t wordAddr)
+void
+Cache::fill(uint32_t wordAddr)
 {
-    if (accessIfHit(wordAddr))
-        return true;
-
-    // Miss: fill the LRU (or first invalid) way.
-    uint32_t set, tag;
-    indexOf(wordAddr, set, tag);
-    Way *base = &ways[static_cast<size_t>(set) * geom.ways];
+    const uint32_t line = lineOf(wordAddr);
+    Way *base = &ways[static_cast<size_t>(setOf(line)) * geom.ways];
     ++useClock;
     ++missCount;
     Way *victim = base;
@@ -54,17 +54,17 @@ Cache::access(uint32_t wordAddr)
             victim = &base[w];
     }
     victim->valid = true;
-    victim->tag = tag;
+    victim->tag = tagOf(line);
     victim->lastUse = useClock;
-    return false;
+    mruLine = line;
 }
 
 bool
 Cache::contains(uint32_t wordAddr) const
 {
-    uint32_t set, tag;
-    indexOf(wordAddr, set, tag);
-    const Way *base = &ways[static_cast<size_t>(set) * geom.ways];
+    const uint32_t line = lineOf(wordAddr);
+    const uint32_t tag = tagOf(line);
+    const Way *base = &ways[static_cast<size_t>(setOf(line)) * geom.ways];
     for (uint32_t w = 0; w < geom.ways; ++w) {
         if (base[w].valid && base[w].tag == tag)
             return true;
@@ -76,6 +76,7 @@ void
 Cache::invalidateAll()
 {
     std::fill(ways.begin(), ways.end(), Way{});
+    mruLine = noLine;
 }
 
 uint64_t

@@ -28,8 +28,7 @@ MemHierarchy::MemHierarchy(int numCores, const CacheGeometry &l1Geom,
     : l2(l2Geom), params(p)
 {
     pe_assert(numCores >= 1, "need at least one core");
-    for (int i = 0; i < numCores; ++i)
-        l1s.push_back(std::make_unique<Cache>(l1Geom));
+    l1s.assign(static_cast<size_t>(numCores), Cache(l1Geom));
 }
 
 MemHierarchy::MemHierarchy(int numCores, const MemTimingParams &p)
@@ -37,13 +36,9 @@ MemHierarchy::MemHierarchy(int numCores, const MemTimingParams &p)
 {}
 
 uint64_t
-MemHierarchy::accessLatency(int core, uint32_t wordAddr, uint64_t now)
+MemHierarchy::missLatency(uint32_t wordAddr, uint64_t now)
 {
-    Cache &l1 = *l1s.at(core);
-    if (l1.access(wordAddr))
-        return params.l1HitLatency;
-
-    // L1 miss: arbitrate for the shared L2 port.
+    // Arbitrate for the shared L2 port.
     uint64_t l2Start =
         l2port.acquire(now + params.l1HitLatency, params.l2PortHold);
     if (l2.access(wordAddr))
@@ -58,13 +53,13 @@ MemHierarchy::accessLatency(int core, uint32_t wordAddr, uint64_t now)
 void
 MemHierarchy::invalidateL1(int core)
 {
-    l1s.at(core)->invalidateAll();
+    l1s.at(core).invalidateAll();
 }
 
 uint32_t
 MemHierarchy::l1LineCapacity() const
 {
-    return l1s.front()->geometry().numLines();
+    return l1s.front().geometry().numLines();
 }
 
 } // namespace pe::mem

@@ -10,7 +10,6 @@
 #ifndef PE_MEM_HIERARCHY_HH
 #define PE_MEM_HIERARCHY_HH
 
-#include <memory>
 #include <vector>
 
 #include "src/mem/cache.hh"
@@ -47,28 +46,31 @@ class MemHierarchy
 
     /**
      * Model a data access by @p core to @p wordAddr issued at cycle
-     * @p now; updates cache and port state.
+     * @p now; updates cache and port state.  An L1 hit runs inline;
+     * a miss calls missLatency.
      * @return the access latency in cycles (including port waits).
      */
-    uint64_t accessLatency(int core, uint32_t wordAddr, uint64_t now);
+    uint64_t accessLatency(int core, uint32_t wordAddr, uint64_t now)
+    {
+        if (l1s[static_cast<size_t>(core)].access(wordAddr))
+            return params.l1HitLatency;
+        return missLatency(wordAddr, now);
+    }
 
     /**
-     * Model the access by @p core to @p wordAddr only if it hits the
-     * core's L1, which touches nothing another core reads: true after
-     * accessLatency's effects (its latency is l1HitLatency()), false
-     * with nothing changed on a miss.
+     * The rest of an access to @p wordAddr issued at cycle @p now
+     * whose L1 lookup missed (and filled): the shared L2 behind its
+     * port and, on an L2 miss, memory behind the bus.
+     * @return the access latency in cycles, as accessLatency.
      */
-    bool accessIfL1Hit(int core, uint32_t wordAddr)
-    {
-        return l1s[static_cast<size_t>(core)]->accessIfHit(wordAddr);
-    }
+    uint64_t missLatency(uint32_t wordAddr, uint64_t now);
 
     uint64_t l1HitLatency() const { return params.l1HitLatency; }
 
     /** Gang-invalidate a core's L1 (NT-Path squash). */
     void invalidateL1(int core);
 
-    Cache &l1(int core) { return *l1s.at(core); }
+    Cache &l1(int core) { return l1s.at(core); }
     Cache &l2Cache() { return l2; }
     const SharedPort &l2Port() const { return l2port; }
     const SharedPort &memPort() const { return membus; }
@@ -77,7 +79,7 @@ class MemHierarchy
     uint32_t l1LineCapacity() const;
 
   private:
-    std::vector<std::unique_ptr<Cache>> l1s;
+    std::vector<Cache> l1s;
     Cache l2;
     SharedPort l2port;
     SharedPort membus;

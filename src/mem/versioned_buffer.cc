@@ -10,22 +10,6 @@
 namespace pe::mem
 {
 
-const VersionedBuffer::Line *
-VersionedBuffer::find(uint32_t tag) const
-{
-    if (table.empty())
-        return nullptr;
-    size_t slot = slotOf(tag, table.size());
-    for (;;) {
-        const Line &line = table[slot];
-        if (line.tag == tag)
-            return &line;
-        if (line.tag == emptyTag)
-            return nullptr;
-        slot = (slot + 1) & (table.size() - 1);
-    }
-}
-
 VersionedBuffer::Line &
 VersionedBuffer::findOrInsert(uint32_t tag)
 {

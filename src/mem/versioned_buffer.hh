@@ -107,7 +107,23 @@ class VersionedBuffer
         return (tag * 0x9e3779b1u) & (tableSize - 1);
     }
 
-    const Line *find(uint32_t tag) const;
+    /** The line with @p tag, or null.  Inline: every NT-Path load and
+     *  every CMP segment-chain read probes here. */
+    const Line *find(uint32_t tag) const
+    {
+        if (table.empty())
+            return nullptr;
+        size_t slot = slotOf(tag, table.size());
+        for (;;) {
+            const Line &line = table[slot];
+            if (line.tag == tag)
+                return &line;
+            if (line.tag == emptyTag)
+                return nullptr;
+            slot = (slot + 1) & (table.size() - 1);
+        }
+    }
+
     Line &findOrInsert(uint32_t tag);
     void grow();
 

@@ -29,7 +29,7 @@ DecodedProgram::DecodedProgram(const isa::Program &program,
                                const TimingConfig &timing)
 {
     const size_t codeSize = program.code.size();
-    insts.reserve(codeSize);
+    insts.reserve(codeSize + 1);
     for (const isa::Instruction &inst : program.code) {
         DecodedInst di;
         di.imm = inst.imm;
@@ -59,12 +59,14 @@ DecodedProgram::DecodedProgram(const isa::Program &program,
         }
         insts.push_back(di);
     }
+    codeLen = static_cast<uint32_t>(codeSize);
+    insts.emplace_back();   // the Surface sentinel
 }
 
 void
 DecodedProgram::markNoSpawn(uint32_t startPc, uint32_t endPc)
 {
-    endPc = std::min<uint32_t>(endPc, static_cast<uint32_t>(insts.size()));
+    endPc = std::min(endPc, codeLen);
     for (uint32_t pc = startPc; pc < endPc; ++pc)
         insts[pc].flags |= DecodedInst::FlagNoSpawn;
 }

@@ -142,14 +142,14 @@ class DecodedProgram
     /** True when branches at @p pc must not spawn NT-Paths. */
     bool noSpawn(uint32_t pc) const
     {
-        return pc < insts.size() &&
+        return pc < codeLen &&
                (insts[pc].flags & DecodedInst::FlagNoSpawn) != 0;
     }
 
     /** Mark @p pc's @p takenDir NT edge as statically doomed. */
     void markDoomedEdge(uint32_t pc, bool takenDir)
     {
-        if (pc < insts.size()) {
+        if (pc < codeLen) {
             insts[pc].flags |= takenDir ? DecodedInst::FlagDoomedTaken
                                         : DecodedInst::FlagDoomedFall;
         }
@@ -160,20 +160,20 @@ class DecodedProgram
     {
         const uint8_t flag = takenDir ? DecodedInst::FlagDoomedTaken
                                       : DecodedInst::FlagDoomedFall;
-        return pc < insts.size() && (insts[pc].flags & flag) != 0;
+        return pc < codeLen && (insts[pc].flags & flag) != 0;
     }
 
     /** Mark the branch at @p pc as eligible for self-pruning. */
     void markPruneEligible(uint32_t pc)
     {
-        if (pc < insts.size())
+        if (pc < codeLen)
             insts[pc].flags |= DecodedInst::FlagPruneEligible;
     }
 
     /** True when the branch at @p pc may ever be promoted. */
     bool pruneEligible(uint32_t pc) const
     {
-        return pc < insts.size() &&
+        return pc < codeLen &&
                (insts[pc].flags & DecodedInst::FlagPruneEligible) != 0;
     }
 
@@ -192,7 +192,7 @@ class DecodedProgram
                      bool inertChecks = false,
                      bool execMemory = false) const
     {
-        if (pc >= insts.size())
+        if (pc >= codeLen)
             return false;
         const DecodedInst &di = insts[pc];
         return di.kind != HandlerKind::Surface &&
@@ -202,11 +202,17 @@ class DecodedProgram
                 execMemory);
     }
 
-    uint32_t size() const { return static_cast<uint32_t>(insts.size()); }
+    /** The code length: the instructions data() holds before its
+     *  sentinel. */
+    uint32_t size() const { return codeLen; }
     const DecodedInst *data() const { return insts.data(); }
 
   private:
+    /** The decoded code and, after it, one Surface sentinel, so the
+     *  dispatch loop surfaces on falling off the end without a
+     *  per-instruction bound test.  Empty when default-constructed. */
     std::vector<DecodedInst> insts;
+    uint32_t codeLen = 0;
 };
 
 /**
@@ -306,7 +312,8 @@ struct BlockOut
  * budget.  The CMP driver bounds an NT core's block this way, so the
  * block starts no instruction at or after the primary core's clock;
  * the first instruction is always within budget (the caller was just
- * picked, so its clock is below the primary's).
+ * picked, so its clock is below the primary's).  UINT64_MAX is no
+ * budget, and selects a loop with no per-instruction budget test.
  *
  * On return `core.pc` rests on the first unexecuted instruction and
  * the NT-entry predicate has been maintained exactly as the per-step
@@ -339,8 +346,10 @@ struct BlockOut
  * `port->ctx` and is charged `hierarchy.accessLatency` at the
  * port's start cycle plus the cycles retired so far plus its opcode
  * cost — the `now + cost` the engine's `retire` passes, so shared port
- * waits come out the same.  An out-of-range address surfaces untouched
- * (sim::step raises BadAddress).  A store that leaves
+ * waits come out the same.  The block looks up the port core's L1
+ * once per call and runs a hit inline; only a miss calls out.  An
+ * out-of-range address surfaces untouched (sim::step raises
+ * BadAddress).  A store that leaves
  * ctx's buffer above `ntLineBound` lines retires and ends the block;
  * the caller stops the NT-Path before anything else runs.  Through a
  * hit-only port an access runs only when its line hits the core's L1

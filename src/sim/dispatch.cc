@@ -6,9 +6,12 @@
  * every block-safe instruction; execute() gives each table class its
  * semantics.  Two optional operands opt more of the program into the
  * loop: a memory port (loads and stores) and a branch port (every
- * conditional branch that would not spawn an NT-Path).  A hit-only
- * memory port selects a second instantiation of the loop, once per
- * call, so the other loop carries no per-access test for it.
+ * conditional branch that would not spawn an NT-Path).  Two choices
+ * made once per call select one of four instantiations of the loop, so
+ * no loop carries a per-instruction test for a choice it did not get:
+ * a hit-only memory port, and a finite cycle budget.  The loop needs
+ * no per-instruction PC bound either: runBlock tests the entry PC, and
+ * the decoded image ends in a Surface sentinel.
  */
 
 #include <iterator>
@@ -35,6 +38,9 @@ struct Block
     BranchPort *branches;
     bool inertChecks;
     const MemPort *port;
+    /** The port core's L1 and hit latency, resolved once per call. */
+    mem::Cache *l1;
+    uint64_t l1Latency;
 };
 
 /** What execute() did with one instruction. */
@@ -160,7 +166,7 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
                 if (buf && buf->numLines() >= port.ntLineBound)
                     return Exec::Surface;
             }
-            if (!port.hierarchy.accessIfL1Hit(port.coreId, addr))
+            if (!blk.l1->accessIfHit(addr))
                 return Exec::Surface;
         }
         if constexpr (C == OpClass::Load) {
@@ -171,14 +177,14 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
         } else if (!port.ctx.tryWrite(addr, b())) {
             return Exec::Surface;       // step() raises BadAddress
         }
-        // Issued at the instruction's start clock plus its opcode
-        // cost: the `now + cost` the engine's `retire` passes.  A hit's
-        // latency does not depend on it.
-        if constexpr (HitOnly) {
-            cycles += port.hierarchy.l1HitLatency();
+        // A miss is issued at the instruction's start clock plus its
+        // opcode cost: the `now + cost` the engine's `retire` passes.
+        // A hit's latency does not depend on it.
+        if (HitOnly || blk.l1->access(addr)) [[likely]] {
+            cycles += blk.l1Latency;
         } else {
-            cycles += port.hierarchy.accessLatency(
-                port.coreId, addr, port.startCycle + cycles + di.cost);
+            cycles += port.hierarchy.missLatency(
+                addr, port.startCycle + cycles + di.cost);
         }
         if constexpr (C == OpClass::Store) {
             cycles += port.ntStoreCost;
@@ -193,15 +199,20 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
     return Exec::Retired;
 }
 
-/** runBlock's loop; HitOnly is the memory port's hitOnly flag. */
-template <bool HitOnly>
+/**
+ * runBlock's loop from an in-range PC; HitOnly is the memory port's
+ * hitOnly flag and Budgeted whether the cycle budget is finite.
+ */
+template <bool HitOnly, bool Budgeted>
 BlockOut
 runLoop(const DecodedProgram &decoded, Core &core,
         const uint64_t maxInstructions, const uint64_t cycleBudget,
         const uint64_t perInstExtra, BranchPort *branches,
         bool inertChecks, const MemPort *port)
 {
-    const Block blk{branches, inertChecks, port};
+    const Block blk{branches, inertChecks, port,
+                    port ? &port->hierarchy.l1(port->coreId) : nullptr,
+                    port ? port->hierarchy.l1HitLatency() : 0};
     const DecodedInst *const insts = decoded.data();
     const uint32_t codeSize = decoded.size();
     uint64_t left = maxInstructions;
@@ -218,9 +229,10 @@ runLoop(const DecodedProgram &decoded, Core &core,
     static_assert(std::size(kLabels) ==
                   static_cast<size_t>(HandlerKind::NumHandlerKinds));
 
+    // Past the last instruction lies the Surface sentinel.
 #define PE_NEXT()                                                       \
     do {                                                                \
-        if (left == 0 || pc >= codeSize || cycles > cycleBudget)        \
+        if (left == 0 || (Budgeted && cycles > cycleBudget))            \
             goto H_Surface;                                             \
         di = insts + pc;                                                \
         goto *kLabels[static_cast<uint8_t>(di->kind)];                  \
@@ -231,7 +243,7 @@ runLoop(const DecodedProgram &decoded, Core &core,
     // (a potential memory write) surfaces — and the first other
     // instruction clears it, exactly the per-step rule.
     while (core.ntEntryPred) [[unlikely]] {
-        if (left == 0 || pc >= codeSize || cycles > cycleBudget)
+        if (left == 0 || (Budgeted && cycles > cycleBudget))
             goto H_Surface;
         di = insts + pc;
         if (di->kind == HandlerKind::Surface ||
@@ -283,12 +295,18 @@ runBlock(const DecodedProgram &decoded, Core &core,
          const uint64_t perInstExtra, BranchPort *branches,
          bool inertChecks, const MemPort *port)
 {
-    if (port && port->hitOnly) {
-        return runLoop<true>(decoded, core, maxInstructions, cycleBudget,
-                             perInstExtra, branches, inertChecks, port);
-    }
-    return runLoop<false>(decoded, core, maxInstructions, cycleBudget,
-                          perInstExtra, branches, inertChecks, port);
+    // The one PC bound test: from here on every PC the loop reaches is
+    // in the image or its sentinel.
+    if (core.pc >= decoded.size())
+        return {};
+    // No cycle count exceeds UINT64_MAX, so that budget is none.
+    const bool budgeted = cycleBudget != UINT64_MAX;
+    const auto loop =
+        port && port->hitOnly
+            ? (budgeted ? runLoop<true, true> : runLoop<true, false>)
+            : (budgeted ? runLoop<false, true> : runLoop<false, false>);
+    return loop(decoded, core, maxInstructions, cycleBudget, perInstExtra,
+                branches, inertChecks, port);
 }
 
 } // namespace pe::sim

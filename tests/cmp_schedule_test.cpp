@@ -9,7 +9,9 @@
  * cases aim at the events whose order that rests on: an NT-Path store
  * that overflows its write set although its line hits L1, and the CMP
  * geometry (cores, outstanding NT-Paths, segment depth) under timings
- * that force clock ties and long port waits.
+ * that force clock ties and long port waits.  One more case holds the
+ * pick rule's tie-break, which both loops share, against values pinned
+ * from a known-good build.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "src/isa/assembler.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/minic/compiler.hh"
+#include "src/support/fnv.hh"
 #include "src/workloads/workload.hh"
 #include "tier_identity.hh"
 
@@ -208,6 +211,71 @@ TEST(CmpSchedule, GeometrySweepMatchesPerStepLoop)
     }
     EXPECT_GT(forced, 0u);
     EXPECT_GT(busy, 0u);
+}
+
+/**
+ * The pick rule's tie-break against values computed before it could
+ * change: the primary wins a clock tie, then the lower core index.
+ * Both sides of every block-vs-per-step test run the same pick rule,
+ * so only values pinned from a known-good build catch a change to it:
+ * letting an NT core win a tie (and its block start at the primary's
+ * clock) moves every case below — the cycles of pe_go, print_tokens
+ * and print_tokens2, the per-core clocks of pe_bc and pe_vpr, and the
+ * NT-Path lengths of all five.  Pinned: the primary's cycles, every
+ * core's clock, the NT-Path count and instructions, and an FNV-1a
+ * digest of the NT records in order (spawn PC, direction, length,
+ * stop cause).  Both tiers must give them.
+ */
+TEST(CmpSchedule, PickRuleTieBreakIsPinned)
+{
+    struct Pinned
+    {
+        const char *app;
+        size_t input;
+        uint64_t cycles;
+        std::vector<uint64_t> coreCycles;
+        size_t ntPaths;
+        uint64_t ntInstructions;
+        uint64_t ntDigest;
+    };
+    const Pinned cases[] = {
+        {"pe_bc", 0, 16536, {16536, 16806, 16779, 16806}, 158, 20125,
+         0x892e38a7ee526ee6ull},
+        {"print_tokens", 0, 81416, {81416, 81345, 54298, 21354}, 230,
+         28432, 0x914bd79edb5d88cfull},
+        {"print_tokens2", 1, 31486, {31486, 31634, 31483, 31488}, 259,
+         26629, 0x865e501c7ee5ce47ull},
+        {"pe_go", 0, 1395163, {1395163, 1394813, 1395163, 1394727}, 315,
+         293300, 0x34ac99eb6eb98bbeull},
+        {"pe_vpr", 3, 946732, {946732, 946732, 946732, 946433}, 164,
+         115823, 0x343e384096206a57ull},
+    };
+    for (const Pinned &pin : cases) {
+        const auto &w = workloads::getWorkload(pin.app);
+        const isa::Program program = minic::compile(w.source, w.name);
+        for (bool legacy : {false, true}) {
+            SCOPED_TRACE(std::string(pin.app) + " input " +
+                         std::to_string(pin.input) +
+                         (legacy ? ", per-step loop" : ", block tier"));
+            auto cfg = core::PeConfig::forMode(core::PeMode::Cmp);
+            cfg.maxNtPathLength = w.maxNtPathLength;
+            cfg.legacyStepLoop = legacy;
+            core::PathExpanderEngine engine(program, cfg);
+            const core::RunResult r = engine.run(w.benignInputs[pin.input]);
+            uint64_t digest = kFnvOffset;
+            for (const core::NtPathRecord &rec : r.ntRecords) {
+                digest = fnvMix(digest, rec.spawnBranchPc);
+                digest = fnvMix(digest, rec.spawnEdgeTaken);
+                digest = fnvMix(digest, rec.length);
+                digest = fnvMix(digest, static_cast<uint64_t>(rec.cause));
+            }
+            EXPECT_EQ(r.cycles, pin.cycles);
+            EXPECT_EQ(r.coreCycles, pin.coreCycles);
+            EXPECT_EQ(r.ntRecords.size(), pin.ntPaths);
+            EXPECT_EQ(r.ntInstructions, pin.ntInstructions);
+            EXPECT_EQ(digest, pin.ntDigest);
+        }
+    }
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/branch/btb.hh"
@@ -572,6 +573,72 @@ TEST(TierEdgeOperands, RegisterJump)
         EXPECT_EQ(res.pc, 1u);
         expectBlockRetires(program(target), 1);
     }
+}
+
+/**
+ * Running off the end of the code: every loop variant (with and without
+ * a cycle budget, with a full and a hit-only memory port) stops on the
+ * pc one past the last instruction, where sim::step raises BadJump, and
+ * a block entered at or past the end, or over an empty image, retires
+ * nothing and leaves the pc alone.
+ */
+TEST(TierEdgeOperands, RunningOffTheEndSurfacesAtTheCodeEnd)
+{
+    // li r8, 1; li r9, 2; beq r8, r0, 0 (not taken: falls off the end).
+    const std::vector<isa::Instruction> code = {
+        isa::makeLi(8, 1), isa::makeLi(9, 2),
+        isa::makeBranch(Opcode::Beq, 8, 0, 0)};
+    for (uint64_t budget : {UINT64_MAX, uint64_t{1000}}) {
+        for (int portKind = 0; portKind < 3; ++portKind) {
+            SCOPED_TRACE(std::string(budget == UINT64_MAX ? "no budget"
+                                                          : "budget") +
+                         ", port " + std::to_string(portKind));
+            Machine m(code);
+            coverage::BranchCoverage cov(m.program);
+            mem::MemHierarchy hierarchy(1, mem::MemTimingParams{});
+            mem::MemCtx ctx(m.memory, nullptr);
+            const sim::MemPort port{.ctx = ctx,
+                                    .hierarchy = hierarchy,
+                                    .hitOnly = portKind == 2};
+            const sim::BlockOut out = sim::runBlock(
+                m.decoded, m.core, 100, budget, 0, m.coveragePort(&cov),
+                true, portKind ? &port : nullptr);
+            EXPECT_EQ(out.instructions, 3u);
+            EXPECT_EQ(m.core.pc, 3u);
+            EXPECT_EQ(m.reg(9), 2);
+            // The next block retires nothing; sim::step faults there.
+            EXPECT_EQ(sim::runBlock(m.decoded, m.core, 100, budget, 0,
+                                    m.coveragePort(&cov), true,
+                                    portKind ? &port : nullptr)
+                          .instructions,
+                      0u);
+            EXPECT_EQ(m.core.pc, 3u);
+            const sim::StepResult res = m.stepRun(1);
+            EXPECT_EQ(res.crash, sim::CrashKind::BadJump);
+            EXPECT_EQ(res.pc, 3u);
+        }
+    }
+
+    // Entered past the end.
+    Machine past(code);
+    past.core.pc = 7;
+    EXPECT_EQ(past.block().instructions, 0u);
+    EXPECT_EQ(past.core.pc, 7u);
+
+    // An empty image: size 0, and a block there retires nothing.
+    const sim::DecodedProgram empty;
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_FALSE(empty.startsBlock(0, true, true, true));
+    sim::Core core;
+    EXPECT_EQ(sim::runBlock(empty, core, 100).instructions, 0u);
+    EXPECT_EQ(sim::runBlock(empty, core, 100, 0).instructions, 0u);
+    EXPECT_EQ(core.pc, 0u);
+
+    // A decoded image's size is its code length, sentinel aside.
+    Machine m(code);
+    EXPECT_EQ(m.decoded.size(), 3u);
+    EXPECT_TRUE(m.decoded.startsBlock(2, true, true, true));
+    EXPECT_FALSE(m.decoded.startsBlock(3, true, true, true));
 }
 
 TEST(TierEdgeOperands, DetectorHooks)
