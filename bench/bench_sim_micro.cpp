@@ -430,119 +430,6 @@ recordInterpreterMips(bench::BenchJson &json)
 }
 
 /**
- * A kernel built to saturate: an outer counted loop around a short
- * inner loop whose conditional branches all alternate direction, so
- * every taken-path coverage bit records within the first outer
- * iterations and (with threshold == counter cap) every exercise
- * counter climbs to its cap shortly after.  From then on the whole
- * inner loop — branches included — is one block per outer iteration,
- * broken only by the outer loop-back branch (whose exit direction
- * stays cold until the very end, the usual fate of a run-once edge).
- */
-isa::Program
-saturatedProgram(int iterations)
-{
-    std::ostringstream out;
-    out << "li r8, 0\n"
-        << "li r20, " << iterations << "\n"
-        << "li r21, 4\nli r9, 1\nli r10, 3\n"
-        << "outer:\n"
-        << "li r12, 0\n"
-        << "inner:\n"
-        // Branch 1: direction flips every inner iteration.
-        << "andi r13, r12, 1\n"
-        << "beq r13, r0, even\n"
-        << "add r9, r9, r10\n"
-        << "jmp join1\n"
-        << "even:\n"
-        << "sub r9, r9, r10\n"
-        << "join1:\n"
-        // Branch 2: direction flips every second inner iteration.
-        << "andi r13, r12, 2\n"
-        << "bne r13, r0, skip2\n"
-        << "xor r10, r10, r9\n"
-        << "skip2:\n";
-    // A little ALU meat between branches — kept short so the kernel
-    // stays branch-dense: promotion's win is the elided per-branch
-    // surface/re-dispatch plus the instrumentation, and long
-    // straight-line runs stream at the same speed either way.
-    for (int i = 0; i < 2; ++i) {
-        out << "add r9, r9, r10\n"
-            << "xori r10, r10, 21\n"
-            << "slt r14, r9, r10\n";
-    }
-    out << "addi r12, r12, 1\n"
-        // Branch 3: the inner loop-back, taken 3 of 4 times.
-        << "blt r12, r21, inner\n"
-        << "addi r8, r8, 1\n"
-        << "blt r8, r20, outer\n"
-        << "sys print_int r9\n"
-        << "sys exit\n";
-    return isa::assemble(out.str(), "saturated");
-}
-
-/**
- * The self-pruning record: simulated MIPS of Standard mode on the
- * saturating kernel with cfg.selfPrune off vs on, after asserting
- * the two configurations produce identical results (the self-pruning
- * contract) and that promotion actually engaged.  The spawn
- * threshold is raised to the counter cap so "below threshold" and
- * "below cap" coincide: the spawn-entry bumps then drive each
- * non-taken edge's counter all the way to saturation, which is what
- * lets the saturation predicate retire the branch.
- */
-void
-recordSaturatedMips(bench::BenchJson &json)
-{
-    auto program = saturatedProgram(30000);
-    auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
-    cfg.maxNtPathLength = 100;
-    cfg.ntPathCounterThreshold = 15;    // == 4-bit counter cap
-    auto prunedCfg = cfg;
-    prunedCfg.selfPrune = true;
-
-    {
-        core::PathExpanderEngine plain(program, cfg);
-        core::PathExpanderEngine pruned(program, prunedCfg);
-        auto a = plain.run({});
-        auto b = pruned.run({});
-        if (a.cycles != b.cycles ||
-            a.takenInstructions != b.takenInstructions ||
-            a.ntInstructions != b.ntInstructions ||
-            a.ntPathsSpawned != b.ntPathsSpawned ||
-            a.memoryDigest != b.memoryDigest ||
-            a.coverage.combinedCovered() !=
-                b.coverage.combinedCovered() ||
-            a.ntRecords.size() != b.ntRecords.size()) {
-            fprintf(stderr, "FATAL: selfPrune run diverged from the "
-                            "instrumented run on the saturated kernel\n");
-            exit(1);
-        }
-        if (b.prunedInstructions == 0) {
-            fprintf(stderr, "FATAL: selfPrune never engaged on the "
-                            "saturated kernel\n");
-            exit(1);
-        }
-        // Promoted branches retired in-block, as a share of the
-        // taken path.
-        json.set("pruned_branch_fraction",
-                 static_cast<double>(b.prunedInstructions) /
-                     static_cast<double>(b.takenInstructions));
-    }
-
-    const Paired mips = pairedMips(program, cfg, prunedCfg, 11);
-
-    json.set("mips_instrumented_saturated", mips.a);
-    json.set("mips_pruned_saturated", mips.b);
-    json.set("mips_selfprune_speedup", mips.ratio);
-
-    printf("\nSimulated-MIPS (instrumented -> self-pruned, saturated "
-           "kernel; medians, per-rep ratio):\n  %.1f -> %.1f MIPS "
-           "(%.2fx)\n",
-           mips.a, mips.b, mips.ratio);
-}
-
-/**
  * The per-run fixed-cost record: median host time of
  * PathExpanderEngine::run on a program that only exits, at the
  * default 4 MB layout and at a 256 KB one, the two alternating run by
@@ -597,7 +484,6 @@ main(int argc, char **argv)
     benchmark::Shutdown();
     bench::BenchJson json("bench_sim_micro");
     recordInterpreterMips(json);
-    recordSaturatedMips(json);
     recordRunFixedCost(json);
     json.write();
     return 0;

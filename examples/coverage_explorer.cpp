@@ -11,12 +11,15 @@
  *   $ ./examples/coverage_explorer [workload] [--jobs N]
  */
 
+#include <algorithm>
+#include <climits>
 #include <iostream>
 #include <string>
 
 #include "src/core/campaign.hh"
 #include "src/coverage/coverage.hh"
 #include "src/minic/compiler.hh"
+#include "src/support/status.hh"
 #include "src/support/strutil.hh"
 #include "src/workloads/workload.hh"
 
@@ -24,6 +27,14 @@ using namespace pe;
 
 namespace
 {
+
+int
+usage(const std::string &msg)
+{
+    std::cerr << "coverage_explorer: " << msg << "\n"
+              << "usage: coverage_explorer [workload] [--jobs N]\n";
+    return 2;
+}
 
 std::string
 bar(double fraction, int width = 40)
@@ -43,17 +54,22 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                std::cerr << "coverage_explorer: --jobs needs a "
-                             "value\n";
-                return 2;
+            if (i + 1 >= argc)
+                return usage("--jobs needs a value");
+            try {
+                jobsFlag = static_cast<unsigned>(
+                    parseUnsigned(arg, argv[++i], UINT_MAX));
+            } catch (const FatalError &err) {
+                return usage(err.what());
             }
-            jobsFlag = static_cast<unsigned>(std::stoul(argv[++i]));
         } else {
             name = arg;
         }
     }
 
+    const auto names = workloads::workloadNames();
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        return usage("unknown workload '" + name + "'");
     const auto &workload = workloads::getWorkload(name);
     auto program = minic::compile(workload.source, workload.name);
 

@@ -70,7 +70,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -159,155 +161,165 @@ main(int argc, char **argv)
     std::string spoolDir;
     bool verbose = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                return nullptr;
-            return argv[++i];
-        };
-        if (arg == "--policy") {
-            const char *v = next();
-            if (!v)
-                return usage("--policy needs a value");
-            if (std::string(v) == "uniform")
-                opts.policy = explore::SchedulePolicy::UniformRandom;
-            else if (std::string(v) == "rare")
-                opts.policy = explore::SchedulePolicy::RareEdgeWeighted;
-            else
-                return usage("unknown policy");
-            policyArg = v;
-        } else if (arg == "--path-objective") {
-            pathObjective = true;
-        } else if (arg == "--mode") {
-            const char *v = next();
-            if (!v)
-                return usage("--mode needs a value");
-            std::string m = v;
-            if (m == "off")
-                opts.config = core::PeConfig::forMode(core::PeMode::Off);
-            else if (m == "standard")
-                opts.config =
-                    core::PeConfig::forMode(core::PeMode::Standard);
-            else if (m == "cmp")
-                opts.config = core::PeConfig::forMode(core::PeMode::Cmp);
-            else
-                return usage("unknown mode");
-            modeArg = m;
-        } else if (arg == "--runs") {
-            const char *v = next();
-            if (!v)
-                return usage("--runs needs a value");
-            opts.budget.maxRuns = std::stoull(v);
-        } else if (arg == "--batch") {
-            const char *v = next();
-            if (!v)
-                return usage("--batch needs a value");
-            opts.batchSize = std::stoull(v);
-        } else if (arg == "--plateau") {
-            const char *v = next();
-            if (!v)
-                return usage("--plateau needs a value");
-            opts.budget.plateauBatches =
-                static_cast<uint32_t>(std::stoul(v));
-        } else if (arg == "--jobs") {
-            const char *v = next();
-            if (!v)
-                return usage("--jobs needs a value");
-            opts.threads = static_cast<unsigned>(std::stoul(v));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usage("--seed needs a value");
-            opts.seed = std::stoull(v);
-        } else if (arg == "--jsonl") {
-            const char *v = next();
-            if (!v)
-                return usage("--jsonl needs a value");
-            jsonlPath = v;
-        } else if (arg == "--checkpoint") {
-            const char *v = next();
-            if (!v)
-                return usage("--checkpoint needs a value");
-            opts.checkpointPath = v;
-        } else if (arg == "--checkpoint-every") {
-            const char *v = next();
-            if (!v)
-                return usage("--checkpoint-every needs a value");
-            opts.checkpointEvery = std::stoull(v);
-        } else if (arg == "--resume") {
-            const char *v = next();
-            if (!v)
-                return usage("--resume needs a value");
-            opts.resumeFrom = v;
-        } else if (arg == "--shards") {
-            const char *v = next();
-            if (!v)
-                return usage("--shards needs a value");
-            shards = static_cast<unsigned>(std::stoul(v));
-            if (shards < 1)
-                return usage("--shards must be >= 1");
-        } else if (arg == "--round-runs") {
-            const char *v = next();
-            if (!v)
-                return usage("--round-runs needs a value");
-            roundRuns = std::stoull(v);
-        } else if (arg == "--listen") {
-            const char *v = next();
-            if (!v)
-                return usage("--listen needs HOST:PORT");
-            listenSpec = v;
-        } else if (arg == "--connect") {
-            const char *v = next();
-            if (!v)
-                return usage("--connect needs HOST:PORT");
-            connectSpec = v;
-        } else if (arg == "--round-deadline-ms") {
-            const char *v = next();
-            if (!v)
-                return usage("--round-deadline-ms needs a value");
-            roundDeadlineMs = static_cast<int>(std::stol(v));
-        } else if (arg == "--dial-attempts") {
-            const char *v = next();
-            if (!v)
-                return usage("--dial-attempts needs a value");
-            dialAttempts = static_cast<int>(std::stol(v));
-        } else if (arg == "--fleet-checkpoint") {
-            const char *v = next();
-            if (!v)
-                return usage("--fleet-checkpoint needs a value");
-            fleetCheckpoint = v;
-        } else if (arg == "--fleet-resume") {
-            const char *v = next();
-            if (!v)
-                return usage("--fleet-resume needs a value");
-            fleetResume = v;
-        } else if (arg == "--heartbeat-ms") {
-            const char *v = next();
-            if (!v)
-                return usage("--heartbeat-ms needs a value");
-            heartbeatMs = static_cast<int>(std::stol(v));
-        } else if (arg == "--min-quorum") {
-            const char *v = next();
-            if (!v)
-                return usage("--min-quorum needs a value");
-            minQuorum = static_cast<uint32_t>(std::stoul(v));
-        } else if (arg == "--print-worker-cmd") {
-            printWorkerCmd = true;
-        } else if (arg == "--serve") {
-            serve = true;
-            // Optional value: a spool directory; omitted = stdin.
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                spoolDir = argv[++i];
-        } else if (arg == "--drain") {
-            drain = true;
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(("unknown option " + arg).c_str());
-        } else {
-            name = arg;
+    // A malformed or out-of-range number is a usage error.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto next = [&]() -> const char * {
+                if (i + 1 >= argc)
+                    return nullptr;
+                return argv[++i];
+            };
+            if (arg == "--policy") {
+                const char *v = next();
+                if (!v)
+                    return usage("--policy needs a value");
+                if (std::string(v) == "uniform")
+                    opts.policy = explore::SchedulePolicy::UniformRandom;
+                else if (std::string(v) == "rare")
+                    opts.policy = explore::SchedulePolicy::RareEdgeWeighted;
+                else
+                    return usage("unknown policy");
+                policyArg = v;
+            } else if (arg == "--path-objective") {
+                pathObjective = true;
+            } else if (arg == "--mode") {
+                const char *v = next();
+                if (!v)
+                    return usage("--mode needs a value");
+                std::string m = v;
+                if (m == "off")
+                    opts.config = core::PeConfig::forMode(core::PeMode::Off);
+                else if (m == "standard")
+                    opts.config =
+                        core::PeConfig::forMode(core::PeMode::Standard);
+                else if (m == "cmp")
+                    opts.config = core::PeConfig::forMode(core::PeMode::Cmp);
+                else
+                    return usage("unknown mode");
+                modeArg = m;
+            } else if (arg == "--runs") {
+                const char *v = next();
+                if (!v)
+                    return usage("--runs needs a value");
+                opts.budget.maxRuns = parseUnsigned(arg, v);
+            } else if (arg == "--batch") {
+                const char *v = next();
+                if (!v)
+                    return usage("--batch needs a value");
+                opts.batchSize = parseUnsigned(arg, v, SIZE_MAX);
+            } else if (arg == "--plateau") {
+                const char *v = next();
+                if (!v)
+                    return usage("--plateau needs a value");
+                opts.budget.plateauBatches =
+                    static_cast<uint32_t>(parseUnsigned(arg, v, UINT32_MAX));
+            } else if (arg == "--jobs") {
+                const char *v = next();
+                if (!v)
+                    return usage("--jobs needs a value");
+                opts.threads =
+                    static_cast<unsigned>(parseUnsigned(arg, v, UINT_MAX));
+            } else if (arg == "--seed") {
+                const char *v = next();
+                if (!v)
+                    return usage("--seed needs a value");
+                opts.seed = parseUnsigned(arg, v);
+            } else if (arg == "--jsonl") {
+                const char *v = next();
+                if (!v)
+                    return usage("--jsonl needs a value");
+                jsonlPath = v;
+            } else if (arg == "--checkpoint") {
+                const char *v = next();
+                if (!v)
+                    return usage("--checkpoint needs a value");
+                opts.checkpointPath = v;
+            } else if (arg == "--checkpoint-every") {
+                const char *v = next();
+                if (!v)
+                    return usage("--checkpoint-every needs a value");
+                opts.checkpointEvery = parseUnsigned(arg, v);
+            } else if (arg == "--resume") {
+                const char *v = next();
+                if (!v)
+                    return usage("--resume needs a value");
+                opts.resumeFrom = v;
+            } else if (arg == "--shards") {
+                const char *v = next();
+                if (!v)
+                    return usage("--shards needs a value");
+                shards =
+                    static_cast<unsigned>(parseUnsigned(arg, v, UINT_MAX));
+                if (shards < 1)
+                    return usage("--shards must be >= 1");
+            } else if (arg == "--round-runs") {
+                const char *v = next();
+                if (!v)
+                    return usage("--round-runs needs a value");
+                roundRuns = parseUnsigned(arg, v);
+            } else if (arg == "--listen") {
+                const char *v = next();
+                if (!v)
+                    return usage("--listen needs HOST:PORT");
+                listenSpec = v;
+            } else if (arg == "--connect") {
+                const char *v = next();
+                if (!v)
+                    return usage("--connect needs HOST:PORT");
+                connectSpec = v;
+            } else if (arg == "--round-deadline-ms") {
+                const char *v = next();
+                if (!v)
+                    return usage("--round-deadline-ms needs a value");
+                roundDeadlineMs =
+                    static_cast<int>(parseUnsigned(arg, v, INT_MAX));
+            } else if (arg == "--dial-attempts") {
+                const char *v = next();
+                if (!v)
+                    return usage("--dial-attempts needs a value");
+                dialAttempts =
+                    static_cast<int>(parseUnsigned(arg, v, INT_MAX));
+            } else if (arg == "--fleet-checkpoint") {
+                const char *v = next();
+                if (!v)
+                    return usage("--fleet-checkpoint needs a value");
+                fleetCheckpoint = v;
+            } else if (arg == "--fleet-resume") {
+                const char *v = next();
+                if (!v)
+                    return usage("--fleet-resume needs a value");
+                fleetResume = v;
+            } else if (arg == "--heartbeat-ms") {
+                const char *v = next();
+                if (!v)
+                    return usage("--heartbeat-ms needs a value");
+                heartbeatMs = static_cast<int>(parseUnsigned(arg, v, INT_MAX));
+            } else if (arg == "--min-quorum") {
+                const char *v = next();
+                if (!v)
+                    return usage("--min-quorum needs a value");
+                minQuorum =
+                    static_cast<uint32_t>(parseUnsigned(arg, v, UINT32_MAX));
+            } else if (arg == "--print-worker-cmd") {
+                printWorkerCmd = true;
+            } else if (arg == "--serve") {
+                serve = true;
+                // Optional value: a spool directory; omitted = stdin.
+                if (i + 1 < argc && argv[i + 1][0] != '-')
+                    spoolDir = argv[++i];
+            } else if (arg == "--drain") {
+                drain = true;
+            } else if (arg == "--verbose") {
+                verbose = true;
+            } else if (!arg.empty() && arg[0] == '-') {
+                return usage(("unknown option " + arg).c_str());
+            } else {
+                name = arg;
+            }
         }
+    } catch (const FatalError &err) {
+        return usage(err.what());
     }
 
     std::signal(SIGINT, onStopSignal);

@@ -25,6 +25,8 @@
  *   echo '3+4*2' | ./pe_run --tool=ccured --stdin-text calc.mc
  */
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -57,6 +59,21 @@ usage(const char *msg = nullptr)
     std::exit(2);
 }
 
+/** --random-spawn's value: a fraction from 0 to 1, or a usage error. */
+double
+parseFraction(const std::string &text)
+{
+    double value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !(value >= 0 && value <= 1)) {
+        usage(("--random-spawn: expected a fraction from 0 to 1, got '" +
+               text + "'")
+                  .c_str());
+    }
+    return value;
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -82,47 +99,53 @@ main(int argc, char **argv)
     bool stdinText = false;
     bool disasm = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--mode=")) {
-            std::string m = arg.substr(7);
-            if (m == "off")
-                cfg = core::PeConfig::forMode(core::PeMode::Off);
-            else if (m == "standard")
-                cfg = core::PeConfig::forMode(core::PeMode::Standard);
-            else if (m == "cmp")
-                cfg = core::PeConfig::forMode(core::PeMode::Cmp);
-            else
-                usage("unknown mode");
-        } else if (startsWith(arg, "--tool=")) {
-            toolName = arg.substr(7);
-        } else if (startsWith(arg, "--max-nt-len=")) {
-            cfg.maxNtPathLength =
-                static_cast<uint32_t>(std::stoul(arg.substr(13)));
-        } else if (startsWith(arg, "--threshold=")) {
-            cfg.ntPathCounterThreshold =
-                static_cast<uint8_t>(std::stoul(arg.substr(12)));
-        } else if (arg == "--no-fixing") {
-            cfg.variableFixing = false;
-        } else if (arg == "--sandbox-io") {
-            cfg.sandboxIo = true;
-        } else if (startsWith(arg, "--random-spawn=")) {
-            cfg.randomSpawnFraction = std::stod(arg.substr(15));
-        } else if (arg == "--software") {
-            cfg.costModel = core::CostModelKind::Software;
-        } else if (arg == "--stdin-text") {
-            stdinText = true;
-        } else if (arg == "--disasm") {
-            disasm = true;
-        } else if (startsWith(arg, "--emit-obj=")) {
-            emitObj = arg.substr(11);
-        } else if (startsWith(arg, "--")) {
-            usage(("unknown option '" + arg + "'").c_str());
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            input.push_back(std::stoi(arg));
+    // A malformed or out-of-range number is a usage error.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (startsWith(arg, "--mode=")) {
+                std::string m = arg.substr(7);
+                if (m == "off")
+                    cfg = core::PeConfig::forMode(core::PeMode::Off);
+                else if (m == "standard")
+                    cfg = core::PeConfig::forMode(core::PeMode::Standard);
+                else if (m == "cmp")
+                    cfg = core::PeConfig::forMode(core::PeMode::Cmp);
+                else
+                    usage("unknown mode");
+            } else if (startsWith(arg, "--tool=")) {
+                toolName = arg.substr(7);
+            } else if (startsWith(arg, "--max-nt-len=")) {
+                cfg.maxNtPathLength = static_cast<uint32_t>(
+                    parseUnsigned("--max-nt-len", arg.substr(13), UINT32_MAX));
+            } else if (startsWith(arg, "--threshold=")) {
+                cfg.ntPathCounterThreshold = static_cast<uint8_t>(
+                    parseUnsigned("--threshold", arg.substr(12), UINT8_MAX));
+            } else if (arg == "--no-fixing") {
+                cfg.variableFixing = false;
+            } else if (arg == "--sandbox-io") {
+                cfg.sandboxIo = true;
+            } else if (startsWith(arg, "--random-spawn=")) {
+                cfg.randomSpawnFraction = parseFraction(arg.substr(15));
+            } else if (arg == "--software") {
+                cfg.costModel = core::CostModelKind::Software;
+            } else if (arg == "--stdin-text") {
+                stdinText = true;
+            } else if (arg == "--disasm") {
+                disasm = true;
+            } else if (startsWith(arg, "--emit-obj=")) {
+                emitObj = arg.substr(11);
+            } else if (startsWith(arg, "--")) {
+                usage(("unknown option '" + arg + "'").c_str());
+            } else if (path.empty()) {
+                path = arg;
+            } else {
+                input.push_back(static_cast<int32_t>(
+                    parseSigned("input word", arg, INT32_MIN, INT32_MAX)));
+            }
         }
+    } catch (const FatalError &e) {
+        usage(e.what());
     }
     if (path.empty())
         usage("no program file");

@@ -27,9 +27,7 @@
 #include "src/analysis/cfg.hh"
 #include "src/analysis/fixcheck.hh"
 #include "src/analysis/primepaths.hh"
-#include "src/analysis/regions.hh"
 #include "src/analysis/verify.hh"
-#include "src/branch/btb.hh"
 #include "src/isa/assembler.hh"
 #include "src/isa/objfile.hh"
 #include "src/minic/compiler.hh"
@@ -99,11 +97,6 @@ struct LintResult
     uint32_t checkedBranches = 0;
     uint32_t derivedSlices = 0;
     uint32_t matchedFixes = 0;
-    // Self-pruning eligibility audit (src/analysis/regions.hh),
-    // against the paper-default BTB geometry.
-    uint32_t condBranches = 0;
-    uint32_t eligibleBranches = 0;
-    size_t saturableRegions = 0;
     // Prime-path structure (src/analysis/primepaths.hh): how many
     // maximal simple paths the CFG holds, how few of them suffice to
     // cover every intraprocedural edge, and whether the enumeration
@@ -137,18 +130,7 @@ lint(const isa::Program &program, bool fixcheck)
             ++res.warnings;
     }
 
-    // How much of the program self-pruning could ever promote into
-    // the block tier: statically eligible branches (conflict-free BTB
-    // sets under the default geometry) and the CFG regions they end.
-    const branch::BtbParams btb;
-    const analysis::SaturationEligibility elig =
-        analysis::computeSaturationEligibility(
-            program, btb.entries / btb.ways, btb.ways);
-    res.condBranches = elig.condBranches;
-    res.eligibleBranches = elig.eligibleBranches;
     const analysis::Cfg cfg(program);
-    res.saturableRegions = analysis::countEligibleRegions(cfg, elig);
-
     const analysis::PrimePathSet pathSet =
         analysis::enumeratePrimePaths(cfg);
     res.primePaths = pathSet.paths.size();
@@ -172,10 +154,6 @@ printText(const isa::Program &program, const LintResult &res,
                   << res.matchedFixes << " fix(es) matched\n";
     }
     if (verbose) {
-        std::cout << res.name << ": " << res.eligibleBranches << "/"
-                  << res.condBranches
-                  << " branch(es) eligible for self-pruning promotion, "
-                  << res.saturableRegions << " region(s) ending in one\n";
         std::cout << res.name << ": " << res.primePaths
                   << " prime path(s), cover " << res.pathCover
                   << (res.pathsTruncated ? " (truncated)" : "")
@@ -195,9 +173,6 @@ printJson(std::ostream &os, const isa::Program &program,
        << ",\"checked_branches\":" << res.checkedBranches
        << ",\"derived_slices\":" << res.derivedSlices
        << ",\"matched_fixes\":" << res.matchedFixes
-       << ",\"cond_branches\":" << res.condBranches
-       << ",\"eligible_branches\":" << res.eligibleBranches
-       << ",\"saturable_regions\":" << res.saturableRegions
        << ",\"prime_paths\":" << res.primePaths
        << ",\"path_cover\":" << res.pathCover
        << ",\"paths_truncated\":"

@@ -62,6 +62,9 @@ armConfigs(const workloads::Workload &w)
     c[1].timing = sim::TimingConfig::cmpConfig();
     c[2] = core::PeConfig::forMode(core::PeMode::Standard);
     c[2].maxNtPathLength = w.maxNtPathLength;
+    // As campaign_spec sets it: the flag is retired and does nothing
+    // now, but a base built before its retirement runs promotion's
+    // bookkeeping under it, as the benchmark did.
     c[2].selfPrune = true;
     c[3] = core::PeConfig::forMode(core::PeMode::Cmp);
     c[3].maxNtPathLength = w.maxNtPathLength;

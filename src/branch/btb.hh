@@ -84,17 +84,6 @@ class Btb
     /** Periodic counter reset (CounterResetInterval). */
     void resetCounters();
 
-    /**
-     * True when edge (@p pc, @p edgeTaken)'s exercise counter sits at
-     * the saturation value, i.e. further increments cannot change it.
-     * The self-pruning saturation predicate's counter leg.
-     */
-    bool atCap(uint32_t pc, bool edgeTaken) const
-    {
-        const Entry *e = find(pc);
-        return e && e->cnt[edgeTaken ? 1 : 0] == saturation;
-    }
-
     uint8_t maxCount() const { return saturation; }
     uint64_t evictions() const { return evictionCount; }
 

@@ -83,7 +83,9 @@ configHash(const PeConfig &cfg)
     f.value(cfg.maxTakenInstructions);
     f.value(cfg.maxSegmentDepth);
     f.value(cfg.spawnPreFilter);
-    f.value(cfg.selfPrune);
+    // The retired selfPrune flag's slot: a constant, so every hash of a
+    // config without the flag stays as it was (fleets seed from it).
+    f.value(false);
     f.value(cfg.recordEdgeTrace);
     f.value(cfg.edgeTraceCap);
     for (const auto &fn : cfg.noSpawnFuncs)

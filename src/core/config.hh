@@ -143,20 +143,10 @@ struct PeConfig
     bool spawnPreFilter = false;
 
     /**
-     * Self-pruning instrumentation (docs/INTERNALS.md §13): branches
-     * whose bookkeeping provably cannot change anything anymore —
-     * both coverage bits recorded, every NT spawn statically waived or
-     * the consulted counter at its saturation cap — are promoted, and
-     * the block tier runs them with no coverage write, counter bump or
-     * spawn check until the next counter reset demotes them.
-     * Results are bit-identical by contract
-     * (tests/self_prune_test.cpp), but the engine only engages
-     * promotion in regimes where the proof holds (Standard-mode
-     * primary path, no random spawn factor, no NT redirect ablation,
-     * threshold within the counter range); elsewhere the flag is
-     * inert.  Part of configHash() as an engine-behavior input even
-     * though accepting identical results, so perf trajectories remain
-     * attributable.
+     * Retired: self-pruning is gone, since the block loop retires every
+     * branch that would not spawn, and nothing reads this flag.  It
+     * stays only until the benchmark's Standard arm stops setting it;
+     * configHash() hashes a constant false in its slot.
      */
     bool selfPrune = false;
 
@@ -166,9 +156,8 @@ struct PeConfig
      * conditional branch, in order, capped at edgeTraceCap events.
      * The block tier appends the words of the branches it retires
      * through its branch port, so tracing changes no result and keeps
-     * branches in the block loop; it disengages self-pruning, whose
-     * promoted branches append nothing.  Part of configHash() as an
-     * engine-behavior input, like selfPrune.
+     * branches in the block loop.  Part of configHash() as an
+     * engine-behavior input.
      */
     bool recordEdgeTrace = false;
 

@@ -13,7 +13,6 @@
 #include <unordered_set>
 
 #include "src/analysis/priors.hh"
-#include "src/analysis/regions.hh"
 #include "src/checkpoint/checkpoint.hh"
 #include "src/core/engine_impl.hh"
 #include "src/support/status.hh"
@@ -29,8 +28,12 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
     : program(prog), cfg(config), detector(det),
       decoded(prog, config.timing)
 {
-    pe_assert(cfg.numCores >= 1, "need at least one core");
-    pe_assert(cfg.maxNtPathLength > 0, "MaxNTPathLength must be positive");
+    if (cfg.numCores < 1)
+        pe_fatal("the engine needs at least one core, got ", cfg.numCores);
+    if (cfg.maxNtPathLength < 1) {
+        pe_fatal("MaxNTPathLength must be at least 1, got ",
+                 cfg.maxNtPathLength);
+    }
     // The stack must hold the 16 words above the initial SP and leave
     // a heap below it; otherwise heapLimit() wraps or reaches zero.
     if (cfg.layout.stackWords < 16 ||
@@ -96,20 +99,6 @@ PathExpanderEngine::PathExpanderEngine(const isa::Program &prog,
                 decoded.markDoomedEdge(pc, false);
             if (edges[1].doomed)
                 decoded.markDoomedEdge(pc, true);
-        }
-    }
-
-    // Self-pruning: static eligibility, folded into per-PC flags.
-    // Branches in BTB sets that could evict are excluded so skipping
-    // their LRU stamps can't change a victim.
-    if (cfg.selfPrune) {
-        const analysis::SaturationEligibility elig =
-            analysis::computeSaturationEligibility(
-                program, cfg.btbParams.entries / cfg.btbParams.ways,
-                cfg.btbParams.ways);
-        for (uint32_t pc = 0; pc < elig.branchEligible.size(); ++pc) {
-            if (elig.branchEligible[pc])
-                decoded.markPruneEligible(pc);
         }
     }
 }
@@ -259,7 +248,6 @@ PathExpanderEngine::runInline(RunState &state)
             break;
         }
     }
-    result.prunedInstructions = paths.promotedRetired();
 }
 
 uint64_t

@@ -66,9 +66,8 @@ class PathExpanderEngine
     /**
      * The program pre-decoded against this engine's timing config:
      * handler kinds, validated static targets, per-instruction costs
-     * and the folded per-PC flags (no-spawn, doomed edges, self-pruning
-     * eligibility).  Built once at construction and shared read-only by
-     * every run.
+     * and the folded per-PC flags (no-spawn, doomed edges).  Built once
+     * at construction and shared read-only by every run.
      */
     const sim::DecodedProgram &decodedProgram() const { return decoded; }
 

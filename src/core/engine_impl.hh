@@ -25,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/branch/btb.hh"
 #include "src/core/engine.hh"
@@ -60,17 +59,6 @@ struct PathExpanderEngine::RunState
     sim::Core primary;
     uint64_t sinceCounterReset;
     Rng rng;                            //!< random spawn factor
-
-    /**
-     * Self-pruning (cfg.selfPrune): one flag per instruction, set on
-     * the branches maybePromote promoted, which the block tier then
-     * retires with no bookkeeping, and the PCs of those branches, so
-     * the next counter reset demotes them in O(promoted).  Allocated
-     * only when pruning engages; promotion state is per run (counter
-     * values and coverage are), so it cannot live on the engine.
-     */
-    std::vector<uint8_t> promoted;
-    std::vector<uint32_t> promotedPcs;
 
     /** Watchdog cancel token; null for the vast majority of runs. */
     const std::atomic<bool> *cancel = nullptr;
@@ -119,10 +107,9 @@ softwareCosts(const PeConfig &cfg)
  * Instruction budget of one taken-path bulk dispatch: what is left of
  * the instruction limit, clipped at the next counter reset.  A block
  * therefore never runs across a reset, so advanceResetClock lands
- * every reset on the instruction where the per-step loop resets, every
- * branch a block retires reads and bumps the counters the per-step
- * loop would, and promoted branches run only in the counter epoch that
- * promoted them.
+ * every reset on the instruction where the per-step loop resets, and
+ * every branch a block retires reads and bumps the counters the
+ * per-step loop would.
  */
 inline uint64_t
 takenBudget(const PeConfig &cfg, const PathExpanderEngine::RunState &state)
@@ -134,12 +121,9 @@ takenBudget(const PeConfig &cfg, const PathExpanderEngine::RunState &state)
 
 /**
  * Advance the counter-reset clock by @p n retired taken-path
- * instructions (CounterResetInterval, Section 4.2).  At the boundary
- * zero the BTB exercise counters and demote every promoted branch: the
- * counters its promotion found at the cap start over, so its
- * bookkeeping has teeth again until it re-saturates.  With
- * PathExpander off nothing touches the BTB, so a reset there changes
- * nothing.
+ * instructions (CounterResetInterval, Section 4.2), zeroing the BTB
+ * exercise counters at the boundary.  With PathExpander off nothing
+ * touches the BTB, so a reset there changes nothing.
  */
 inline void
 advanceResetClock(const PeConfig &cfg, PathExpanderEngine::RunState &state,
@@ -150,9 +134,6 @@ advanceResetClock(const PeConfig &cfg, PathExpanderEngine::RunState &state,
         return;
     state.btb.resetCounters();
     state.sinceCounterReset = 0;
-    for (uint32_t pc : state.promotedPcs)
-        state.promoted[pc] = 0;
-    state.promotedPcs.clear();
 }
 
 /**
@@ -177,51 +158,6 @@ shouldSpawn(const PeConfig &cfg, PathExpanderEngine::RunState &state,
         return true;
     return cfg.randomSpawnFraction > 0.0 &&
            state.rng.nextDouble() < cfg.randomSpawnFraction;
-}
-
-/**
- * The runtime saturation predicate (self-pruning, cfg.selfPrune):
- * after the per-step path has fully bookkept a resolved branch, set
- * its promoted flag, which lets the block tier run it, when every
- * piece of that bookkeeping has provably become a no-op:
- *
- *  - statically eligible: its BTB set can never evict, so skipping
- *    the LRU stamp cannot change a victim (analysis/regions.hh);
- *  - both taken-path coverage bits recorded: further onTakenEdge
- *    calls are idempotent;
- *  - per direction, the spawn decision is frozen false: the edge is
- *    no-spawn-tagged or statically doomed (shouldSpawn returns
- *    before reading the counter — the skipped increment is then
- *    unobservable until the reset zeroes it anyway), or its counter
- *    sits at the saturation cap (increments are value no-ops and,
- *    with threshold <= cap enforced by the caller's activation gate,
- *    count < threshold can never hold again this epoch).
- *
- * The next counter reset demotes every promotion (advanceResetClock)
- * and the branch falls back to the per-step path until it
- * re-saturates.
- */
-inline void
-maybePromote(PathExpanderEngine::RunState &state,
-             const sim::DecodedProgram &decoded, uint32_t pc)
-{
-    if (!decoded.pruneEligible(pc) || state.promoted[pc])
-        return;
-    const coverage::BranchCoverage &cov = state.result.coverage;
-    if (!cov.takenEdgeCovered(pc, false) ||
-        !cov.takenEdgeCovered(pc, true)) {
-        return;
-    }
-    const bool noSpawn = decoded.noSpawn(pc);
-    for (bool dir : {false, true}) {
-        if (noSpawn || decoded.doomedEdge(pc, dir) ||
-            state.btb.atCap(pc, dir)) {
-            continue;
-        }
-        return;     // this direction's spawn check still has teeth
-    }
-    state.promoted[pc] = 1;
-    state.promotedPcs.push_back(pc);
 }
 
 /** Direction and entry PC of the non-taken edge of a resolved branch. */
@@ -295,18 +231,6 @@ class PathAdvancer
           // only without a detector.
           detectorFree(detector == nullptr),
           sw(softwareCosts(cfg)),
-          // Self-pruning engages only where the saturation predicate's
-          // no-op proof holds (see maybePromote): the Standard taken
-          // path, no random spawn factor to draw at a pruned branch, no
-          // NT redirect reading frozen counters, no edge trace
-          // (promoted branches append no trace word), and a threshold
-          // within the counter range, so "at cap" freezes the spawn
-          // compare false.
-          pruneActive(useBlocks && cfg.mode == PeMode::Standard &&
-                      cfg.selfPrune && !cfg.recordEdgeTrace &&
-                      cfg.randomSpawnFraction == 0.0 &&
-                      !cfg.followNonTakenInNt &&
-                      cfg.ntPathCounterThreshold <= state.btb.maxCount()),
           l1Capacity(state.hierarchy.l1LineCapacity())
     {
         const uint64_t branchExtra =
@@ -329,10 +253,6 @@ class PathAdvancer
             takenPort.traceCap = cfg.edgeTraceCap;
         }
         takenPort.branchExtra = branchExtra;
-        if (pruneActive) {
-            state.promoted.assign(decoded.size(), 0);
-            takenPort.promoted = state.promoted.data();
-        }
         // With the random spawn factor a branch at the threshold still
         // draws from the run's RNG, so taken-path branches surface.
         if (!peActive || !(cfg.randomSpawnFraction > 0.0))
@@ -399,9 +319,6 @@ class PathAdvancer
              end.crashKind});
     }
 
-    /** Promoted branches the taken path's blocks retired (selfPrune). */
-    uint64_t promotedRetired() const { return takenPort.promotedRetired; }
-
   private:
     /**
      * Retire one instruction sim::step ran on @p coreId at cycle @p now,
@@ -424,12 +341,11 @@ class PathAdvancer
     const bool useBlocks;
     const bool detectorFree;
     const bool sw;
-    const bool pruneActive;
     const uint32_t l1Capacity;
     sim::BranchPort takenPort;
     sim::BranchPort ntPort;
-    sim::BranchPort *takenBranches = nullptr;   //!< or null: surface
-    sim::BranchPort *ntBranches = nullptr;      //!< or null: surface
+    const sim::BranchPort *takenBranches = nullptr; //!< or null: surface
+    const sim::BranchPort *ntBranches = nullptr;    //!< or null: surface
 };
 
 template <typename Spawn>
@@ -489,11 +405,6 @@ PathAdvancer::advanceTaken(uint64_t &clock, mem::MemCtx &ctx, bool hitOnly,
             state.btb.increment(res.pc, res.branchTaken);
             if (shouldSpawn(cfg, state, decoded, res.pc, ntEdgeDir(res)))
                 spawn(res);
-            // The bookkeeping above may have been the branch's last
-            // observable act; if so, let the block tier run it from
-            // now on.
-            if (pruneActive)
-                maybePromote(state, decoded, res.pc);
         }
     }
     advanceResetClock(cfg, state, 1);

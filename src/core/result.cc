@@ -67,10 +67,7 @@ RunResult::printSummary(std::ostream &os) const
     }
 
     os << "instructions: " << takenInstructions << " taken, "
-       << ntInstructions << " NT";
-    if (prunedInstructions)
-        os << " (" << prunedInstructions << " self-pruned branches)";
-    os << "\n"
+       << ntInstructions << " NT\n"
        << "cycles:       " << cycles << "\n";
 
     os << "NT-Paths:     " << ntPathsSpawned << " spawned";

@@ -81,11 +81,8 @@ struct RunResult
     uint64_t ntInstructions = 0;
 
     /**
-     * Of takenInstructions, how many were promoted branches the block
-     * tier retired with their bookkeeping skipped (cfg.selfPrune).
-     * Purely diagnostic — the bit-identity contract covers every other
-     * field, and tests use this one to assert promotion actually
-     * engaged — so identity comparisons must exclude it.
+     * Retired with self-pruning: always 0.  It stays only until the
+     * benchmark stops reading it.
      */
     uint64_t prunedInstructions = 0;
 

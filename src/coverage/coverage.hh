@@ -51,9 +51,8 @@ class BranchCoverage
 
     /**
      * True when edge (@p pc, @p taken) has been recorded on the taken
-     * path — the coverage leg of the self-pruning saturation
-     * predicate.  One shift and one word read; pcs beyond the bitmap
-     * read as uncovered.
+     * path.  One shift and one word read; pcs beyond the bitmap read
+     * as uncovered.
      */
     bool takenEdgeCovered(uint32_t pc, bool taken) const
     {

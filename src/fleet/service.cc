@@ -26,20 +26,6 @@ namespace fs = std::filesystem;
 namespace
 {
 
-uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    try {
-        size_t used = 0;
-        uint64_t v = std::stoull(value, &used, 0);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        pe_fatal("job key '", key, "': not a number: '", value, "'");
-    }
-}
-
 /** JSON string escaping for the few places a job name leaks in. */
 std::string
 jsonEscape(const std::string &s)
@@ -262,27 +248,28 @@ parseJobSpec(const std::string &name, const std::string &text)
                      "' is not key=value");
         std::string key = token.substr(0, eq);
         std::string value = token.substr(eq + 1);
+        const std::string what = "job key '" + key + "'";
         if (key == "workload") {
             job.workload = value;
             sawWorkload = true;
         } else if (key == "runs") {
-            job.runs = parseU64(key, value);
+            job.runs = parseUnsigned(what, value);
         } else if (key == "shards") {
-            job.shards =
-                static_cast<uint32_t>(parseU64(key, value));
+            job.shards = static_cast<uint32_t>(
+                parseUnsigned(what, value, UINT32_MAX));
             if (job.shards < 1)
                 pe_fatal("job key 'shards': must be >= 1");
         } else if (key == "seed") {
-            job.seed = parseU64(key, value);
+            job.seed = parseUnsigned(what, value);
         } else if (key == "batch") {
-            job.batch = parseU64(key, value);
+            job.batch = parseUnsigned(what, value);
             if (job.batch < 1)
                 pe_fatal("job key 'batch': must be >= 1");
         } else if (key == "rounds") {
-            job.roundRuns = parseU64(key, value);
+            job.roundRuns = parseUnsigned(what, value);
         } else if (key == "plateau") {
-            job.plateau =
-                static_cast<uint32_t>(parseU64(key, value));
+            job.plateau = static_cast<uint32_t>(
+                parseUnsigned(what, value, UINT32_MAX));
         } else if (key == "policy") {
             job.policy = value;
         } else if (key == "mode") {

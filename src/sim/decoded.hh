@@ -6,8 +6,7 @@
  * path: each `isa::Instruction` becomes a 16-byte DecodedInst with
  * its opcode-table HandlerKind (optable.hh), static branch and jump
  * targets are validated, the base cycle cost is precomputed, and the
- * engine's no-spawn ranges, doomed NT edges and self-pruning
- * eligibility fold into per-PC flags.
+ * engine's no-spawn ranges and doomed NT edges fold into per-PC flags.
  *
  * Two tiers execute the image.  `sim::step` (interpreter.hh) runs any
  * instruction and reports a StepResult.  The block tier, `runBlock`
@@ -109,10 +108,6 @@ struct DecodedInst
     static constexpr uint8_t FlagDoomedFall = 1u << 1;
     /** Same, for the taken-direction NT-Path. */
     static constexpr uint8_t FlagDoomedTaken = 1u << 2;
-    /** Self-pruning: this branch's BTB set can never evict, so the
-     *  engine may promote it once it saturates
-     *  (analysis::computeSaturationEligibility). */
-    static constexpr uint8_t FlagPruneEligible = 1u << 3;
 };
 
 // The decoded array is the hottest data structure in the simulator:
@@ -161,20 +156,6 @@ class DecodedProgram
         const uint8_t flag = takenDir ? DecodedInst::FlagDoomedTaken
                                       : DecodedInst::FlagDoomedFall;
         return pc < codeLen && (insts[pc].flags & flag) != 0;
-    }
-
-    /** Mark the branch at @p pc as eligible for self-pruning. */
-    void markPruneEligible(uint32_t pc)
-    {
-        if (pc < codeLen)
-            insts[pc].flags |= DecodedInst::FlagPruneEligible;
-    }
-
-    /** True when the branch at @p pc may ever be promoted. */
-    bool pruneEligible(uint32_t pc) const
-    {
-        return pc < codeLen &&
-               (insts[pc].flags & DecodedInst::FlagPruneEligible) != 0;
     }
 
     /**
@@ -277,11 +258,6 @@ struct BranchPort
     /** Cycles a branch costs beyond its base opcode cost (the
      *  software cost model's branch analysis; zero with PE off). */
     uint64_t branchExtra = 0;
-    /** Self-pruning (Taken only): one flag per instruction, set on the
-     *  promoted branches, which retire with no coverage write, trace
-     *  word, counter bump or spawn check.  Null when not engaged. */
-    const uint8_t *promoted = nullptr;
-    uint64_t promotedRetired = 0;   //!< promoted branches run, summed
 };
 
 /** What one runBlock call retired in bulk. */
@@ -321,19 +297,16 @@ struct BlockOut
  * leading Pfix instructions execute their writes).
  *
  * @p branches, when non-null, opts conditional branches into the
- * block.  Through a Taken port a promoted branch is tested for first:
- * it resolves, redirects, charges its base cost plus `branchExtra`,
- * adds one to `promotedRetired` and does nothing else.  Any other
- * branch resolves and does its port kind's work.  On the taken path
- * under PathExpander that starts with one BTB lookup: when the branch
- * would spawn — it is not in a no-spawn range, its non-taken edge is
- * not doomed, and that edge's count is below `threshold` — it
+ * block: each resolves and does its port kind's work.  On the taken
+ * path under PathExpander that starts with one BTB lookup: when the
+ * branch would spawn — it is not in a no-spawn range, its non-taken
+ * edge is not doomed, and that edge's count is below `threshold` — it
  * surfaces untouched and `sim::step` redoes it and spawns; otherwise
  * it bumps its counter.  Every retired branch then sets its coverage
  * bit, appends its trace word, charges `branchExtra` and redirects.
- * The caller keeps the BTB's counters and the promotion flags to this
- * block (no counter reset inside it), so it clips taken-path blocks
- * at the next reset.  When null, conditional branches surface.
+ * The caller keeps the BTB's counters to this block (no counter reset
+ * inside it), so it clips taken-path blocks at the next reset.  When
+ * null, conditional branches surface.
  *
  * @p inertChecks, when true, asserts the run carries no detector, in
  * which case Chkb and Assert retire in-block as opcode-cost NOPs:
@@ -362,7 +335,7 @@ BlockOut runBlock(const DecodedProgram &decoded, Core &core,
                   uint64_t maxInstructions,
                   uint64_t cycleBudget = UINT64_MAX,
                   uint64_t perInstExtra = 0,
-                  BranchPort *branches = nullptr,
+                  const BranchPort *branches = nullptr,
                   bool inertChecks = false,
                   const MemPort *port = nullptr);
 

@@ -35,7 +35,7 @@ namespace
 /** The operands of one runBlock call that execute() consults. */
 struct Block
 {
-    BranchPort *branches;
+    const BranchPort *branches;
     bool inertChecks;
     const MemPort *port;
     /** The port core's L1 and hit latency, resolved once per call. */
@@ -58,17 +58,10 @@ enum class Exec : uint8_t
  * would spawn.
  */
 [[gnu::always_inline]] inline bool
-retireBranch(BranchPort &br, const DecodedInst &di, uint32_t pc,
+retireBranch(const BranchPort &br, const DecodedInst &di, uint32_t pc,
              bool taken, uint64_t &cycles)
 {
-    if (br.promoted && br.promoted[pc]) {
-        // A promoted branch's whole effect is resolve, redirect,
-        // charge: the promotion predicate proved its coverage write,
-        // counter bumps and spawn check no-ops.  Counted in memory: a
-        // counter the loop keeps in a register costs every other path
-        // through it about 2%.
-        ++br.promotedRetired;
-    } else if (br.kind == BranchPort::Kind::Nt) {
+    if (br.kind == BranchPort::Kind::Nt) {
         br.coverage->onNtEdge(pc, taken);
     } else {
         if (br.btb) {
@@ -123,13 +116,14 @@ execute(const Block &blk, Core &core, const DecodedInst &di,
             return Exec::Surface;   // step() raises DivByZero
         core.writeReg(di.rd, expr(a(), divisor));
     } else if constexpr (C == OpClass::Branch) {
-        BranchPort *const br = blk.branches;
+        const BranchPort *const br = blk.branches;
         if (!br)
             return Exec::Surface;
         const bool taken = expr(a(), b());
-        // PathExpander off and untraced, tested first: the coverage
-        // bit is all, and the PE-off loop pays nothing for the rest.
-        if (br->kind == BranchPort::Kind::Coverage)
+        // PathExpander off and untraced, tested first and laid out as
+        // the fall-through: the coverage bit is all, and the PE-off
+        // loop pays nothing for the rest.
+        if (br->kind == BranchPort::Kind::Coverage) [[likely]]
             br->coverage->onTakenEdge(pc, taken);
         else if (!retireBranch(*br, di, pc, taken, cycles))
             return Exec::Surface;
@@ -207,7 +201,7 @@ template <bool HitOnly, bool Budgeted>
 BlockOut
 runLoop(const DecodedProgram &decoded, Core &core,
         const uint64_t maxInstructions, const uint64_t cycleBudget,
-        const uint64_t perInstExtra, BranchPort *branches,
+        const uint64_t perInstExtra, const BranchPort *branches,
         bool inertChecks, const MemPort *port)
 {
     const Block blk{branches, inertChecks, port,
@@ -292,7 +286,7 @@ runLoop(const DecodedProgram &decoded, Core &core,
 BlockOut
 runBlock(const DecodedProgram &decoded, Core &core,
          const uint64_t maxInstructions, const uint64_t cycleBudget,
-         const uint64_t perInstExtra, BranchPort *branches,
+         const uint64_t perInstExtra, const BranchPort *branches,
          bool inertChecks, const MemPort *port)
 {
     // The one PC bound test: from here on every PC the loop reaches is

@@ -6,11 +6,49 @@
 #include "src/support/strutil.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+
+#include "src/support/status.hh"
 
 namespace pe
 {
+
+namespace
+{
+
+/**
+ * Parse all of @p text as a T from @p min to @p max: decimal without a
+ * leading zero (job specs once read that as octal), or hexadecimal
+ * after "0x".  Anything else is a FatalError naming @p what.
+ */
+template <typename T>
+T
+parseInteger(const std::string &what, const std::string &text, T min, T max)
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    std::string_view digits = text;
+    digits.remove_prefix(hex ? 2 : 0);
+    const size_t sign = !digits.empty() && digits[0] == '-';
+    const bool leadingZero =
+        !hex && digits.size() > sign + 1 && digits[sign] == '0';
+    // from_chars takes no space or '+', and '-' only for a signed T.
+    T value = 0;
+    const char *end = digits.data() + digits.size();
+    const auto [ptr, ec] =
+        std::from_chars(digits.data(), end, value, hex ? 16 : 10);
+    if (ec != std::errc() || ptr != end || leadingZero || (hex && sign) ||
+        value < min || value > max) {
+        pe_fatal(what, ": expected an integer from ", min, " to ", max,
+                 ", got '", text, "'");
+    }
+    return value;
+}
+
+} // namespace
 
 std::vector<std::string>
 split(const std::string &s, char sep)
@@ -99,6 +137,20 @@ padRight(const std::string &s, size_t width)
     if (s.size() >= width)
         return s;
     return s + std::string(width - s.size(), ' ');
+}
+
+uint64_t
+parseUnsigned(const std::string &what, const std::string &text,
+              uint64_t max)
+{
+    return parseInteger<uint64_t>(what, text, 0, max);
+}
+
+int64_t
+parseSigned(const std::string &what, const std::string &text, int64_t min,
+            int64_t max)
+{
+    return parseInteger(what, text, min, max);
 }
 
 } // namespace pe

@@ -41,6 +41,20 @@ std::string padLeft(const std::string &s, size_t width);
 /** Right-pad @p s with spaces to at least @p width characters. */
 std::string padRight(const std::string &s, size_t width);
 
+/**
+ * Parse all of @p text as an integer no larger than @p max: decimal
+ * digits without a leading zero, or hexadecimal digits after "0x",
+ * with no sign, space or trailing character.  Anything else is a
+ * FatalError naming @p what, the flag or key @p text came from.
+ */
+uint64_t parseUnsigned(const std::string &what, const std::string &text,
+                       uint64_t max = UINT64_MAX);
+
+/** parseUnsigned's signed variant: a '-' may lead a decimal value,
+ *  and the value must lie from @p min to @p max. */
+int64_t parseSigned(const std::string &what, const std::string &text,
+                    int64_t min, int64_t max);
+
 } // namespace pe
 
 #endif // PE_SUPPORT_STRUTIL_HH

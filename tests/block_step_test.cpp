@@ -40,34 +40,6 @@ using test::blockRunMatchesLegacy;
 using test::expectIdentical;
 using test::generateProgram;
 
-/**
- * Run @p program on @p input under @p cfg twice — block-stepped and
- * legacy — with a fresh detector instance each time (none unless
- * @p tools names one), and require the results bit-identical.
- */
-void
-compareLoops(const isa::Program &program, core::PeConfig cfg,
-             const std::string &tools,
-             const std::vector<int32_t> &input)
-{
-    auto runWith = [&](bool legacy) {
-        core::PeConfig c = cfg;
-        c.legacyStepLoop = legacy;
-        detect::WatchChecker watch;
-        detect::AssertChecker assert_;
-        detect::Detector *det = nullptr;
-        if (tools == "memory")
-            det = &watch;
-        else if (tools == "assert")
-            det = &assert_;
-        core::PathExpanderEngine engine(program, c, det);
-        return engine.run(input);
-    };
-    core::RunResult blk = runWith(false);
-    core::RunResult leg = runWith(true);
-    expectIdentical(blk, leg);
-}
-
 // ---------------------------------------------------------------------
 // Every workload, every mode.
 // ---------------------------------------------------------------------
@@ -88,12 +60,12 @@ TEST_P(BlockStepWorkloads, BitIdenticalToLegacyLoop)
 
     {
         SCOPED_TRACE("benign input");
-        compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
     }
     if (!w.triggerInputs.empty()) {
         SCOPED_TRACE("trigger input " + w.triggerInputs.begin()->first);
-        compareLoops(program, cfg, w.tools,
-                     w.triggerInputs.begin()->second);
+        blockRunMatchesLegacy(program, cfg, w.triggerInputs.begin()->second,
+                              w.tools);
     }
 
     // No detector, as explorers, campaigns and the benchmark run:
@@ -101,11 +73,11 @@ TEST_P(BlockStepWorkloads, BitIdenticalToLegacyLoop)
     const size_t benign = std::min<size_t>(w.benignInputs.size(), 5);
     for (size_t i = 0; i < benign; ++i) {
         SCOPED_TRACE("no detector, benign input " + std::to_string(i));
-        compareLoops(program, cfg, "", w.benignInputs[i]);
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[i]);
     }
     for (const auto &[id, input] : w.triggerInputs) {
         SCOPED_TRACE("no detector, trigger input " + id);
-        compareLoops(program, cfg, "", input);
+        blockRunMatchesLegacy(program, cfg, input);
     }
 
     // The edge trace, as path-objective sessions record it: branches
@@ -114,11 +86,11 @@ TEST_P(BlockStepWorkloads, BitIdenticalToLegacyLoop)
     traced.recordEdgeTrace = true;
     {
         SCOPED_TRACE("edge trace, benign input");
-        compareLoops(program, traced, w.tools, w.benignInputs[0]);
+        blockRunMatchesLegacy(program, traced, w.benignInputs[0], w.tools);
     }
     {
         SCOPED_TRACE("edge trace, no detector, benign input");
-        compareLoops(program, traced, "", w.benignInputs[0]);
+        blockRunMatchesLegacy(program, traced, w.benignInputs[0]);
     }
 }
 
@@ -159,10 +131,10 @@ TEST(BlockStepCorners, SoftwareCostModel)
             auto cfg = core::PeConfig::forMode(mode);
             cfg.maxNtPathLength = w.maxNtPathLength;
             cfg.costModel = core::CostModelKind::Software;
-            compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+            blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
             // Without a detector the NT-store log cost and the
             // dilation are charged in-block, through the memory port.
-            compareLoops(program, cfg, "", w.benignInputs[0]);
+            blockRunMatchesLegacy(program, cfg, w.benignInputs[0]);
         }
     }
 }
@@ -177,7 +149,7 @@ TEST(BlockStepCorners, SandboxIoAndNoFixing)
             cfg.maxNtPathLength = w.maxNtPathLength;
             cfg.sandboxIo = sandbox;
             cfg.variableFixing = false;
-            compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+            blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
         }
     }
 }
@@ -191,7 +163,7 @@ TEST(BlockStepCorners, NtRedirectAndRandomSpawn)
         cfg.maxNtPathLength = w.maxNtPathLength;
         cfg.followNonTakenInNt = true;
         cfg.randomSpawnFraction = 0.25;
-        compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
     }
 }
 
@@ -208,7 +180,7 @@ TEST(BlockStepCorners, TightCounterResetInterval)
             auto cfg = core::PeConfig::forMode(mode);
             cfg.maxNtPathLength = w.maxNtPathLength;
             cfg.counterResetInterval = interval;
-            compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+            blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
         }
     }
 }
@@ -225,7 +197,7 @@ TEST(BlockStepCorners, InstructionLimit)
             auto cfg = core::PeConfig::forMode(mode);
             cfg.maxNtPathLength = w.maxNtPathLength;
             cfg.maxTakenInstructions = limit;
-            compareLoops(program, cfg, w.tools, w.benignInputs[0]);
+            blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
         }
     }
 }
@@ -313,16 +285,19 @@ TEST(BlockStepBranches, SweepMatchesPerStepLoop)
     direct.ways = 1;
     const branch::BtbParams btbs[] = {branch::BtbParams{}, tiny, direct};
     const uint8_t thresholds[] = {0, 1, 5, 15, 16};
-    enum Option { None, PreFilter, NoSpawn, SelfPrune, FollowNt,
-                  RandomSandbox, NumOptions };
+    enum Option { None, PreFilter, NoSpawn, FollowNt, RandomSandbox,
+                  NumOptions };
     const char *optionNames[] = {"none", "spawnPreFilter", "noSpawnFuncs",
-                                 "selfPrune", "followNonTakenInNt",
+                                 "followNonTakenInNt",
                                  "randomSpawnFraction+sandboxIo"};
 
     // Each configuration takes the next counter-reset interval of
     // 1-64 and the next option, so the sweep covers every interval
     // and every option across thresholds, BTBs, modes and cost models
-    // without running their full product.
+    // without running their full product.  There are as many options
+    // as thresholds, so each pass over the thresholds shifts the
+    // options by one: otherwise an option would meet one threshold
+    // only.
     uint64_t slot = 0;
     uint64_t spawned = 0;
     for (const Case &c : cases) {
@@ -332,8 +307,9 @@ TEST(BlockStepBranches, SweepMatchesPerStepLoop)
                 for (const branch::BtbParams &btb : btbs) {
                     for (uint8_t threshold : thresholds) {
                         const uint64_t interval = 1 + slot % 64;
-                        const auto option =
-                            static_cast<Option>(slot % NumOptions);
+                        const auto option = static_cast<Option>(
+                            (slot + slot / std::size(thresholds)) %
+                            NumOptions);
                         ++slot;
                         SCOPED_TRACE(
                             c.name + ", " + core::peModeName(mode) +
@@ -354,7 +330,6 @@ TEST(BlockStepBranches, SweepMatchesPerStepLoop)
                         cfg.spawnPreFilter = option == PreFilter;
                         if (option == NoSpawn && !c.checker.empty())
                             cfg.noSpawnFuncs = {c.checker};
-                        cfg.selfPrune = option == SelfPrune;
                         cfg.followNonTakenInNt = option == FollowNt;
                         if (option == RandomSandbox) {
                             cfg.randomSpawnFraction = 0.3;

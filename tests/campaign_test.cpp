@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/core/campaign.hh"
 #include "src/detect/detector.hh"
 #include "src/minic/compiler.hh"
@@ -185,6 +187,24 @@ TEST(Config, HashDistinguishesConfigs)
     auto c = a;
     c.noSpawnFuncs.push_back("checker");
     EXPECT_NE(core::configHash(a), core::configHash(c));
+}
+
+TEST(Config, HashIsPinned)
+{
+    // Fleet seeds and session identities derive from configHash, so a
+    // change to what it hashes reseeds every fleet and refuses every
+    // checkpoint.  The retired selfPrune flag keeps a constant slot.
+    const std::pair<core::PeMode, uint64_t> pinned[] = {
+        {core::PeMode::Off, 0x6a9ea0e6fb011f6cull},
+        {core::PeMode::Standard, 0xffa29fc9abc98d9dull},
+        {core::PeMode::Cmp, 0x9ec102e60e1b101bull}};
+    for (const auto &[mode, hash] : pinned) {
+        SCOPED_TRACE(core::peModeName(mode));
+        auto cfg = core::PeConfig::forMode(mode);
+        EXPECT_EQ(core::configHash(cfg), hash);
+        cfg.selfPrune = true;
+        EXPECT_EQ(core::configHash(cfg), hash);
+    }
 }
 
 TEST(ThreadPool, RunsEverySubmittedTaskOnce)

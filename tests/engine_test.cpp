@@ -408,4 +408,32 @@ TEST(Engine, RefusesDegenerateBtbGeometry)
     }
 }
 
+TEST(Engine, RefusesNoCoresAndZeroLengthNtPaths)
+{
+    // Both used to fail an assertion and abort the process.
+    auto program = minic::compile(loopy, "loopy");
+    auto error = [&](int cores, uint32_t maxNtLength) -> std::string {
+        auto cfg = core::PeConfig::forMode(core::PeMode::Cmp);
+        cfg.numCores = cores;
+        cfg.maxNtPathLength = maxNtLength;
+        try {
+            core::PathExpanderEngine engine(program, cfg);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    std::string err = error(0, 1000);
+    EXPECT_NE(err.find("core"), std::string::npos) << err;
+    EXPECT_NE(err.find("got 0"), std::string::npos) << err;
+    err = error(-3, 1000);
+    EXPECT_NE(err.find("got -3"), std::string::npos) << err;
+    err = error(4, 0);
+    EXPECT_NE(err.find("MaxNTPathLength"), std::string::npos) << err;
+    EXPECT_NE(err.find("got 0"), std::string::npos) << err;
+
+    // The bounds themselves are accepted.
+    EXPECT_EQ(error(1, 1), "");
+}
+
 } // namespace

@@ -654,6 +654,16 @@ TEST(FleetService, ParsesJobSpecs)
     EXPECT_THROW(
         fleet::parseJobSpec("j5", "workload=schedule shards=0"),
         FatalError);
+
+    // A value may be hexadecimal, as JobSpec's default seed is
+    // written; a leading zero, once read as octal, is refused.
+    EXPECT_EQ(fleet::parseJobSpec("j6", "workload=schedule seed=0x5eedbea7")
+                  .seed,
+              0x5eedbea7u);
+    EXPECT_THROW(fleet::parseJobSpec("j7", "workload=schedule seed=010"),
+                 FatalError);
+    EXPECT_THROW(fleet::parseJobSpec("j8", "workload=schedule runs=-1"),
+                 FatalError);
 }
 
 TEST(FleetService, DrainsASpoolDirectory)

@@ -1,33 +1,32 @@
 /**
  * @file
- * Differential proof of self-pruning: promoted branches retired by the
- * block tier with no coverage write, counter bump or spawn check.
+ * Self-pruning as the block loop does it: every conditional branch that
+ * would not spawn an NT-Path retires inside the dispatch loop with all
+ * of its bookkeeping (coverage bit, counter bump, edge-trace word), and
+ * only a branch that would spawn surfaces to the per-step path.
  *
- * `cfg.selfPrune` selects an execution *strategy*, not a behavior:
- * runs with the flag on and off must produce bit-identical RunResults
- * in every field except the `prunedInstructions` diagnostic (which
- * exists precisely so these tests can assert promotion actually
- * engaged).  This file extends the block-step identity methodology
- * (tests/block_step_test.cpp) to promotion: the full workload × mode
- * grid, engineered saturation kernels, the reset corners (a counter
- * reset landing inside a would-be block, which must stop there and
- * demote every promoted branch), the activation gates that must keep
- * the flag inert, random-program and configuration sweeps against the
- * per-step loop, and unit tests of the building blocks (the BTB's
- * saturation probe and static saturation eligibility).
+ * These cases run the block tier against the per-step loop, where
+ * every instruction surfaces, in the regime where branch counters
+ * saturate: the spawn threshold at the 4-bit counter cap, so a branch
+ * surfaces until both of its counters reach the cap and retires in the
+ * loop from then on, until the next counter reset.  They cover every
+ * workload in every mode, an engineered saturation kernel, counter
+ * resets landing inside a block, configuration corners, random
+ * programs and a sweep of reset intervals, thresholds, BTBs and modes,
+ * plus the BTB's saturation boundary itself.  The retired
+ * `PeConfig::selfPrune` flag, which the benchmark's Standard arm still
+ * sets, must change no result and no config hash.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/analysis/cfg.hh"
-#include "src/analysis/regions.hh"
 #include "src/branch/btb.hh"
 #include "src/core/engine.hh"
-#include "src/detect/detector.hh"
 #include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
 #include "src/workloads/workload.hh"
@@ -37,46 +36,16 @@ namespace
 {
 
 using namespace pe;
+using test::blockRunMatchesLegacy;
 using test::expectIdentical;
 using test::generateProgram;
 
 /**
- * Run @p program on @p input under @p cfg twice — selfPrune on and
- * off — with a fresh detector instance each time, require identity,
- * and return how many promoted branches the pruned run retired in the
- * block tier (0 when the flag never engaged).
- */
-uint64_t
-comparePrune(const isa::Program &program, core::PeConfig cfg,
-             const std::string &tools, const std::vector<int32_t> &input)
-{
-    auto runWith = [&](bool prune) {
-        core::PeConfig c = cfg;
-        c.selfPrune = prune;
-        detect::WatchChecker watch;
-        detect::AssertChecker assert_;
-        detect::Detector *det = nullptr;
-        if (tools == "memory")
-            det = &watch;
-        else if (tools == "assert")
-            det = &assert_;
-        core::PathExpanderEngine engine(program, c, det);
-        return engine.run(input);
-    };
-    core::RunResult pruned = runWith(true);
-    core::RunResult plain = runWith(false);
-    expectIdentical(pruned, plain);
-    EXPECT_EQ(plain.prunedInstructions, 0u);
-    return pruned.prunedInstructions;
-}
-
-/**
- * A kernel engineered to saturate (same shape as the bench arm): an
- * outer counted loop around a 4-iteration inner loop whose branches
- * all alternate direction, so both coverage bits of each inner branch
- * record within the first outer iteration and — with the spawn
- * threshold at the counter cap — the exercise counters reach
- * saturation after a few more.
+ * A kernel engineered to saturate: an outer counted loop around a
+ * 4-iteration inner loop whose branches all alternate direction, so
+ * both coverage bits of each inner branch record within the first
+ * outer iteration and — with the spawn threshold at the counter cap —
+ * the exercise counters reach saturation after a few more.
  */
 isa::Program
 saturatedKernel(int iterations)
@@ -122,11 +91,7 @@ saturatingConfig()
 }
 
 // ---------------------------------------------------------------------
-// Every workload, every mode: selfPrune on must be invisible in the
-// results.  Engagement is not asserted here — at the paper-default
-// threshold (5, well below the counter cap) spawn-capable branches
-// never saturate, which is itself the correct behavior — only
-// identity, plus the requirement that non-Standard modes never prune.
+// Every workload, every mode, at the saturating threshold.
 // ---------------------------------------------------------------------
 
 using WorkloadParam = std::tuple<std::string, core::PeMode>;
@@ -142,22 +107,21 @@ TEST_P(SelfPruneWorkloads, BitIdenticalToInstrumentedRun)
 
     auto cfg = core::PeConfig::forMode(mode);
     cfg.maxNtPathLength = w.maxNtPathLength;
+    cfg.ntPathCounterThreshold = 15;
 
     {
         SCOPED_TRACE("benign input");
-        uint64_t pruned =
-            comparePrune(program, cfg, w.tools, w.benignInputs[0]);
-        if (mode != core::PeMode::Standard) {
-            EXPECT_EQ(pruned, 0u);
-        }
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
     }
     if (!w.triggerInputs.empty()) {
         SCOPED_TRACE("trigger input " + w.triggerInputs.begin()->first);
-        uint64_t pruned = comparePrune(program, cfg, w.tools,
-                                       w.triggerInputs.begin()->second);
-        if (mode != core::PeMode::Standard) {
-            EXPECT_EQ(pruned, 0u);
-        }
+        blockRunMatchesLegacy(program, cfg, w.triggerInputs.begin()->second,
+                              w.tools);
+    }
+    {
+        // Loads and stores share the block loop with the branches.
+        SCOPED_TRACE("no detector, benign input");
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[0]);
     }
 }
 
@@ -181,66 +145,56 @@ INSTANTIATE_TEST_SUITE_P(
     workloadParamName);
 
 // ---------------------------------------------------------------------
-// Engagement and the activation gates.
+// Saturation and the retired flag.
 // ---------------------------------------------------------------------
 
 TEST(SelfPrune, EngagesOnSaturatedKernel)
 {
-    auto program = saturatedKernel(300);
-    uint64_t pruned = comparePrune(program, saturatingConfig(), "", {});
-    // Most of the run is the saturated inner loop; after warmup its
-    // branches must be promoted.
-    EXPECT_GT(pruned, 0u);
+    // Each of the kernel's four branches spawns on an edge only while
+    // that edge's counter is below the cap, and each spawn bumps it:
+    // once saturated, the kernel spawns no more.
+    const core::RunResult r =
+        blockRunMatchesLegacy(saturatedKernel(300), saturatingConfig());
+    EXPECT_GT(r.ntPathsSpawned, 0u);
+    EXPECT_LE(r.ntPathsSpawned, 4u * 2 * 15);
 }
 
 TEST(SelfPrune, GatesKeepTheFlagInert)
 {
-    auto program = saturatedKernel(120);
+    // The retired selfPrune flag changes no result and no config hash,
+    // in each regime the promotion gates once told apart.
+    const auto program = saturatedKernel(120);
+    std::vector<std::pair<std::string, core::PeConfig>> cases;
+    cases.emplace_back("Standard at the cap", saturatingConfig());
+    cases.emplace_back("random spawn factor", saturatingConfig());
+    cases.back().second.randomSpawnFraction = 0.25;
+    cases.emplace_back("NT redirect ablation", saturatingConfig());
+    cases.back().second.followNonTakenInNt = true;
+    cases.emplace_back("threshold above the counter cap",
+                       saturatingConfig());
+    cases.back().second.ntPathCounterThreshold = 16;
+    cases.emplace_back("edge trace", saturatingConfig());
+    cases.back().second.recordEdgeTrace = true;
+    cases.emplace_back("PE off", saturatingConfig());
+    cases.back().second.mode = core::PeMode::Off;
+    cases.emplace_back("CMP mode", saturatingConfig());
+    cases.back().second.mode = core::PeMode::Cmp;
 
-    {
-        SCOPED_TRACE("random spawn factor consumes RNG at branches");
-        auto cfg = saturatingConfig();
-        cfg.randomSpawnFraction = 0.25;
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
-    }
-    {
-        SCOPED_TRACE("NT redirect ablation reads frozen counters");
-        auto cfg = saturatingConfig();
-        cfg.followNonTakenInNt = true;
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
-    }
-    {
-        SCOPED_TRACE("threshold above the counter cap");
-        auto cfg = saturatingConfig();
-        cfg.ntPathCounterThreshold = 16;    // > 4-bit cap: at-cap
-                                            // edges could still spawn
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
-    }
-    {
-        SCOPED_TRACE("legacy per-step loop");
-        auto cfg = saturatingConfig();
-        cfg.legacyStepLoop = true;
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
-    }
-    {
-        SCOPED_TRACE("PE off");
-        auto cfg = saturatingConfig();
-        cfg.mode = core::PeMode::Off;
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
-    }
-    {
-        SCOPED_TRACE("CMP mode");
-        auto cfg = saturatingConfig();
-        cfg.mode = core::PeMode::Cmp;
-        EXPECT_EQ(comparePrune(program, cfg, "", {}), 0u);
+    for (const auto &[name, cfg] : cases) {
+        SCOPED_TRACE(name);
+        core::PeConfig flagged = cfg;
+        flagged.selfPrune = true;
+        EXPECT_EQ(core::configHash(flagged), core::configHash(cfg));
+        expectIdentical(blockRunMatchesLegacy(program, flagged),
+                        blockRunMatchesLegacy(program, cfg));
     }
 }
 
 // ---------------------------------------------------------------------
-// Counter resets landing where a block would otherwise keep running.
-// The budget clip must stop the block at the exact legacy reset
-// boundary, the reset must demote every promoted branch, and
-// re-saturation must re-engage — all invisibly.
+// Counter resets landing where a block would otherwise keep running:
+// the budget clip must stop the block at the per-step loop's reset
+// boundary, and the branches must surface again until they
+// re-saturate.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneEpochs, CounterResetMidSuperblock)
@@ -250,7 +204,7 @@ TEST(SelfPruneEpochs, CounterResetMidSuperblock)
         SCOPED_TRACE("interval " + std::to_string(interval));
         auto cfg = saturatingConfig();
         cfg.counterResetInterval = interval;
-        comparePrune(program, cfg, "", {});
+        blockRunMatchesLegacy(program, cfg);
     }
 }
 
@@ -264,22 +218,21 @@ TEST(SelfPruneEpochs, TightIntervalOnWorkload)
         cfg.maxNtPathLength = w.maxNtPathLength;
         cfg.counterResetInterval = interval;
         cfg.ntPathCounterThreshold = 15;
-        comparePrune(program, cfg, w.tools, w.benignInputs[0]);
+        blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
     }
 }
 
 // ---------------------------------------------------------------------
-// Configuration corners interacting with the bulk cycle accounting
-// and the promotion predicate's waived-direction legs.
+// Configuration corners interacting with the bulk cycle accounting and
+// the in-loop spawn check's waived directions.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneCorners, SoftwareCostModel)
 {
-    // Per-branch analysis cost must be bulk-charged exactly.
-    auto program = saturatedKernel(150);
+    // The per-branch analysis cost must be charged on the block clock.
     auto cfg = saturatingConfig();
     cfg.costModel = core::CostModelKind::Software;
-    EXPECT_GT(comparePrune(program, cfg, "", {}), 0u);
+    blockRunMatchesLegacy(saturatedKernel(150), cfg);
 }
 
 TEST(SelfPruneCorners, SpawnPreFilterAndNoFixing)
@@ -289,47 +242,46 @@ TEST(SelfPruneCorners, SpawnPreFilterAndNoFixing)
     auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
     cfg.maxNtPathLength = w.maxNtPathLength;
     cfg.ntPathCounterThreshold = 15;
-    cfg.spawnPreFilter = true;      // doomed edges waive their leg
+    cfg.spawnPreFilter = true;      // doomed edges never spawn
     cfg.variableFixing = false;
-    comparePrune(program, cfg, w.tools, w.benignInputs[0]);
+    blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
 }
 
 TEST(SelfPruneCorners, InstructionLimit)
 {
     // The limit must cut the run at the exact same instruction even
-    // when it lands inside a block of promoted branches.
+    // when it lands inside a block of saturated branches.
     auto program = saturatedKernel(100000);
     for (uint64_t limit : {1000ull, 12345ull}) {
         SCOPED_TRACE("limit " + std::to_string(limit));
         auto cfg = saturatingConfig();
         cfg.maxTakenInstructions = limit;
-        comparePrune(program, cfg, "", {});
+        blockRunMatchesLegacy(program, cfg);
     }
 }
 
 TEST(SelfPruneCorners, DetectorKeepsChecksSurfacing)
 {
     // With a detector attached, Chkb/Assert and memory ops must still
-    // surface between promoted branches.
+    // surface between in-loop branches.
     const auto &w = workloads::getWorkload("pe_bc");
     auto program = minic::compile(w.source, w.name);
     auto cfg = core::PeConfig::forMode(core::PeMode::Standard);
     cfg.maxNtPathLength = w.maxNtPathLength;
     cfg.ntPathCounterThreshold = 15;
-    comparePrune(program, cfg, w.tools, w.benignInputs[0]);
+    blockRunMatchesLegacy(program, cfg, w.benignInputs[0], w.tools);
 }
 
 // ---------------------------------------------------------------------
 // Random programs: the block-step sweep's generator (tier_identity.hh:
 // ALU runs, div/rem by possibly-zero registers, masked loads/stores,
 // forward branches in a counted loop), but iterated enough for
-// counters to cap so promotions actually happen.
+// counters to reach the cap.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneRandom, SeedSweepIsBitIdentical)
 {
     int crashes = 0;
-    uint64_t totalPruned = 0;
     for (uint64_t seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto program =
@@ -337,39 +289,25 @@ TEST(SelfPruneRandom, SeedSweepIsBitIdentical)
                           "selfprune_" + std::to_string(seed));
         auto cfg = saturatingConfig();
         cfg.maxTakenInstructions = 50'000;
-
-        auto runWith = [&](bool prune) {
-            core::PeConfig c = cfg;
-            c.selfPrune = prune;
-            core::PathExpanderEngine engine(program, c, nullptr);
-            return engine.run({});
-        };
-        core::RunResult pruned = runWith(true);
-        core::RunResult plain = runWith(false);
-        expectIdentical(pruned, plain);
-        totalPruned += pruned.prunedInstructions;
-        if (pruned.programCrashed)
+        if (blockRunMatchesLegacy(program, cfg).programCrashed)
             ++crashes;
 
         // And with a reset interval that fires mid-run.
         cfg.counterResetInterval = 997;
-        core::RunResult prunedTight = runWith(true);
-        core::RunResult plainTight = runWith(false);
-        expectIdentical(prunedTight, plainTight);
+        blockRunMatchesLegacy(program, cfg);
     }
-    // The sweep is only meaningful if some seeds crash-surface and
-    // some seeds actually engage the pruned path.
+    // The sweep is only meaningful if some seeds take the
+    // crash-surfacing path.
     EXPECT_GT(crashes, 0);
-    EXPECT_GT(totalPruned, 0u);
 }
 
 // ---------------------------------------------------------------------
 // Configuration sweep against the per-step loop: reset intervals that
 // land a reset at every position of a block, thresholds around the
-// counter cap, a BTB small enough to evict, both modes (CMP must leave
-// the flag inert) on the saturated kernel and a workload.  Each
-// configuration takes its own slice of the interval ranges, so every
-// interval runs once without running the full cross product.
+// counter cap, a BTB small enough to evict, both modes, on the
+// saturated kernel and a workload.  Each configuration takes its own
+// slice of the interval ranges, so every interval runs once without
+// running the full cross product.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneSweep, MatchesPerStepLoop)
@@ -398,7 +336,7 @@ TEST(SelfPruneSweep, MatchesPerStepLoop)
     tinyBtb.ways = 2;
 
     size_t slice = 0;
-    uint64_t totalPruned = 0;
+    uint64_t spawned = 0;
     for (const Case &c : cases) {
         for (core::PeMode mode : {core::PeMode::Standard, core::PeMode::Cmp}) {
             for (const branch::BtbParams &btb : {branch::BtbParams{}, tinyBtb}) {
@@ -418,35 +356,24 @@ TEST(SelfPruneSweep, MatchesPerStepLoop)
                         cfg.btbParams = btb;
                         cfg.ntPathCounterThreshold = threshold;
                         cfg.counterResetInterval = intervals[i];
-                        auto runWith = [&](bool prune, bool legacy) {
-                            core::PeConfig k = cfg;
-                            k.selfPrune = prune;
-                            k.legacyStepLoop = legacy;
-                            core::PathExpanderEngine engine(c.program, k,
-                                                            nullptr);
-                            return engine.run(c.input);
-                        };
-                        core::RunResult pruned = runWith(true, false);
-                        expectIdentical(pruned, runWith(false, true));
-                        if (mode == core::PeMode::Cmp) {
-                            EXPECT_EQ(pruned.prunedInstructions, 0u);
-                        }
-                        totalPruned += pruned.prunedInstructions;
+                        spawned += blockRunMatchesLegacy(c.program, cfg,
+                                                         c.input)
+                                       .ntPathsSpawned;
                     }
                     ++slice;
                 }
             }
         }
     }
-    EXPECT_GT(totalPruned, 0u);
+    EXPECT_GT(spawned, 0u);
 }
 
 // ---------------------------------------------------------------------
-// The block clock under the software cost model: promoted branches and
-// L1-missing loads share blocks, and the L2 port is held longer than
-// an L2 hit, so each load's port wait depends on its exact issue
-// cycle — which counts the branch analysis cost of every promoted
-// branch retired before it in the block.
+// The block clock under the software cost model: saturated branches
+// and L1-missing loads share blocks, and the L2 port is held longer
+// than an L2 hit, so each load's port wait depends on its exact issue
+// cycle — which counts the branch analysis cost of every branch
+// retired before it in the block.
 // ---------------------------------------------------------------------
 
 TEST(SelfPruneCorners, SoftwareCostsOnTheBlockClock)
@@ -477,84 +404,35 @@ TEST(SelfPruneCorners, SoftwareCostsOnTheBlockClock)
     auto cfg = saturatingConfig();
     cfg.costModel = core::CostModelKind::Software;
     cfg.timing.mem.l2PortHold = 1000;
-    EXPECT_GT(comparePrune(program, cfg, "", {}), 0u);
-
-    cfg.selfPrune = true;
-    core::PathExpanderEngine pruned(program, cfg, nullptr);
-    cfg.legacyStepLoop = true;
-    core::PathExpanderEngine perStep(program, cfg, nullptr);
-    core::RunResult r = pruned.run({});
-    expectIdentical(r, perStep.run({}));
+    const core::RunResult r = blockRunMatchesLegacy(program, cfg);
     EXPECT_GT(r.l2ContentionCycles, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Unit tests of the building blocks.
+// The BTB at the saturating threshold.
 // ---------------------------------------------------------------------
 
 TEST(BtbEpoch, AtCapTracksSaturation)
 {
+    // With the threshold at the cap, the in-loop spawn check refuses a
+    // branch until its non-taken edge's counter saturates, keeps
+    // retiring it while further increments leave the counter at the
+    // cap, and refuses it again after a counter reset.
     branch::Btb btb;
-    EXPECT_FALSE(btb.atCap(7, false));  // miss reads as not-at-cap
-    for (int i = 0; i < 15; ++i)
+    const uint8_t cap = btb.maxCount();
+    for (int i = 0; i < cap; ++i) {
+        EXPECT_FALSE(btb.bumpUnlessBelow(7, true, cap));
         btb.increment(7, false);
-    EXPECT_TRUE(btb.atCap(7, false));
-    EXPECT_FALSE(btb.atCap(7, true));
-    btb.increment(7, false);            // saturating: still at cap
-    EXPECT_TRUE(btb.atCap(7, false));
+    }
+    EXPECT_EQ(btb.count(7, false), cap);
+    EXPECT_TRUE(btb.bumpUnlessBelow(7, true, cap));
+    btb.increment(7, false);            // saturating: still at the cap
+    EXPECT_EQ(btb.count(7, false), cap);
+    EXPECT_TRUE(btb.bumpUnlessBelow(7, true, cap));
+    EXPECT_EQ(btb.count(7, true), 2);
     btb.resetCounters();
-    EXPECT_FALSE(btb.atCap(7, false));
-}
-
-TEST(SaturationEligibility, ConflictingSetsAreExcluded)
-{
-    isa::Program p;
-    p.code.push_back(isa::makeLi(8, 1));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Beq, 8, 0, 0));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Bne, 8, 0, 0));
-
-    // One set, one way: two valid branches conflict — neither is safe.
-    auto tight = analysis::computeSaturationEligibility(p, 1, 1);
-    EXPECT_EQ(tight.condBranches, 2u);
-    EXPECT_EQ(tight.eligibleBranches, 0u);
-    EXPECT_FALSE(tight.branchEligible[1]);
-    EXPECT_FALSE(tight.branchEligible[2]);
-
-    // One set, two ways: both fit, eviction impossible.
-    auto roomy = analysis::computeSaturationEligibility(p, 1, 2);
-    EXPECT_EQ(roomy.eligibleBranches, 2u);
-
-    // Two sets, one way: pcs 1 and 2 land in different sets.
-    auto spread = analysis::computeSaturationEligibility(p, 2, 1);
-    EXPECT_EQ(spread.eligibleBranches, 2u);
-}
-
-TEST(SaturationEligibility, InvalidTargetsDoNotPopulateSets)
-{
-    isa::Program p;
-    p.code.push_back(isa::makeLi(8, 1));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Beq, 8, 0, 0));
-    p.code.push_back(isa::makeBranch(isa::Opcode::Bne, 8, 0, 99));
-
-    // The invalid-target branch crashes before any BTB bookkeeping,
-    // so it neither counts nor conflicts.
-    auto elig = analysis::computeSaturationEligibility(p, 1, 1);
-    EXPECT_EQ(elig.condBranches, 1u);
-    EXPECT_EQ(elig.eligibleBranches, 1u);
-    EXPECT_TRUE(elig.branchEligible[1]);
-    EXPECT_FALSE(elig.branchEligible[2]);
-}
-
-TEST(SaturationEligibility, CountsRegionsOverTheCfg)
-{
-    auto program = saturatedKernel(10);
-    const branch::BtbParams btb;
-    auto elig = analysis::computeSaturationEligibility(
-        program, btb.entries / btb.ways, btb.ways);
-    EXPECT_GT(elig.condBranches, 0u);
-    EXPECT_EQ(elig.eligibleBranches, elig.condBranches);
-    analysis::Cfg cfg(program);
-    EXPECT_GT(analysis::countEligibleRegions(cfg, elig), 0u);
+    EXPECT_FALSE(btb.bumpUnlessBelow(7, true, cap));
+    EXPECT_EQ(btb.count(7, true), 0);
 }
 
 } // namespace

@@ -122,6 +122,65 @@ TEST(Strutil, Formatting)
     EXPECT_EQ(fmtPercent(0.123456, 2), "12.35%");
 }
 
+TEST(Strutil, ParseUnsignedTakesDecimalAndHexUpToTheBound)
+{
+    EXPECT_EQ(parseUnsigned("--n", "0"), 0u);
+    EXPECT_EQ(parseUnsigned("--n", "70"), 70u);
+    EXPECT_EQ(parseUnsigned("--n", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseUnsigned("--n", "0x5eedbea7"), 0x5eedbea7u);
+    EXPECT_EQ(parseUnsigned("--n", "0XFF", 255), 255u);
+    EXPECT_EQ(parseUnsigned("--n", "0xffffffffffffffff"), UINT64_MAX);
+    EXPECT_EQ(parseUnsigned("--n", "255", 255), 255u);
+    EXPECT_EQ(parseUnsigned("--n", "4294967295", UINT32_MAX), UINT32_MAX);
+}
+
+TEST(Strutil, ParseUnsignedRejectsSignsJunkAndOutOfRange)
+{
+    for (const char *bad :
+         {"", "abc", "-1", "+1", " 1", "1 ", "1x", "1.5", "1e3",
+          "18446744073709551616", "99999999999999999999999",
+          // A leading zero: job specs once read "010" as octal 8.
+          "00", "007", "010",
+          // Hexadecimal needs digits after the prefix, and no sign.
+          "0x", "x10", "0x-1", "0x+1", "-0x1", "0x1g",
+          "0x10000000000000000"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseUnsigned("--n", bad), FatalError);
+    }
+    EXPECT_THROW(parseUnsigned("--n", "256", 255), FatalError);
+    EXPECT_THROW(parseUnsigned("--n", "4294967296", UINT32_MAX),
+                 FatalError);
+    // The message names the flag, the bound and the text.
+    try {
+        parseUnsigned("--threshold", "300", 255);
+        ADD_FAILURE() << "300 accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("--threshold"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("255"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'300'"), std::string::npos) << msg;
+    }
+}
+
+TEST(Strutil, ParseSignedTakesAMinusSignWithinTheRange)
+{
+    EXPECT_EQ(parseSigned("word", "-7", INT32_MIN, INT32_MAX), -7);
+    EXPECT_EQ(parseSigned("word", "-2147483648", INT32_MIN, INT32_MAX),
+              INT32_MIN);
+    EXPECT_EQ(parseSigned("word", "2147483647", INT32_MIN, INT32_MAX),
+              INT32_MAX);
+    EXPECT_EQ(parseSigned("word", "-0", INT32_MIN, INT32_MAX), 0);
+    EXPECT_EQ(parseSigned("word", "0x7fffffff", INT32_MIN, INT32_MAX),
+              INT32_MAX);
+    for (const char *bad : {"", "xyz", "+7", "--7", "7-", " -7",
+                            "-2147483649", "2147483648", "-07", "07",
+                            "-0x1", "0x-1", "0x80000000"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseSigned("word", bad, INT32_MIN, INT32_MAX),
+                     FatalError);
+    }
+}
+
 TEST(Stats, SummaryBasics)
 {
     Summary s;

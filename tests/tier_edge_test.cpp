@@ -7,8 +7,7 @@
  * instruction per dispatch under a zero cycle budget; loads and
  * stores also with a memory port; branches also through every other
  * port kind (an NT-Path's, the taken path's with a BTB that does and
- * does not let them spawn, with an edge trace) and with their
- * promoted flag set and clear.
+ * does not let them spawn, with an edge trace).
  * ALU, immediate and branch opcodes take every pair of INT32_MIN,
  * INT32_MAX, -1, 0, 1 and the shift amounts 31, 32 and -1.  Each
  * result is checked against a value computed here from
@@ -191,25 +190,18 @@ struct Machine
     }
 
     /**
-     * The block tier with a memory port on core 0 from cycle 0 and the
-     * branches at @p promotePcs promoted.
+     * The block tier with a memory port on core 0 from cycle 0 and
+     * branches through a taken-path port at threshold 1 (see port()).
      */
     sim::BlockOut
-    portBlock(const std::vector<uint32_t> &promotePcs = {})
+    portBlock()
     {
         mem::MemHierarchy hierarchy(1, mem::MemTimingParams{});
         mem::MemCtx ctx(memory, buf);
-        const sim::MemPort port{ctx, hierarchy};
+        const sim::MemPort memPort{ctx, hierarchy};
         return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
-                             promote(promotePcs), true, &port);
-    }
-
-    /** The block tier with the branches at @p promotePcs promoted. */
-    sim::BlockOut
-    promotedBlock(const std::vector<uint32_t> &promotePcs = {})
-    {
-        return sim::runBlock(decoded, core, 100, UINT64_MAX, 0,
-                             promote(promotePcs), true);
+                             port(sim::BranchPort::Kind::Taken, 1), true,
+                             &memPort);
     }
 
     /** The block tier with branches through @p kind's port. */
@@ -256,23 +248,6 @@ struct Machine
     }
 
     /**
-     * A taken-path port with the branches at @p pcs promoted, over a
-     * cold BTB at threshold 1, where every other branch would spawn
-     * and so surfaces.
-     */
-    sim::BranchPort *
-    promote(const std::vector<uint32_t> &pcs)
-    {
-        flags.assign(program.code.size(), 0);
-        for (uint32_t pc : pcs)
-            flags[pc] = 1;
-        port(sim::BranchPort::Kind::Taken, 1);
-        branches.branchExtra = 0;
-        branches.promoted = flags.data();
-        return &branches;
-    }
-
-    /**
      * The block tier one instruction per dispatch: a zero cycle budget
      * admits only the first instruction of each call.  Returns the
      * instructions retired; fails if any call retires more than one.
@@ -301,7 +276,6 @@ struct Machine
     sim::Core core;
     sim::IoChannel io;
     mem::VersionedBuffer *buf = nullptr;
-    std::vector<uint8_t> flags;
     std::optional<coverage::BranchCoverage> cov;
     branch::Btb btb;
     std::vector<uint32_t> trace;
@@ -434,23 +408,6 @@ TEST(TierEdgeOperands, BranchOpcodes)
                     EXPECT_EQ(m.reg(10), want);
                     EXPECT_TRUE(cov.takenEdgeCovered(branchPc, taken));
                     EXPECT_FALSE(cov.takenEdgeCovered(branchPc, !taken));
-                }
-                {
-                    SCOPED_TRACE("block, flag clear surfaces");
-                    Machine m(branchProgram(op, a, b));
-                    EXPECT_EQ(m.promotedBlock().instructions, 2u);
-                    EXPECT_EQ(m.branches.promotedRetired, 0u);
-                    EXPECT_EQ(m.core.pc, branchPc);
-                }
-                {
-                    SCOPED_TRACE("block, promoted");
-                    Machine m(branchProgram(op, a, b));
-                    EXPECT_EQ(m.promotedBlock({branchPc}).instructions, 4u);
-                    EXPECT_EQ(m.branches.promotedRetired, 1u);
-                    EXPECT_EQ(m.core.pc, endPc);
-                    EXPECT_EQ(m.reg(10), want);
-                    EXPECT_FALSE(m.cov->takenEdgeCovered(branchPc, taken));
-                    EXPECT_EQ(m.btb.count(branchPc, taken), 0);
                 }
                 {
                     SCOPED_TRACE("block, NT port");
@@ -832,12 +789,14 @@ TEST(TierEdgeOperands, NonSpawningBranchRetiresAndBumpsItsCounter)
     }
 }
 
-TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
+TEST(TierEdgeOperands, NonSpawningBranchesAndMemoryShareABlock)
 {
     // li r9, 3; loop: st r9, 40(r9); ld r10, 40(r9); addi r9, r9, -1;
-    // bgt r9, r0, loop; sys exit.  With the loop branch promoted and a
-    // memory port, one block runs the whole loop: three iterations of
-    // a store, a load and the branch, then surfaces at the syscall.
+    // bgt r9, r0, loop; sys exit.  With the loop branch's fall-through
+    // count at the threshold, no execution of it would spawn (each
+    // bumps the other edge), so with a memory port one block runs the
+    // whole loop: three iterations of a store, a load and the branch,
+    // then surfaces at the syscall.
     const uint32_t branchPc = 4;
     const std::vector<isa::Instruction> code = {
         isa::makeLi(9, 3),
@@ -850,19 +809,25 @@ TEST(TierEdgeOperands, PromotedBranchesAndMemoryShareABlock)
     EXPECT_TRUE(step.stepRun().exited);
 
     Machine p(code);
+    p.btb.increment(branchPc, false);
     EXPECT_TRUE(p.decoded.startsBlock(branchPc, true, true, true));
-    EXPECT_EQ(p.portBlock({branchPc}).instructions, 1u + 3 * 4);
-    EXPECT_EQ(p.branches.promotedRetired, 3u);
+    EXPECT_EQ(p.portBlock().instructions, 1u + 3 * 4);
     EXPECT_EQ(p.core.pc, 5u);
     EXPECT_EQ(p.core.regs, step.core.regs);
     for (uint32_t addr : {41u, 42u, 43u})
         EXPECT_EQ(p.memory.read(addr), step.memory.read(addr));
+    // Taken twice, then not taken: each retirement bumped its edge.
+    EXPECT_EQ(p.btb.count(branchPc, true), 2);
+    EXPECT_EQ(p.btb.count(branchPc, false), 2);
+    EXPECT_TRUE(p.cov->takenEdgeCovered(branchPc, true));
+    EXPECT_TRUE(p.cov->takenEdgeCovered(branchPc, false));
 
-    // Without the flag the same block stops before the first branch.
+    // From a cold BTB the branch would spawn, so the same block stops
+    // before it with the BTB untouched.
     Machine q(code);
     EXPECT_EQ(q.portBlock().instructions, 4u);
-    EXPECT_EQ(q.branches.promotedRetired, 0u);
     EXPECT_EQ(q.core.pc, branchPc);
+    EXPECT_EQ(q.btb.count(branchPc, true), 0);
 }
 
 /** A program of @p code with the heap at word 64. */
@@ -1027,9 +992,9 @@ TEST(TierEdgeOperands, EveryOpcodeIsCovered)
 
 /**
  * One program chaining every ALU, immediate and branch opcode over
- * the edge operands, each result printed: the engine's per-step,
- * block-stepped and self-pruned runs must agree bit for bit and print
- * the reference values.
+ * the edge operands, each result printed: the engine's per-step and
+ * block-stepped runs must agree bit for bit and print the reference
+ * values.
  */
 TEST(TierEdgeOperands, EngineTiersAgreeOnEdgeProgram)
 {
@@ -1074,17 +1039,7 @@ TEST(TierEdgeOperands, EngineTiersAgreeOnEdgeProgram)
         SCOPED_TRACE(core::peModeName(mode));
         auto cfg = core::PeConfig::forMode(mode);
         cfg.maxNtPathLength = 50;
-        auto runWith = [&](bool legacy, bool prune) {
-            core::PeConfig c = cfg;
-            c.legacyStepLoop = legacy;
-            c.selfPrune = prune;
-            core::PathExpanderEngine engine(program, c, nullptr);
-            return engine.run({});
-        };
-        core::RunResult legacy = runWith(true, false);
-        EXPECT_EQ(legacy.io.intOutput, want);
-        test::expectIdentical(runWith(false, false), legacy);
-        test::expectIdentical(runWith(false, true), legacy);
+        EXPECT_EQ(blockRunMatchesLegacy(program, cfg).io.intOutput, want);
     }
 }
 

@@ -16,17 +16,16 @@
 
 #include "src/core/engine.hh"
 #include "src/core/result.hh"
+#include "src/detect/detector.hh"
 #include "src/support/rng.hh"
 
 namespace pe::test
 {
 
 /**
- * Require @p a and @p b identical in every field except the
- * prunedInstructions diagnostic, which counts the promoted branches
- * the block tier retired: how a run executed, not what it did.  The
- * edge trace counts: both sides must run one config, so both record it
- * or neither does.
+ * Require @p a and @p b identical in every field but the retired
+ * prunedInstructions.  The edge trace counts: both sides must run one
+ * config, so both record it or neither does.
  */
 inline void
 expectIdentical(const core::RunResult &a, const core::RunResult &b)
@@ -80,17 +79,26 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
 }
 
 /**
- * Run @p program on @p input detector-free under @p cfg, block-stepped
- * and with the per-step loop; require the results identical and return
- * the block-stepped one.
+ * Run @p program on @p input under @p cfg, block-stepped and with the
+ * per-step loop, each with a fresh instance of the detector @p tools
+ * names as a workload does ("memory" or "assert"; none otherwise);
+ * require the results identical and return the block-stepped one.
  */
 inline core::RunResult
 blockRunMatchesLegacy(const isa::Program &program, core::PeConfig cfg,
-                      const std::vector<int32_t> &input = {})
+                      const std::vector<int32_t> &input = {},
+                      const std::string &tools = "")
 {
     auto runWith = [&](bool legacy) {
         cfg.legacyStepLoop = legacy;
-        core::PathExpanderEngine engine(program, cfg, nullptr);
+        detect::WatchChecker watch;
+        detect::AssertChecker assert_;
+        detect::Detector *det = nullptr;
+        if (tools == "memory")
+            det = &watch;
+        else if (tools == "assert")
+            det = &assert_;
+        core::PathExpanderEngine engine(program, cfg, det);
         return engine.run(input);
     };
     core::RunResult blk = runWith(false);
