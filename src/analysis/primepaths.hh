@@ -33,8 +33,12 @@
  * successor edge that keeps it simple (a successor equal to the
  * path's first block closes a cycle and finalizes), finalize paths
  * with no extension, then discard finals that are proper subpaths of
- * another final.  Path explosion is bounded by a hard cap: when the
- * generated-path budget is exhausted the enumeration stops, keeps
+ * another final.  Such a final can only be another's proper suffix
+ * (primepaths.cc says why), so the discard is one hash lookup per
+ * suffix rather than a comparison of every pair, and the whole
+ * enumeration runs in time near-linear in the total length of the
+ * paths it generates.  Path explosion is bounded by a hard cap: when
+ * the generated-path budget is exhausted the enumeration stops, keeps
  * what it has, reports the truncation through PrimePathSet::truncated
  * and a warn() log line, and every consumer (pelint, the explorer's
  * tracker) carries the flag so a truncated metric is never mistaken
@@ -50,6 +54,8 @@
  * covering the most uncovered edges, lowest path id on ties), which
  * is the standard ln(n)-factor bound and, at the sizes the cap
  * allows, indistinguishable from optimal for scheduling purposes.
+ * Gains are re-scored lazily from a max-heap; the picks are the ones
+ * a full rescan per pick would make.
  */
 
 #ifndef PE_ANALYSIS_PRIMEPATHS_HH

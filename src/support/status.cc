@@ -40,9 +40,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    throw FatalError(concat("fatal: ", msg, " @ ", file, ":", line));
+    throw FatalError("fatal: " + msg);
 }
 
 void

@@ -6,7 +6,8 @@
  *            Aborts so a debugger or core dump can inspect the state.
  * fatal()  - the simulation cannot continue because of a user-level
  *            problem (bad configuration, malformed workload source).
- *            Exits with status 1.
+ *            Exits with status 1.  The message is the user's to act
+ *            on, so it carries no source location; panics keep theirs.
  * warn()   - something is suspicious but the run can continue.
  * inform() - plain status output for the user.
  */
@@ -45,8 +46,7 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -61,13 +61,12 @@ panicAt(const char *file, int line, Args &&...args)
                       detail::concat(std::forward<Args>(args)...));
 }
 
-/** Throw a FatalError describing a user-level problem. */
+/** Throw a FatalError "fatal: <message>" for a user-level problem. */
 template <typename... Args>
 [[noreturn]] void
-fatalAt(const char *file, int line, Args &&...args)
+fatal(Args &&...args)
 {
-    detail::fatalImpl(file, line,
-                      detail::concat(std::forward<Args>(args)...));
+    detail::fatalImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Print a warning to stderr. */
@@ -91,7 +90,7 @@ void setQuiet(bool quiet);
 bool quiet();
 
 #define pe_panic(...) ::pe::panicAt(__FILE__, __LINE__, __VA_ARGS__)
-#define pe_fatal(...) ::pe::fatalAt(__FILE__, __LINE__, __VA_ARGS__)
+#define pe_fatal(...) ::pe::fatal(__VA_ARGS__)
 
 /** Assert a simulator invariant; compiled in all build types. */
 #define pe_assert(cond, ...)                                              \

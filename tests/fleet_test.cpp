@@ -699,6 +699,8 @@ TEST(FleetService, DrainsASpoolDirectory)
     EXPECT_NE(results.find("\"event\":\"job_error\""),
               std::string::npos);
     EXPECT_NE(results.find("no_such_workload"), std::string::npos);
+    // The error is the user's message, not a source location.
+    EXPECT_EQ(results.find(".cc:"), std::string::npos);
 
     // Consumed jobs are renamed out of the queue.
     EXPECT_FALSE(fs::exists(spool / "001-good.job"));

@@ -2,10 +2,12 @@
  * @file
  * Prime-path enumeration, minimum path cover and runtime completion
  * tracking: the Cfg successor-order pin the whole path-id space rests
- * on, enumeration oracles on hand-built CFGs, structural properties
- * (simplicity, maximality, determinism, edge coverage) on compiled
- * workloads, pinned counts for two workloads, truncation behavior,
- * the branch-trace fold, merge semantics (campaign accumulation ==
+ * on, enumeration oracles on hand-built CFGs, the original quadratic
+ * enumeration and cover as a field-for-field oracle
+ * (primepath_reference.hh), structural properties (simplicity,
+ * maximality, determinism, edge coverage) on compiled workloads,
+ * every workload's pinned path-id space, truncation behavior, the
+ * branch-trace fold, merge semantics (campaign accumulation ==
  * sharded merge, bit-identical), wire round-trips, and the explorer's
  * path-objective checkpoint/resume identity.
  */
@@ -26,8 +28,11 @@
 #include "src/fleet/wire.hh"
 #include "src/isa/assembler.hh"
 #include "src/minic/compiler.hh"
+#include "src/support/fnv.hh"
 #include "src/support/status.hh"
 #include "src/workloads/workload.hh"
+#include "primepath_reference.hh"
+#include "tier_identity.hh"
 
 namespace
 {
@@ -60,6 +65,16 @@ blockSeq(const analysis::Cfg &cfg, const analysis::PrimePath &path)
 {
     return analysis::primePathBlocks(cfg, path);
 }
+
+/** Silences the truncation warn() lines of deliberately capped runs. */
+struct QuietScope
+{
+    QuietScope() { setQuiet(true); }
+    ~QuietScope() { setQuiet(was); }
+    QuietScope(const QuietScope &) = delete;
+    QuietScope &operator=(const QuietScope &) = delete;
+    bool was = quiet();
+};
 
 // ---------------------------------------------------------------------
 // The successor-order pin.  Prime-path ids are only stable across
@@ -234,31 +249,163 @@ TEST(PrimePaths, EveryReachableDecisionEdgeIsOnSomePath)
         << "the cover must touch every edge any prime path touches";
 }
 
+/**
+ * Kept paths that are not cycles and can still grow by one non-Call
+ * edge and stay simple, by the textbook definition: forward to a
+ * reachable block not on the path or to its first block (closing a
+ * cycle), backward from a reachable block not on the path or from its
+ * last block.
+ */
+struct Growable
+{
+    size_t forward = 0;
+    size_t backward = 0;
+};
+
+Growable
+countGrowable(const analysis::Cfg &cfg, const analysis::PrimePathSet &set)
+{
+    Growable out;
+    for (const auto &p : set.paths) {
+        const auto blocks = blockSeq(cfg, p);
+        const uint32_t first = blocks.front();
+        const uint32_t last = blocks.back();
+        if (blocks.size() > 1 && first == last)
+            continue;   // a cycle cannot grow
+        const std::set<uint32_t> on(blocks.begin(), blocks.end());
+        auto grows = [&](uint32_t edgeId, bool fwd) {
+            const auto &edge = cfg.edges()[edgeId];
+            if (edge.kind == analysis::EdgeKind::Call)
+                return false;
+            const uint32_t other = fwd ? edge.to : edge.from;
+            if (other == (fwd ? first : last))
+                return true;
+            return cfg.reachable()[other] && !on.count(other);
+        };
+        if (std::any_of(cfg.block(last).succs.begin(),
+                        cfg.block(last).succs.end(),
+                        [&](uint32_t e) { return grows(e, true); }))
+            out.forward++;
+        if (std::any_of(cfg.block(first).preds.begin(),
+                        cfg.block(first).preds.end(),
+                        [&](uint32_t e) { return grows(e, false); }))
+            out.backward++;
+    }
+    return out;
+}
+
+TEST(PrimePaths, NoUntruncatedPathCanGrow)
+{
+    // The maximality definition itself, linear in the path count, on
+    // every workload whose enumeration completes.
+    for (const char *name : {"schedule", "schedule2", "print_tokens",
+                             "pe_gzip", "pe_parser"}) {
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, name);
+        analysis::Cfg cfg(program);
+        auto set = analysis::enumeratePrimePaths(cfg);
+        ASSERT_FALSE(set.truncated) << name;
+        const Growable g = countGrowable(cfg, set);
+        EXPECT_EQ(g.forward, 0u) << name;
+        EXPECT_EQ(g.backward, 0u) << name;
+    }
+}
+
+TEST(PrimePaths, BudgetCutLeavesOneForwardGrowablePath)
+{
+    // When the generated-path budget trips inside a candidate's
+    // successor loop before any extension, that candidate is kept
+    // although it could still grow: exactly one such path per
+    // budget-truncated workload, and no other kept path can grow
+    // forward.
+    const QuietScope quietScope;
+    for (const char *name : {"pe_go", "pe_man", "print_tokens2"}) {
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, name);
+        analysis::Cfg cfg(program);
+        auto set = analysis::enumeratePrimePaths(cfg);
+        ASSERT_TRUE(set.truncated) << name;
+        EXPECT_EQ(countGrowable(cfg, set).forward, 1u) << name;
+    }
+}
+
+uint64_t
+pathDigest(const analysis::PrimePathSet &set)
+{
+    uint64_t h = kFnvOffset;
+    for (const auto &p : set.paths) {
+        h = fnvMix(h, p.startBlock);
+        h = fnvMix(h, p.edges.size());
+        for (uint32_t e : p.edges)
+            h = fnvMix(h, e);
+    }
+    return h;
+}
+
+uint64_t
+coverDigest(const std::vector<uint32_t> &cover)
+{
+    uint64_t h = kFnvOffset;
+    for (uint32_t id : cover)
+        h = fnvMix(h, id);
+    return h;
+}
+
 TEST(PrimePaths, WorkloadCountsArePinned)
 {
     // Regression pins: these move only when the enumeration, the
     // canonical order, the greedy cover or the compiler changes — all
     // of which invalidate persisted path-id spaces and must be loud.
+    // The digests cover every path's start block and edges in id
+    // order, and the cover's ids in selection order.
     struct Pin
     {
         const char *name;
         size_t paths;
+        bool truncated;
+        uint64_t generated;
+        uint32_t roots;
+        uint64_t pathDigest;
         size_t cover;
+        uint64_t coverDigest;
     };
     const Pin pins[] = {
-        {"schedule", 3392, 52},
-        {"schedule2", 3994, 58},
+        {"pe_go", 1617, true, 131072, 4, 0x3a34a646d6245cceull, 14,
+         0x0d9dcd5fcfcb8f65ull},
+        {"pe_bc", 4096, true, 59663, 22, 0x902a4f1c0d57d08dull, 50,
+         0x5b99c4dadbc1488dull},
+        {"pe_man", 4096, true, 131072, 13, 0x7a4c10d9c7cfb3a7ull, 46,
+         0xfbb87a70bb66ff47ull},
+        {"print_tokens", 634, false, 7482, 16, 0xfbf29f178c9474eeull, 67,
+         0x4c33558197c1d5edull},
+        {"print_tokens2", 1682, true, 131072, 10, 0xafac2cdd19af6c88ull,
+         44, 0x76b11f6faa59906cull},
+        {"schedule", 3392, false, 29629, 13, 0x86d17ba8f96fe145ull, 52,
+         0x342b1deed3fbfd9aull},
+        {"schedule2", 3994, false, 34820, 15, 0x944769e457221a8cull, 58,
+         0x760c7e12284a9002ull},
+        {"pe_gzip", 1625, false, 10297, 15, 0x5a67690501a6c519ull, 39,
+         0x4787dcf716f0b010ull},
+        {"pe_vpr", 4096, true, 114920, 12, 0xdcae1642b3d5443bull, 40,
+         0x17224e1caded10b8ull},
+        {"pe_parser", 3362, false, 45237, 12, 0xc0283a941f60c258ull, 57,
+         0xa1d562e95088e417ull},
     };
+    ASSERT_EQ(std::size(pins), workloads::workloadNames().size());
+    const QuietScope quietScope;
     for (const auto &pin : pins) {
         const auto &w = workloads::getWorkload(pin.name);
         auto program = minic::compile(w.source, pin.name);
         analysis::Cfg cfg(program);
         auto set = analysis::enumeratePrimePaths(cfg);
         EXPECT_EQ(set.paths.size(), pin.paths) << pin.name;
-        EXPECT_FALSE(set.truncated) << pin.name;
-        EXPECT_EQ(analysis::computePathCover(cfg, set).size(),
-                  pin.cover)
-            << pin.name;
+        EXPECT_EQ(set.truncated, pin.truncated) << pin.name;
+        EXPECT_EQ(set.generated, pin.generated) << pin.name;
+        EXPECT_EQ(set.roots, pin.roots) << pin.name;
+        EXPECT_EQ(pathDigest(set), pin.pathDigest) << pin.name;
+        const auto cover = analysis::computePathCover(cfg, set);
+        EXPECT_EQ(cover.size(), pin.cover) << pin.name;
+        EXPECT_EQ(coverDigest(cover), pin.coverDigest) << pin.name;
     }
 }
 
@@ -279,6 +426,129 @@ TEST(PrimePaths, CapTruncatesLoudlyAndKeepsAPrefix)
     for (uint32_t id : cover)
         EXPECT_LT(id, capped.paths.size());
 }
+
+// ---------------------------------------------------------------------
+// The original quadratic enumeration and cover as an oracle: the
+// library's suffix-lookup filter and lazy greedy cover must return
+// exactly what they return, field for field.
+
+void
+expectMatchesReference(const analysis::Cfg &cfg,
+                       const analysis::PrimePathOptions &opts,
+                       const std::string &what)
+{
+    const auto want = analysis::reference::enumeratePrimePaths(cfg, opts);
+    const auto got = analysis::enumeratePrimePaths(cfg, opts);
+    EXPECT_EQ(got.truncated, want.truncated) << what;
+    EXPECT_EQ(got.generated, want.generated) << what;
+    EXPECT_EQ(got.roots, want.roots) << what;
+    ASSERT_EQ(got.paths.size(), want.paths.size()) << what;
+    for (size_t i = 0; i < want.paths.size(); ++i) {
+        ASSERT_EQ(got.paths[i].startBlock, want.paths[i].startBlock)
+            << what << " path " << i;
+        ASSERT_EQ(got.paths[i].edges, want.paths[i].edges)
+            << what << " path " << i;
+    }
+    EXPECT_EQ(analysis::computePathCover(cfg, got),
+              analysis::reference::computePathCover(cfg, want))
+        << what;
+}
+
+TEST(PrimePathOracle, WorkloadsMatchUnderEveryCap)
+{
+    // Both caps over a range that cuts each workload's enumeration at
+    // many depths, including inside a candidate's successor loop.  The
+    // default caps are pinned by WorkloadCountsArePinned instead: the
+    // quadratic reference takes over a second on them.
+    const QuietScope quietScope;
+    for (const auto &name : workloads::workloadNames()) {
+        const auto &w = workloads::getWorkload(name);
+        auto program = minic::compile(w.source, name);
+        analysis::Cfg cfg(program);
+        for (uint32_t maxPaths : {1u, 7u, 64u, 500u, 4096u}) {
+            for (uint64_t maxGenerated :
+                 {1ull, 3ull, 50ull, 333ull, 1000ull, 4097ull, 20000ull}) {
+                analysis::PrimePathOptions opts;
+                opts.maxPaths = maxPaths;
+                opts.maxGenerated = maxGenerated;
+                expectMatchesReference(
+                    cfg, opts,
+                    name + " maxPaths " + std::to_string(maxPaths) +
+                        " maxGenerated " + std::to_string(maxGenerated));
+            }
+        }
+    }
+}
+
+TEST(PrimePathOracle, GeneratedProgramsMatchUnderManyBudgets)
+{
+    // Random single-function programs at the default caps, then under
+    // generated-path budgets that cut the enumeration at many points:
+    // every budget for the small ones, so the budget trips inside
+    // every candidate once, and 16 spread budgets for the rest.
+    const QuietScope quietScope;
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        const std::string name = "pp_gen" + std::to_string(seed);
+        auto program =
+            isa::assemble(test::generateProgram(seed, 2, 5), name);
+        analysis::Cfg cfg(program);
+        expectMatchesReference(cfg, {}, name);
+        const uint64_t full = analysis::enumeratePrimePaths(cfg).generated;
+        const uint64_t step = full <= 500 ? 1 : full / 16;
+        for (uint64_t budget = 1; budget <= full; budget += step) {
+            analysis::PrimePathOptions opts;
+            opts.maxGenerated = budget;
+            expectMatchesReference(cfg, opts,
+                                   name + " budget " +
+                                       std::to_string(budget));
+        }
+    }
+}
+
+// A two-block loop entered through A, where A's first successor (by
+// target pc) leaves the loop: E -> A, A -> {T, B}, B -> A.
+const char *cutLoopSrc = R"(
+    jmp a
+t:
+    sys exit
+a:
+    sys read_int r8
+    beq r8, r0, t
+    jmp a
+)";
+
+TEST(PrimePathOracle, BudgetCutCandidateIsFilteredLikeAnyFinal)
+{
+    // FIFO order processes [E] [T] [A] [B] [E,A] [A,T] [A,B] [B,A]; at
+    // a budget of 10 generated paths the budget trips on [B,A]'s first
+    // successor T, so [B,A] is finalized while it can still grow.  It
+    // is a suffix of the cycle [A,B,A] and must be dropped like any
+    // other final.  Every other budget is checked against the
+    // reference as well.
+    auto program = isa::assemble(cutLoopSrc, "cutloop");
+    analysis::Cfg cfg(program);
+    const uint32_t bA = cfg.blockOf(2);
+    const uint32_t bB = cfg.blockOf(4);
+    ASSERT_EQ(cfg.block(bA).succs.size(), 2u);
+
+    const QuietScope quietScope;
+    analysis::PrimePathOptions opts;
+    opts.maxGenerated = 10;
+    const auto set = analysis::enumeratePrimePaths(cfg, opts);
+    EXPECT_TRUE(set.truncated);
+    EXPECT_EQ(set.generated, 10u);
+    for (const auto &p : set.paths) {
+        EXPECT_NE(blockSeq(cfg, p), (std::vector<uint32_t>{bB, bA}))
+            << "the budget-cut [B,A] is a suffix of [A,B,A]";
+    }
+    const uint64_t full = analysis::enumeratePrimePaths(cfg).generated;
+    for (uint64_t budget = 1; budget <= full + 1; ++budget) {
+        opts.maxGenerated = budget;
+        expectMatchesReference(cfg, opts,
+                               "budget " + std::to_string(budget));
+    }
+}
+
 
 // ---------------------------------------------------------------------
 // Runtime fold: branch-decision streams into completion bits.

@@ -257,4 +257,17 @@ TEST(Status, FatalMessageContainsDetail)
     }
 }
 
+TEST(Status, FatalMessageIsExactlyTheUserMessage)
+{
+    // A user error names no source file: CLIs and service job_error
+    // records print the message as is.
+    try {
+        pe_fatal("--threshold: expected at most ", 255, ", got '300'");
+        FAIL();
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: --threshold: expected at most 255, got '300'");
+    }
+}
+
 } // namespace
