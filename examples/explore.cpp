@@ -41,31 +41,20 @@
  *       --fleet-resume PATH     coordinator: resume a session from a
  *                               fleet checkpoint (requires --listen;
  *                               the workers redial and continue)
- *       --heartbeat-ms N        coordinator: mid-round worker
- *                               liveness; silent > N ms = suspect,
- *                               > 2N ms = dead (default off)
- *       --min-quorum K          coordinator: pause dispatch below K
- *                               attached shards, stop (quorum_lost)
- *                               below K live shards (default off)
  *       --print-worker-cmd      with --listen + --shards: print the
  *                               worker command line for each shard
  *                               and exit (consumed by
  *                               scripts/fleet-ssh.sh)
- *       --serve [SPOOLDIR]      service mode: run job specs from the
- *                               spool directory (or stdin), one JSON
- *                               result per job on stdout
- *       --drain                 with --serve: process the queued jobs
- *                               and exit instead of polling
  *       --verbose               print a dot per finished run
  *
  * Human-readable status goes to stderr; stdout carries only
- * machine-parseable output (the JSONL stream under `--jsonl -`, job
- * results under --serve), so `explore --serve | jq .` just works.
+ * machine-parseable output (the JSONL stream under `--jsonl -`), so
+ * `explore --jsonl - | jq .` just works.
  *
  * SIGINT/SIGTERM raise the cooperative stop flag: the session (or
- * fleet, or service) finishes its current batch/round/job, writes a
- * final checkpoint (when --checkpoint is set) and exits cleanly.  A
- * second signal kills the process the default way.
+ * fleet) finishes its current batch/round, writes a final checkpoint
+ * (when --checkpoint is set) and exits cleanly.  A second signal
+ * kills the process the default way.
  */
 
 #include <algorithm>
@@ -80,7 +69,6 @@
 
 #include "src/explore/explorer.hh"
 #include "src/fleet/coordinator.hh"
-#include "src/fleet/service.hh"
 #include "src/fleet/transport.hh"
 #include "src/fleet/worker.hh"
 #include "src/minic/compiler.hh"
@@ -111,10 +99,7 @@ usage(const char *msg)
                  "[--dial-attempts N]\n"
               << "               [--fleet-checkpoint PATH] "
                  "[--fleet-resume PATH]\n"
-              << "               [--heartbeat-ms N] [--min-quorum K] "
-                 "[--print-worker-cmd]\n"
-              << "               [--serve [SPOOLDIR]] [--drain] "
-                 "[--verbose]\n";
+              << "               [--print-worker-cmd] [--verbose]\n";
     return 2;
 }
 
@@ -148,17 +133,12 @@ main(int argc, char **argv)
     int dialAttempts = 40;
     std::string fleetCheckpoint;
     std::string fleetResume;
-    int heartbeatMs = 0;
-    uint32_t minQuorum = 0;
     bool printWorkerCmd = false;
     // The raw --policy/--mode tokens, re-emitted by
     // --print-worker-cmd so the worker command round-trips exactly.
     std::string policyArg = "rare";
     std::string modeArg = "standard";
     bool pathObjective = false;
-    bool serve = false;
-    bool drain = false;
-    std::string spoolDir;
     bool verbose = false;
 
     // A malformed or out-of-range number is a usage error.
@@ -290,26 +270,8 @@ main(int argc, char **argv)
                 if (!v)
                     return usage("--fleet-resume needs a value");
                 fleetResume = v;
-            } else if (arg == "--heartbeat-ms") {
-                const char *v = next();
-                if (!v)
-                    return usage("--heartbeat-ms needs a value");
-                heartbeatMs = static_cast<int>(parseUnsigned(arg, v, INT_MAX));
-            } else if (arg == "--min-quorum") {
-                const char *v = next();
-                if (!v)
-                    return usage("--min-quorum needs a value");
-                minQuorum =
-                    static_cast<uint32_t>(parseUnsigned(arg, v, UINT32_MAX));
             } else if (arg == "--print-worker-cmd") {
                 printWorkerCmd = true;
-            } else if (arg == "--serve") {
-                serve = true;
-                // Optional value: a spool directory; omitted = stdin.
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    spoolDir = argv[++i];
-            } else if (arg == "--drain") {
-                drain = true;
             } else if (arg == "--verbose") {
                 verbose = true;
             } else if (!arg.empty() && arg[0] == '-') {
@@ -324,24 +286,6 @@ main(int argc, char **argv)
 
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
-
-    // --- Service mode: jobs in, JSONL results on stdout ------------
-    if (serve) {
-        fleet::ServiceOptions svc;
-        svc.spoolDir = spoolDir;
-        svc.out = &std::cout;
-        svc.status = &std::cerr;
-        svc.drainOnce = drain;
-        svc.workerThreads = opts.threads;
-        svc.stopFlag = &stopRequested;
-        try {
-            fleet::runService(svc);
-        } catch (const FatalError &err) {
-            std::cerr << "explore: " << err.what() << "\n";
-            return 1;
-        }
-        return 0;
-    }
 
     auto names = workloads::workloadNames();
     if (std::find(names.begin(), names.end(), name) == names.end()) {
@@ -464,8 +408,6 @@ main(int argc, char **argv)
         fopts.plateauRounds = opts.budget.plateauBatches;
         fopts.status = &std::cerr;
         fopts.stopFlag = &stopRequested;
-        fopts.heartbeatMs = heartbeatMs;
-        fopts.minQuorum = minQuorum;
         fopts.checkpointPath = fleetCheckpoint;
         fopts.resumeFrom = fleetResume;
         if (!listenSpec.empty()) {
@@ -516,11 +458,9 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!fleetCheckpoint.empty() || !fleetResume.empty() ||
-        heartbeatMs > 0 || minQuorum > 0)
-        return usage("--fleet-checkpoint/--fleet-resume/"
-                     "--heartbeat-ms/--min-quorum need fleet mode "
-                     "(--shards >= 2 or --listen)");
+    if (!fleetCheckpoint.empty() || !fleetResume.empty())
+        return usage("--fleet-checkpoint/--fleet-resume need fleet "
+                     "mode (--shards >= 2 or --listen)");
 
     std::cerr << "exploring '" << name << "' ("
               << program.numBranches() << " branches, policy "

@@ -8,8 +8,7 @@
 # Example:
 #   scripts/fleet-ssh.sh worker-a worker-b -- \
 #       build/examples/explore schedule --listen 10.0.0.1:7777 \
-#       --shards 4 --runs 20000 --heartbeat-ms 2000 \
-#       --fleet-checkpoint /var/tmp/fleet.ckpt
+#       --shards 4 --runs 20000 --fleet-checkpoint /var/tmp/fleet.ckpt
 #
 # The coordinator command runs locally, in the foreground.  The
 # worker commands are not hand-written: they are derived from the

@@ -13,7 +13,6 @@
 #include <unordered_set>
 
 #include "src/analysis/priors.hh"
-#include "src/checkpoint/checkpoint.hh"
 #include "src/core/engine_impl.hh"
 #include "src/support/status.hh"
 
@@ -210,7 +209,9 @@ PathExpanderEngine::runInline(RunState &state)
     auto exploreNt = [&](const sim::StepResult &branch) {
         result.cycles +=
             sw ? cfg.swCosts.checkpointCost : cfg.timing.spawnOverhead;
-        const auto checkpoint = checkpoint::take(core);
+        // Paper Section 4.2: checkpoint the architectural registers
+        // and the PC before the NT-Path, restore them at its squash.
+        const sim::Core saved = core;
         NtPath path(1, &state.registry, branch);
         paths.enterNt(branch, core, path);
         std::optional<NtEnd> end;
@@ -233,7 +234,7 @@ PathExpanderEngine::runInline(RunState &state)
         } else {
             result.cycles += cfg.timing.squashOverhead;
         }
-        checkpoint::restore(core, checkpoint);
+        core = saved;
         paths.recordNt(path, *end);
     };
 

@@ -31,6 +31,22 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Dry rounds before one shard counts as plateaued. */
+constexpr uint32_t kShardPlateau = 2;
+
+/**
+ * Weight, in percent of a fair share, of a plateaued shard the last
+ * broadcast handed fresh foreign entries: it steals a double share
+ * to work them.
+ */
+constexpr uint64_t kStealPct = 200;
+
+/**
+ * Weight of a plateaued shard without fresh material: wind-down, not
+ * starvation, so it can revive when the next broadcast reaches it.
+ */
+constexpr uint64_t kIdleFloorPct = 25;
+
 int
 msUntil(Clock::time_point deadline)
 {
@@ -116,8 +132,6 @@ fleetStopName(FleetStop stop)
         return "interrupted";
     case FleetStop::WorkersLost:
         return "workers_lost";
-    case FleetStop::QuorumLost:
-        return "quorum_lost";
     }
     return "unknown";
 }
@@ -130,8 +144,6 @@ Coordinator::Coordinator(const isa::Program &program,
 {
     pe_assert(this->opts.shards >= 1,
               "fleet needs at least one shard");
-    pe_assert(this->opts.shardPlateau >= 1,
-              "shardPlateau must be >= 1");
     transport = this->opts.transport
                     ? this->opts.transport
                     : std::make_shared<ForkTransport>(program);
@@ -210,9 +222,6 @@ Coordinator::sendAccept(Shard &shard)
 {
     Hello hello;
     hello.shard = shard.spec.shard;
-    hello.heartbeatMs =
-        opts.heartbeatMs > 0 ? static_cast<uint32_t>(opts.heartbeatMs)
-                             : 0;
     wire::Encoder enc;
     encodeHello(enc, hello);
     wire::writeFrame(shard.fd, wire::FrameType::Hello, enc.buffer());
@@ -264,11 +273,8 @@ Coordinator::allocateBudgets(uint64_t roundTotal, FleetResult &res)
         if (shard.summary.exhausted)
             continue;
         uint64_t w = 100;
-        if (shard.summary.dryRounds >= opts.shardPlateau) {
-            w = shard.gotForeign && opts.stealBoostPct > 0
-                    ? 100 + opts.stealBoostPct
-                    : opts.idleFloorPct;
-        }
+        if (shard.summary.dryRounds >= kShardPlateau)
+            w = shard.gotForeign ? kStealPct : kIdleFloorPct;
         weight[s] = w;
         sum += w;
     }
@@ -304,7 +310,7 @@ Coordinator::allocateBudgets(uint64_t roundTotal, FleetResult &res)
     uint64_t fair = roundTotal / alive;
     for (size_t s = 0; s < fleet.size(); ++s) {
         if (fleet[s].summary.alive && budget[s] > fair &&
-            fleet[s].summary.dryRounds >= opts.shardPlateau)
+            fleet[s].summary.dryRounds >= kShardPlateau)
             res.stolenRuns += budget[s] - fair;
     }
     return budget;
@@ -344,10 +350,6 @@ Coordinator::sendRoundStart(Shard &shard, uint64_t round,
     shard.replayPayload = enc.take();
     shard.summary.assigned += budget;
     shard.pendingDelta = true;
-    // Dispatch counts as activity: the health machine measures the
-    // silence *after* the worker got work, not queueing delays.
-    shard.lastActivity = Clock::now();
-    shard.suspect = false;
 
     if (shard.fd < 0)
         return;   // detached: replayed when the worker rejoins
@@ -480,17 +482,6 @@ Coordinator::pumpShard(Shard &shard, FleetResult &res,
                 markDead(shard, res, dec.str("worker error"));
                 return;
             }
-            if (frame->type == wire::FrameType::Heartbeat) {
-                noteShardActivity(shard, round);
-                try {
-                    wire::writeFrame(shard.fd,
-                                     wire::FrameType::HeartbeatAck,
-                                     {});
-                } catch (const wire::WireError &) {
-                    // A dead channel surfaces on the read side.
-                }
-                continue;
-            }
             if (frame->type != wire::FrameType::RoundDelta) {
                 markDead(shard, res,
                          detail::concat(
@@ -508,7 +499,6 @@ Coordinator::pumpShard(Shard &shard, FleetResult &res,
                                         round));
                 return;
             }
-            noteShardActivity(shard, round);
             shard.stashed = std::move(delta);
         }
     } catch (const wire::WireError &err) {
@@ -547,8 +537,6 @@ Coordinator::acceptReconnects(FleetResult &res, uint64_t round)
             continue;
         }
         ++res.reconnects;
-        shard.lastActivity = Clock::now();
-        shard.suspect = false;
         emitHealth("fleet_rejoined", shard.spec.shard, round, "live",
                    peer->rejoin ? "reconnected" : "connected");
 
@@ -597,10 +585,6 @@ Coordinator::collectRound(FleetResult &res, uint64_t round,
     };
 
     while (unresolved() > 0) {
-        // Health first: a heartbeat-silent shard may flip suspect or
-        // dead right here, shrinking the poll set below.
-        int healthLeft = updateHealth(res, round);
-
         // Poll every live shard still owing a delta; the transport's
         // accept fd rides along whenever a detached shard could
         // rejoin.  Shards whose delta already arrived are *not*
@@ -650,10 +634,6 @@ Coordinator::collectRound(FleetResult &res, uint64_t round,
                 break;
             }
         }
-        // Wake for the next health transition even when the round
-        // deadline (or no deadline at all) would sleep past it.
-        if (healthLeft >= 0 && (timeout < 0 || healthLeft < timeout))
-            timeout = healthLeft;
 
         int rc = ::poll(pfds.data(), pfds.size(), timeout);
         if (rc < 0) {
@@ -697,68 +677,9 @@ Coordinator::emitHealth(const char *event, uint32_t shard,
     *opts.base.jsonl << "{\"event\":\"" << event
                      << "\",\"shard\":" << shard
                      << ",\"round\":" << round << ",\"state\":\""
-                     << state << "\",\"detail\":\"" << detail
-                     << "\"}\n";
+                     << state << "\",\"detail\":\""
+                     << jsonEscape(detail) << "\"}\n";
     opts.base.jsonl->flush();
-}
-
-void
-Coordinator::noteShardActivity(Shard &shard, uint64_t round)
-{
-    shard.lastActivity = Clock::now();
-    if (shard.suspect) {
-        shard.suspect = false;
-        emitHealth("fleet_rejoined", shard.spec.shard, round, "live",
-                   "heartbeat resumed");
-        if (opts.status)
-            *opts.status << "[fleet] shard " << shard.spec.shard
-                         << " is live again\n";
-    }
-}
-
-int
-Coordinator::updateHealth(FleetResult &res, uint64_t round)
-{
-    if (opts.heartbeatMs <= 0)
-        return -1;
-    auto now = Clock::now();
-    int64_t next = -1;
-    for (Shard &shard : fleet) {
-        // Only attached shards still owing a delta are judged: a
-        // detached shard cannot beat (the reconnect window and round
-        // deadline govern it), and a stashed delta is proof enough.
-        if (!shard.summary.alive || !shard.pendingDelta ||
-            shard.stashed || shard.fd < 0)
-            continue;
-        int64_t silent =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - shard.lastActivity)
-                .count();
-        int64_t interval = opts.heartbeatMs;
-        if (silent >= 2 * interval) {
-            markDead(shard, res,
-                     detail::concat("heartbeat timeout (silent ",
-                                    silent, " ms)"));
-            continue;
-        }
-        if (silent >= interval && !shard.suspect) {
-            shard.suspect = true;
-            emitHealth("fleet_degraded", shard.spec.shard, round,
-                       "suspect",
-                       detail::concat("silent for ", silent, " ms"));
-            if (opts.status)
-                *opts.status << "[fleet] shard " << shard.spec.shard
-                             << " suspect: silent for " << silent
-                             << " ms\n";
-        }
-        int64_t edge = shard.suspect ? 2 * interval : interval;
-        int64_t left = edge - silent;
-        if (left < 1)
-            left = 1;
-        if (next < 0 || left < next)
-            next = left;
-    }
-    return static_cast<int>(next);
 }
 
 std::optional<FleetStop>
@@ -787,29 +708,34 @@ Coordinator::checkStop(const FleetResult &res) const
     return std::nullopt;
 }
 
-bool
-Coordinator::awaitRejoins(FleetResult &res,
-                          const std::function<bool()> &satisfied,
-                          const char *why)
+void
+Coordinator::awaitRejoins(FleetResult &res)
 {
+    auto detached = [&] {
+        return std::any_of(fleet.begin(), fleet.end(),
+                           [](const Shard &s) {
+                               return s.summary.alive && s.fd < 0;
+                           });
+    };
     std::optional<Clock::time_point> deadline;
     if (opts.roundDeadlineMs > 0)
         deadline = Clock::now() +
                    std::chrono::milliseconds(opts.roundDeadlineMs);
-    while (!satisfied()) {
+    while (detached()) {
         if (opts.stopFlag &&
             opts.stopFlag->load(std::memory_order_relaxed))
-            return false;
+            return;
         int timeout = 200;
         if (deadline) {
             int left = msUntil(*deadline);
             if (left == 0) {
-                // Degradation, never a hang: the quorum gate decides
-                // whether the session goes on without them.
+                // Degradation, never a hang: the session goes on
+                // without the shards that did not come back.
                 for (Shard &shard : fleet)
                     if (shard.summary.alive && shard.fd < 0)
-                        markDead(shard, res, why);
-                break;
+                        markDead(shard, res,
+                                 "did not redial after resume");
+                return;
             }
             timeout = std::min(timeout, left);
         }
@@ -820,47 +746,6 @@ Coordinator::awaitRejoins(FleetResult &res,
         if (rc > 0)
             acceptReconnects(res, res.rounds);
     }
-    return true;
-}
-
-std::optional<FleetStop>
-Coordinator::enforceQuorum(FleetResult &res)
-{
-    if (opts.minQuorum == 0)
-        return std::nullopt;
-    auto counts = [&] {
-        std::pair<uint32_t, uint32_t> c{0, 0};   // {alive, attached}
-        for (const Shard &s : fleet) {
-            if (!s.summary.alive)
-                continue;
-            ++c.first;
-            if (s.fd >= 0)
-                ++c.second;
-        }
-        return c;
-    };
-    auto settled = [&] {
-        auto [alive, attached] = counts();
-        return alive < opts.minQuorum || attached >= opts.minQuorum;
-    };
-
-    // Recoverable shortfall: enough shards alive, too few attached.
-    // Pausing dispatch (bounded by the round deadline) beats running
-    // a degraded round a rejoining worker could have joined.
-    if (transport->supportsReconnect() && transport->acceptFd() >= 0 &&
-        !settled()) {
-        if (opts.status)
-            *opts.status << "[fleet] below quorum (" << counts().second
-                         << "/" << opts.minQuorum
-                         << " attached); pausing for rejoins\n";
-        if (!awaitRejoins(res, settled,
-                          "no rejoin within the quorum wait"))
-            return FleetStop::Interrupted;
-    }
-
-    if (counts().first < opts.minQuorum)
-        return FleetStop::QuorumLost;
-    return std::nullopt;
 }
 
 void
@@ -899,8 +784,8 @@ Coordinator::maybeCheckpoint(const FleetResult &res)
             *opts.base.jsonl
                 << "{\"event\":\"fleet_warning\",\"warning\":"
                    "\"checkpoint_write_failed\",\"round\":"
-                << res.rounds << ",\"error\":\"" << err.what()
-                << "\"}\n";
+                << res.rounds << ",\"error\":\""
+                << jsonEscape(err.what()) << "\"}\n";
             opts.base.jsonl->flush();
         }
     }
@@ -940,7 +825,6 @@ Coordinator::resumeState(FleetResult &res)
         static_cast<ShardCheckpoint &>(shard) =
             std::move(ckpt.shardStates[s]);
         shard.spec = shardPlan.specs[s];
-        shard.lastActivity = Clock::now();
     }
 
     if (opts.status)
@@ -972,15 +856,8 @@ Coordinator::shutdownWorkers()
             continue;
         try {
             wire::writeFrame(shard.fd, wire::FrameType::Stop, {});
-            auto next = [&] {
-                return wire::readFrameTimeout(
-                    shard.fd, opts.goodbyeTimeoutMs, &shard.reader);
-            };
-            auto frame = next();
-            // A beat already in flight when Stop landed is not a
-            // protocol violation; skip to the Goodbye behind it.
-            while (frame && frame->type == wire::FrameType::Heartbeat)
-                frame = next();
+            auto frame = wire::readFrameTimeout(
+                shard.fd, opts.goodbyeTimeoutMs, &shard.reader);
             if (frame && frame->type == wire::FrameType::Goodbye) {
                 wire::Decoder dec(frame->payload);
                 Goodbye bye = decodeGoodbye(dec);
@@ -1117,15 +994,7 @@ Coordinator::run()
         resumeState(res);
         if (!checkStop(res)) {
             transport->prepareResume(identity);
-            awaitRejoins(
-                res,
-                [&] {
-                    return std::none_of(
-                        fleet.begin(), fleet.end(), [](const Shard &s) {
-                            return s.summary.alive && s.fd < 0;
-                        });
-                },
-                "did not redial after resume");
+            awaitRejoins(res);
         }
     } else {
         establishFleet(res);
@@ -1138,10 +1007,6 @@ Coordinator::run()
 
     for (;;) {
         if (auto stop = checkStop(res)) {
-            res.stop = *stop;
-            break;
-        }
-        if (auto stop = enforceQuorum(res)) {
             res.stop = *stop;
             break;
         }

@@ -14,13 +14,12 @@
  * corpus digests, which is what the fleet-smoke CI job asserts.
  *
  * Work stealing re-partitions the per-round run budget: a shard that
- * stopped contributing new global edges (shardPlateau dry rounds) is
- * wound down to a floor share — unless the fleet just handed it
- * foreign entries it has not chewed through yet, in which case it
- * *steals* extra budget from the steady shards (stealBoost) to work
- * the fresh material.  Both triggers are integer arithmetic over
- * merged round stats, so the re-partitioning is as deterministic as
- * everything else.
+ * stopped contributing new global edges (two dry rounds) is wound
+ * down to a floor share — unless the fleet just handed it foreign
+ * entries it has not chewed through yet, in which case it *steals* a
+ * double share from the steady shards to work the fresh material.
+ * Both triggers are integer arithmetic over merged round stats, so
+ * the re-partitioning is as deterministic as everything else.
  *
  * Worker loss is survivable: a shard whose pipe breaks is marked
  * dead, its already-merged contributions stay, and its budget share
@@ -33,8 +32,9 @@
  * Merging still happens in shard-id order once every pending shard
  * has resolved — delta arrived, or shard died — because the merge
  * order, not the arrival order, is what keeps the digests pure
- * functions of the plan.  An optional per-round deadline converts a
- * stalled shard into a dead one so its budget flows on.
+ * functions of the plan.  The per-round deadline is the fleet's one
+ * liveness rule: it converts a stalled shard into a dead one so its
+ * budget flows on.
  *
  * Channels come from a pluggable Transport (fork/socketpair or TCP;
  * see transport.hh).  On a transport with reconnect support, a
@@ -49,9 +49,7 @@
 #define PE_FLEET_COORDINATOR_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -91,23 +89,6 @@ struct FleetOptions
      */
     uint32_t plateauRounds = 0;
 
-    /** Dry rounds before one shard counts as plateaued (>= 1). */
-    uint32_t shardPlateau = 2;
-
-    /**
-     * Budget multiplier (in percent of a fair share, added on top)
-     * a plateaued shard steals when it has fresh foreign entries to
-     * work: 100 = double share.  0 disables stealing.
-     */
-    uint32_t stealBoostPct = 100;
-
-    /**
-     * Share (percent of fair) a plateaued shard without fresh
-     * material keeps — wind-down, not starvation, so it can revive
-     * when the next broadcast reaches it.
-     */
-    uint32_t idleFloorPct = 25;
-
     /** Campaign worker threads per shard; 0 = PE_JOBS default. */
     unsigned workerThreads = 0;
 
@@ -137,27 +118,6 @@ struct FleetOptions
 
     /** Grace before SIGKILL when reaping forked workers, ms. */
     int reapTimeoutMs = 5000;
-
-    /**
-     * Heartbeat interval, ms; 0 = off.  Workers send progress beats
-     * mid-round (rate-limited to half this interval) and the
-     * coordinator runs a per-shard health machine over them: a shard
-     * silent for longer than this turns *suspect* (fleet_degraded
-     * event), silent for twice this is marked dead — well before the
-     * round deadline, so a stalled worker's budget flows to the
-     * survivors within 2x heartbeatMs instead of a full deadline.
-     */
-    int heartbeatMs = 0;
-
-    /**
-     * Minimum live shards the session insists on; 0 = off.  When the
-     * live count drops below this, the coordinator first waits (on a
-     * reconnectable transport, up to the round deadline) for
-     * detached workers to rejoin instead of dispatching degraded
-     * rounds, then stops with FleetStop::QuorumLost rather than
-     * grinding on below quorum.
-     */
-    uint32_t minQuorum = 0;
 
     /**
      * Durable sessions: persist the full coordinator state here
@@ -216,7 +176,6 @@ enum class FleetStop : uint8_t
     Plateau,        //!< plateauRounds dry rounds (or all exhausted)
     Interrupted,    //!< stopFlag raised
     WorkersLost,    //!< every worker died
-    QuorumLost,     //!< live shards fell below minQuorum
 };
 
 const char *fleetStopName(FleetStop stop);
@@ -317,10 +276,6 @@ class Coordinator
         bool pendingDelta = false;
         /** Delta arrived, parked until the in-order merge. */
         std::optional<RoundDelta> stashed;
-        /** Liveness: last frame (heartbeat or delta) or dispatch. */
-        std::chrono::steady_clock::time_point lastActivity{};
-        /** Health machine: silent past heartbeatMs, not yet dead. */
-        bool suspect = false;
     };
 
     void establishFleet(FleetResult &res);
@@ -331,24 +286,15 @@ class Coordinator
     /** Restore state from opts.resumeFrom; fatal on any mismatch. */
     void resumeState(FleetResult &res);
     /**
-     * Bounded rejoin wait shared by resume and the quorum gate: sit in
-     * accept until @p satisfied holds or the stop flag rises (returns
-     * false); past the round deadline every live detached shard is
-     * marked dead for @p why.
+     * Bounded rejoin wait after a resume: sit in accept until every
+     * live shard has redialed or the stop flag rises; past the round
+     * deadline every live detached shard is marked dead.
      */
-    bool awaitRejoins(FleetResult &res,
-                      const std::function<bool()> &satisfied,
-                      const char *why);
+    void awaitRejoins(FleetResult &res);
     /** Persist after a merge; failure = warning, never abort. */
     void maybeCheckpoint(const FleetResult &res);
     /** Stop condition shared by the round loop and the resume path. */
     std::optional<FleetStop> checkStop(const FleetResult &res) const;
-    /** Quorum gate: pause for rejoins, then QuorumLost or nullopt. */
-    std::optional<FleetStop> enforceQuorum(FleetResult &res);
-    /** A frame arrived from shard: reset the health machine. */
-    void noteShardActivity(Shard &shard, uint64_t round);
-    /** Advance live/suspect/dead; returns ms until the next edge. */
-    int updateHealth(FleetResult &res, uint64_t round);
     void emitHealth(const char *event, uint32_t shard,
                     uint64_t round, const char *state,
                     const std::string &detail);

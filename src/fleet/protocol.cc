@@ -47,7 +47,6 @@ void
 encodeHello(wire::Encoder &enc, const Hello &h)
 {
     enc.u32(h.shard);
-    enc.u32(h.heartbeatMs);
 }
 
 Hello
@@ -55,7 +54,6 @@ decodeHello(wire::Decoder &dec)
 {
     Hello h;
     h.shard = dec.u32("hello shard");
-    h.heartbeatMs = dec.u32("hello heartbeat interval");
     return h;
 }
 

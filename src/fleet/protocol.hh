@@ -7,10 +7,10 @@
  * exchange: the worker opens with Join (wire version, the session
  * identity it derived from its own options, desired shard, last acked
  * round); the coordinator validates it (readJoin / validateJoin) and
- * answers Hello — the assigned shard and the heartbeat interval, no
- * identity — or an Error frame; the worker builds its explorer on the
- * first attach and answers HelloReply, the ready signal the
- * coordinator waits for before it dispatches to that shard.
+ * answers Hello — the assigned shard, no identity — or an Error
+ * frame; the worker builds its explorer on the first attach and
+ * answers HelloReply, the ready signal the coordinator waits for
+ * before it dispatches to that shard.
  *
  * After that each round is one RoundStart (budget + merged-frontier
  * delta + newly admitted foreign corpus entries) answered by one
@@ -73,15 +73,6 @@ struct Join
 struct Hello
 {
     uint32_t shard = 0;         //!< the shard this channel serves
-
-    /**
-     * Heartbeat interval the coordinator runs its liveness machine
-     * at; 0 = heartbeats off.  Negotiation, not identity: the worker
-     * adopts whatever the coordinator asks for on each attach, so a
-     * resumed coordinator may re-tune liveness without perturbing the
-     * session's digests.
-     */
-    uint32_t heartbeatMs = 0;
 };
 
 /** Worker -> coordinator: the shard's explorer is built; dispatch. */

@@ -51,8 +51,6 @@ frameTypeName(FrameType type)
       case FrameType::Goodbye: return "goodbye";
       case FrameType::Error: return "error";
       case FrameType::Join: return "join";
-      case FrameType::Heartbeat: return "heartbeat";
-      case FrameType::HeartbeatAck: return "heartbeat-ack";
     }
     return "?";
 }

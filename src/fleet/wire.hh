@@ -47,9 +47,11 @@ namespace pe::wire
  * the path tracker is off); v5 made Join (version, desired shard,
  * last acked round, session identity record) open every (re)attach
  * of forked and dialing workers alike, and cut Hello to the assigned
- * shard + heartbeat interval and HelloReply to the shard.
+ * shard + heartbeat interval and HelloReply to the shard; v6 dropped
+ * the heartbeat frames and cut Hello to the assigned shard alone (the
+ * round deadline is the one liveness rule).
  */
-constexpr uint32_t kWireVersion = 5;
+constexpr uint32_t kWireVersion = 6;
 
 /** Why a decode was refused. */
 enum class WireErrorKind : uint8_t
@@ -196,8 +198,6 @@ enum class FrameType : uint32_t
     Goodbye,        //!< worker -> coordinator: final summary
     Error,          //!< either way: refusal or fatal error text
     Join,           //!< worker -> coordinator: identify/(re)attach
-    Heartbeat,      //!< worker -> coordinator: mid-round liveness
-    HeartbeatAck,   //!< coordinator -> worker: heartbeat echo
 };
 
 const char *frameTypeName(FrameType type);

@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -49,64 +48,6 @@ dropSite(const std::string &name)
         throw SimulatedDrop{};
     }
 }
-
-/**
- * Worker-side liveness beacon.  The campaign's onRun hook calls
- * beat() once per finished run (already serialized under the
- * campaign's result mutex, and always while the serve thread is
- * parked inside explorer.step() — so a beat never races the serve
- * thread's own frame writes on the fd).  Beats are rate-limited to
- * half the negotiated interval: enough margin that one delayed beat
- * never trips the coordinator's suspect edge.
- */
-class HeartbeatPump
-{
-  public:
-    void configure(uint32_t intervalMs)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        interval = intervalMs;
-    }
-
-    void attach(int newFd)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        fd = newFd;
-        lastSend = std::chrono::steady_clock::now();
-    }
-
-    void detach()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        fd = -1;
-    }
-
-    void beat()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (fd < 0 || interval == 0)
-            return;
-        auto now = std::chrono::steady_clock::now();
-        auto since =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - lastSend)
-                .count();
-        if (since < std::max<int64_t>(1, interval / 2))
-            return;
-        try {
-            wire::writeFrame(fd, wire::FrameType::Heartbeat, {});
-            lastSend = now;
-        } catch (const wire::WireError &) {
-            fd = -1;   // dying channel; serve() finds out on read
-        }
-    }
-
-  private:
-    std::mutex mu;
-    int fd = -1;
-    uint32_t interval = 0;
-    std::chrono::steady_clock::time_point lastSend{};
-};
 
 /**
  * The round-serving loop shared by forked and dialing workers.  Owns
@@ -170,8 +111,6 @@ class WorkerSession
                 return handleStop(fd);
             case wire::FrameType::Error:
                 return Exit::Protocol;
-            case wire::FrameType::HeartbeatAck:
-                continue;   // coordinator echoing our liveness beat
             case wire::FrameType::RoundStart:
                 break;
             default:
@@ -335,9 +274,6 @@ runWorker(const isa::Program &program, const RemoteWorkerOptions &options,
     Join join;
     join.id = fleetIdentity(program, options.base, plan, options.seeds);
 
-    // Declared before the explorer so the onRun lambda capturing it
-    // never outlives it.
-    HeartbeatPump pump;
     std::unique_ptr<explore::Explorer> explorer;
     std::unique_ptr<WorkerSession> session;
     auto status = [&](const std::string &line) {
@@ -411,7 +347,6 @@ runWorker(const isa::Program &program, const RemoteWorkerOptions &options,
                                        ? std::string("none")
                                        : std::to_string(shard)),
                     shard, hello.shard);
-            pump.configure(hello.heartbeatMs);
 
             if (!session) {
                 shard = hello.shard;
@@ -419,14 +354,10 @@ runWorker(const isa::Program &program, const RemoteWorkerOptions &options,
                 std::vector<std::vector<int32_t>> slice;
                 for (uint32_t idx : spec.seedIndices)
                     slice.push_back(options.seeds[idx]);
-                explore::ExploreOptions shardOpts = shardWorkerOptions(
-                    options.base, spec.shardSeed, shard,
-                    options.workerThreads);
-                shardOpts.onRun = [&pump](const core::RunResult &) {
-                    pump.beat();
-                };
                 explorer = std::make_unique<explore::Explorer>(
-                    program, std::move(slice), shardOpts);
+                    program, std::move(slice),
+                    shardWorkerOptions(options.base, spec.shardSeed,
+                                       shard, options.workerThreads));
                 session = std::make_unique<WorkerSession>(
                     program, *explorer, shard, !forked);
                 status(detail::concat("joined as shard ", shard));
@@ -454,9 +385,7 @@ runWorker(const isa::Program &program, const RemoteWorkerOptions &options,
             continue;
         }
 
-        pump.attach(fd);
         WorkerSession::Exit exit = session->serve(fd);
-        pump.detach();
         ::close(fd);
         switch (exit) {
         case WorkerSession::Exit::Stopped:

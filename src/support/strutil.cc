@@ -5,7 +5,6 @@
 
 #include "src/support/strutil.hh"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <sstream>
@@ -67,18 +66,6 @@ split(const std::string &s, char sep)
     return out;
 }
 
-std::string
-trim(const std::string &s)
-{
-    size_t b = 0;
-    size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 bool
 startsWith(const std::string &s, const std::string &prefix)
 {
@@ -137,6 +124,31 @@ padRight(const std::string &s, size_t width)
     if (s.size() >= width)
         return s;
     return s + std::string(width - s.size(), ' ');
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 uint64_t

@@ -16,9 +16,6 @@ namespace pe
 /** Split @p s on @p sep; empty fields are kept. */
 std::vector<std::string> split(const std::string &s, char sep);
 
-/** Strip leading and trailing ASCII whitespace. */
-std::string trim(const std::string &s);
-
 /** True when @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
 
@@ -40,6 +37,14 @@ std::string padLeft(const std::string &s, size_t width);
 
 /** Right-pad @p s with spaces to at least @p width characters. */
 std::string padRight(const std::string &s, size_t width);
+
+/**
+ * Escape @p s for the inside of a JSON string literal: quote and
+ * backslash get a backslash, and every control character becomes
+ * `\n`, `\t` or `\u00XX`, so outside text (paths, peer messages)
+ * cannot break a JSONL record.
+ */
+std::string jsonEscape(const std::string &s);
 
 /**
  * Parse all of @p text as an integer no larger than @p max: decimal

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "src/branch/btb.hh"
-#include "src/checkpoint/checkpoint.hh"
-#include "src/sim/core.hh"
 
 namespace
 {
@@ -123,28 +121,6 @@ TEST(Btb, CustomCounterWidth)
     for (int i = 0; i < 10; ++i)
         btb.increment(5, false);
     EXPECT_EQ(btb.count(5, false), 3);
-}
-
-TEST(Checkpoint, RoundTrip)
-{
-    pe::sim::Core core;
-    core.pc = 77;
-    core.ntEntryPred = true;
-    core.writeReg(8, 1234);
-    core.writeReg(31, -5);
-
-    auto cp = pe::checkpoint::take(core);
-
-    core.pc = 0;
-    core.ntEntryPred = false;
-    core.writeReg(8, 0);
-    core.writeReg(31, 0);
-
-    pe::checkpoint::restore(core, cp);
-    EXPECT_EQ(core.pc, 77u);
-    EXPECT_TRUE(core.ntEntryPred);
-    EXPECT_EQ(core.readReg(8), 1234);
-    EXPECT_EQ(core.readReg(31), -5);
 }
 
 } // namespace

@@ -726,7 +726,9 @@ TEST(FleetCheckpointChaos, WriteFailureIsAWarningNeverAnAbort)
     plan.site = "fleet.checkpoint_write";
     plan.hit = 2;
     plan.count = 0;     // every hit from the 2nd on
-    plan.message = "injected checkpoint write failure";
+    // A quote and a backslash: the error text reaches the JSONL
+    // record, which must stay parseable.
+    plan.message = "injected \"checkpoint\" write failure at C:\\x";
     fault::ScopedFaultPlan armed(plan);
 
     auto opts = chaosFleetOptions(120, 0x42);
@@ -744,6 +746,10 @@ TEST(FleetCheckpointChaos, WriteFailureIsAWarningNeverAnAbort)
     EXPECT_NE(jsonl.str().find(
                   "\"warning\":\"checkpoint_write_failed\""),
               std::string::npos);
+    EXPECT_NE(jsonl.str().find("injected \\\"checkpoint\\\" write "
+                               "failure at C:\\\\x ("),
+              std::string::npos)
+        << jsonl.str();
 
     fleet::FleetCheckpoint survivor =
         fleet::loadFleetCheckpoint(ckpt.path, program);

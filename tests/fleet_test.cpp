@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet tests: deterministic sharding, bit-reproducible merges,
- * worker-loss tolerance and the job service.
+ * worker-loss tolerance, TCP transports and durable sessions.
  *
  * The fleet's contract mirrors the single-process explorer's: same
  * options, same result — except "result" is now a merged frontier
@@ -10,7 +10,7 @@
  * reproducibility witnesses (frontier/corpus digests across repeated
  * runs), the chaos story (kill one worker mid-round via an armed
  * fault plan; the fleet converges and reports the loss), and the
- * spool-driven service mode end to end.
+ * coordinator kill-and-resume round trip.
  */
 
 #include <gtest/gtest.h>
@@ -18,18 +18,14 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include <unistd.h>
 
 #include "src/fleet/checkpoint.hh"
 #include "src/fleet/coordinator.hh"
-#include "src/fleet/service.hh"
 #include "src/fleet/transport.hh"
 #include "src/fleet/worker.hh"
 #include "src/minic/compiler.hh"
@@ -280,81 +276,6 @@ TEST(Fleet, ShutdownIsBoundedWhenAWorkerSitsOnItsGoodbye)
     EXPECT_EQ(res.lostWorkers, 0u);
     EXPECT_LT(elapsedMs, 8000)
         << "shutdown must not wait out a wedged worker";
-}
-
-// --- Heartbeat liveness and quorum ----------------------------------
-
-TEST(Fleet, HeartbeatDeclaresAStalledWorkerDeadBeforeTheDeadline)
-{
-    // Shard 1 stalls 20 s inside its second round while the round
-    // deadline is a uselessly generous 30 s.  Heartbeats are what
-    // save the session: the worker's progress beats stop, the
-    // coordinator marks it suspect after heartbeatMs of silence and
-    // dead after twice that, and the stalled shard's budget flows to
-    // the survivors within ~2x heartbeatMs instead of a deadline.
-    fault::FaultPlan plan;
-    plan.site = "fleet.worker_round.1";
-    plan.hit = 2;
-    plan.kind = fault::FaultKind::Stall;
-    plan.stallMs = 20000;
-    fault::ScopedFaultPlan armed(plan);
-
-    fleet::FleetOptions opts = fleetOptions(3, 120, 0x42);
-    opts.heartbeatMs = 150;
-    opts.roundDeadlineMs = 30000;   // the heartbeat must beat this
-    opts.reapTimeoutMs = 200;       // bounded SIGKILL of the staller
-
-    auto start = std::chrono::steady_clock::now();
-    fleet::FleetResult res =
-        fleet::runFleet(scheduleProgram(),
-                        scheduleWorkload().benignInputs, opts);
-    auto elapsedMs = std::chrono::duration_cast<
-                         std::chrono::milliseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-
-    EXPECT_EQ(res.lostWorkers, 1u);
-    ASSERT_EQ(res.shards.size(), 3u);
-    EXPECT_FALSE(res.shards[1].alive);
-    EXPECT_TRUE(res.shards[0].alive);
-    EXPECT_TRUE(res.shards[2].alive);
-
-    // The survivors still spent the whole budget...
-    EXPECT_EQ(res.stop, fleet::FleetStop::RunBudget);
-    EXPECT_EQ(res.runs, 120u);
-    // ...and the session never waited out the stall or the deadline.
-    EXPECT_LT(elapsedMs, 10000)
-        << "a stalled worker must die at 2x heartbeatMs, not at the "
-           "round deadline";
-}
-
-TEST(Fleet, QuorumLossStopsTheSessionInsteadOfLimpingOn)
-{
-    // Two of three workers die in round 2; with --min-quorum 2 the
-    // session refuses to limp along on the lone survivor and stops
-    // with QuorumLost instead of burning the rest of a huge budget.
-    fault::FaultPlan p1;
-    p1.site = "fleet.worker_round.1";
-    p1.hit = 2;
-    fault::FaultPlan p2;
-    p2.site = "fleet.worker_round.2";
-    p2.hit = 2;
-    fault::ScopedFaultPlan armed(
-        std::vector<fault::FaultPlan>{p1, p2});
-
-    fleet::FleetOptions opts = fleetOptions(3, 100000, 0x42);
-    opts.minQuorum = 2;
-    fleet::FleetResult res =
-        fleet::runFleet(scheduleProgram(),
-                        scheduleWorkload().benignInputs, opts);
-
-    EXPECT_EQ(res.stop, fleet::FleetStop::QuorumLost);
-    EXPECT_EQ(res.lostWorkers, 2u);
-    ASSERT_EQ(res.shards.size(), 3u);
-    EXPECT_TRUE(res.shards[0].alive);
-    EXPECT_FALSE(res.shards[1].alive);
-    EXPECT_FALSE(res.shards[2].alive);
-    EXPECT_LT(res.runs, 100000u);
 }
 
 TEST(FleetBackoff, RedialDelayIsDeterministicBoundedAndGrows)
@@ -624,187 +545,6 @@ TEST(FleetTcp, CoordinatorKillNineThenResumeIsByteIdentical)
     EXPECT_GE(resumed.reconnects, opts.shards);
 
     fs::remove(ckpt);
-}
-
-// --- Job specs and the service loop ---------------------------------
-
-TEST(FleetService, ParsesJobSpecs)
-{
-    fleet::JobSpec job = fleet::parseJobSpec(
-        "j1",
-        "workload=schedule runs=64 shards=3 seed=7 batch=4 "
-        "rounds=12 plateau=2 policy=uniform mode=off");
-    EXPECT_EQ(job.workload, "schedule");
-    EXPECT_EQ(job.runs, 64u);
-    EXPECT_EQ(job.shards, 3u);
-    EXPECT_EQ(job.seed, 7u);
-    EXPECT_EQ(job.batch, 4u);
-    EXPECT_EQ(job.roundRuns, 12u);
-    EXPECT_EQ(job.plateau, 2u);
-    EXPECT_EQ(job.policy, "uniform");
-    EXPECT_EQ(job.mode, "off");
-
-    EXPECT_THROW(fleet::parseJobSpec("j2", "runs=10"), FatalError);
-    EXPECT_THROW(
-        fleet::parseJobSpec("j3", "workload=schedule bogus=1"),
-        FatalError);
-    EXPECT_THROW(
-        fleet::parseJobSpec("j4", "workload=schedule runs=ten"),
-        FatalError);
-    EXPECT_THROW(
-        fleet::parseJobSpec("j5", "workload=schedule shards=0"),
-        FatalError);
-
-    // A value may be hexadecimal, as JobSpec's default seed is
-    // written; a leading zero, once read as octal, is refused.
-    EXPECT_EQ(fleet::parseJobSpec("j6", "workload=schedule seed=0x5eedbea7")
-                  .seed,
-              0x5eedbea7u);
-    EXPECT_THROW(fleet::parseJobSpec("j7", "workload=schedule seed=010"),
-                 FatalError);
-    EXPECT_THROW(fleet::parseJobSpec("j8", "workload=schedule runs=-1"),
-                 FatalError);
-}
-
-TEST(FleetService, DrainsASpoolDirectory)
-{
-    fs::path spool =
-        fs::path(testing::TempDir()) / "fleet_service_spool";
-    fs::remove_all(spool);
-    fs::create_directories(spool);
-
-    {
-        std::ofstream good(spool / "001-good.job");
-        good << "# a tiny but real fleet job\n"
-             << "workload=schedule runs=40 shards=2 seed=11 "
-             << "mode=off\n";
-        std::ofstream bad(spool / "002-bad.job");
-        bad << "workload=no_such_workload runs=10\n";
-    }
-
-    std::ostringstream out;
-    fleet::ServiceOptions svc;
-    svc.spoolDir = spool.string();
-    svc.out = &out;
-    svc.drainOnce = true;
-    svc.workerThreads = 1;
-    EXPECT_EQ(fleet::runService(svc), 2u);
-
-    std::string results = out.str();
-    EXPECT_NE(results.find("\"event\":\"job\""), std::string::npos);
-    EXPECT_NE(results.find("\"job\":\"001-good\""),
-              std::string::npos);
-    EXPECT_NE(results.find("\"frontier_digest\":\"0x"),
-              std::string::npos);
-    EXPECT_NE(results.find("\"event\":\"job_error\""),
-              std::string::npos);
-    EXPECT_NE(results.find("no_such_workload"), std::string::npos);
-    // The error is the user's message, not a source location.
-    EXPECT_EQ(results.find(".cc:"), std::string::npos);
-
-    // Consumed jobs are renamed out of the queue.
-    EXPECT_FALSE(fs::exists(spool / "001-good.job"));
-    EXPECT_TRUE(fs::exists(spool / "001-good.done"));
-    EXPECT_TRUE(fs::exists(spool / "002-bad.failed"));
-
-    // The drain announces its own exit so a tailing consumer can tell
-    // "done" from "dead".
-    EXPECT_NE(results.find("\"event\":\"stopped\""),
-              std::string::npos);
-    EXPECT_NE(results.find("\"reason\":\"drained\""),
-              std::string::npos);
-    EXPECT_NE(results.find("\"jobs\":2"), std::string::npos);
-
-    // A second drain finds an empty queue.
-    std::ostringstream out2;
-    svc.out = &out2;
-    EXPECT_EQ(fleet::runService(svc), 0u);
-    EXPECT_EQ(out2.str().find("\"event\":\"job\""),
-              std::string::npos);
-
-    fs::remove_all(spool);
-}
-
-TEST(FleetService, StopFlagFinishesTheJobAndWritesATerminalRecord)
-{
-    // Resident mode (no drainOnce): only the stop flag — the SIGTERM/
-    // SIGINT handler in the CLI — brings the loop down.  The in-flight
-    // job must finish (result record, spool marker) before the
-    // terminal stopped record goes out.
-    fs::path spool =
-        fs::path(testing::TempDir()) / "fleet_stop_spool";
-    fs::remove_all(spool);
-    fs::create_directories(spool);
-    {
-        std::ofstream job(spool / "001-only.job");
-        job << "workload=schedule runs=40 shards=2 seed=11 "
-            << "mode=off\n";
-    }
-
-    std::ostringstream out;
-    std::atomic<bool> stop{false};
-    fleet::ServiceOptions svc;
-    svc.spoolDir = spool.string();
-    svc.out = &out;
-    svc.drainOnce = false;
-    svc.pollMs = 10;
-    svc.workerThreads = 1;
-    svc.stopFlag = &stop;
-
-    std::thread stopper([&] {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(150));
-        stop.store(true, std::memory_order_relaxed);
-    });
-    uint64_t processed = fleet::runService(svc);
-    stopper.join();
-
-    EXPECT_EQ(processed, 1u);
-    EXPECT_TRUE(fs::exists(spool / "001-only.done"));
-
-    std::string results = out.str();
-    size_t job = results.find("\"event\":\"job\"");
-    size_t stopped = results.find("\"event\":\"stopped\"");
-    ASSERT_NE(job, std::string::npos);
-    ASSERT_NE(stopped, std::string::npos);
-    EXPECT_LT(job, stopped)
-        << "the in-flight job's record precedes the terminal record";
-    EXPECT_NE(results.find("\"reason\":\"signal\""),
-              std::string::npos);
-    EXPECT_NE(results.find("\"jobs\":1"), std::string::npos);
-
-    fs::remove_all(spool);
-}
-
-TEST(FleetService, JobResultsAreReproducible)
-{
-    auto runJob = [&] {
-        fs::path spool =
-            fs::path(testing::TempDir()) / "fleet_repro_spool";
-        fs::remove_all(spool);
-        fs::create_directories(spool);
-        {
-            std::ofstream job(spool / "r.job");
-            job << "workload=schedule runs=60 shards=2 seed=5 "
-                << "mode=off\n";
-        }
-        std::ostringstream out;
-        fleet::ServiceOptions svc;
-        svc.spoolDir = spool.string();
-        svc.out = &out;
-        svc.drainOnce = true;
-        svc.workerThreads = 1;
-        fleet::runService(svc);
-        fs::remove_all(spool);
-
-        // Strip the wall_ms field: it is the one legitimately
-        // nondeterministic value in the record.
-        std::string line = out.str();
-        size_t wall = line.find(",\"wall_ms\":");
-        EXPECT_NE(wall, std::string::npos);
-        return line.substr(0, wall);
-    };
-    EXPECT_EQ(runJob(), runJob());
 }
 
 } // namespace

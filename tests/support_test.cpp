@@ -93,11 +93,17 @@ TEST(Strutil, SplitEmpty)
     EXPECT_EQ(parts[0], "");
 }
 
-TEST(Strutil, Trim)
+TEST(Strutil, JsonEscape)
 {
-    EXPECT_EQ(trim("  x y  "), "x y");
-    EXPECT_EQ(trim("\t\n"), "");
-    EXPECT_EQ(trim("abc"), "abc");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("x\ny\tz"), "x\\ny\\tz");
+    // Every other control character becomes a \u escape, so no raw
+    // byte below 0x20 reaches a JSONL record.
+    EXPECT_EQ(jsonEscape(std::string("\x01\r\x1f", 3)),
+              "\\u0001\\u000d\\u001f");
+    EXPECT_EQ(jsonEscape(std::string(1, '\0')), "\\u0000");
+    EXPECT_EQ(jsonEscape(""), "");
 }
 
 TEST(Strutil, StartsWith)
@@ -259,8 +265,8 @@ TEST(Status, FatalMessageContainsDetail)
 
 TEST(Status, FatalMessageIsExactlyTheUserMessage)
 {
-    // A user error names no source file: CLIs and service job_error
-    // records print the message as is.
+    // A user error names no source file: the CLIs print the message
+    // as is.
     try {
         pe_fatal("--threshold: expected at most ", 255, ", got '300'");
         FAIL();

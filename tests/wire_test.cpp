@@ -582,29 +582,43 @@ TEST(Wire, JoinIdentityMismatchNamesTheField)
 
 TEST(Wire, PreviousVersionJoinIsRefusedByVersion)
 {
+    auto expectRefused = [](const std::string &bytes, uint32_t version) {
+        wire::Decoder dec(bytes);
+        fleet::Join got = fleet::decodeJoin(dec);
+        try {
+            fleet::validateJoin(got, fleet::Join{});
+            FAIL() << "a v" << version << " join was accepted";
+        } catch (const wire::WireError &err) {
+            EXPECT_EQ(err.kind(), wire::WireErrorKind::BadVersion);
+            EXPECT_EQ(err.expected(), wire::kWireVersion);
+            EXPECT_EQ(err.found(), version);
+            EXPECT_NE(std::string(err.what()).find(
+                          "expected " +
+                          std::to_string(wire::kWireVersion) +
+                          ", found " + std::to_string(version)),
+                      std::string::npos);
+        }
+    };
+
     // A v4 Join: version, desired shard, then the identity fields in
     // that build's order.  Its layout is not ours, so it must be
     // refused by version, with both numbers, not by a decode error.
-    wire::Encoder enc;
-    enc.u32(4);
-    enc.u32(fleet::kAnyShard);
-    enc.u32(3);
+    wire::Encoder v4;
+    v4.u32(4);
+    v4.u32(fleet::kAnyShard);
+    v4.u32(3);
     for (int i = 0; i < 7; ++i)
-        enc.u64(0x1111);
-    wire::Decoder dec(enc.buffer());
-    fleet::Join got = fleet::decodeJoin(dec);
-    try {
-        fleet::validateJoin(got, fleet::Join{});
-        FAIL() << "a v4 join was accepted";
-    } catch (const wire::WireError &err) {
-        EXPECT_EQ(err.kind(), wire::WireErrorKind::BadVersion);
-        EXPECT_EQ(err.expected(), wire::kWireVersion);
-        EXPECT_EQ(err.found(), 4u);
-        EXPECT_NE(std::string(err.what()).find(
-                      "expected " + std::to_string(wire::kWireVersion) +
-                      ", found 4"),
-                  std::string::npos);
-    }
+        v4.u64(0x1111);
+    expectRefused(v4.buffer(), 4);
+
+    // A v5 Join has today's layout, but a v5 peer expects a Hello
+    // that still carries the heartbeat interval, so it too must be
+    // refused at the Join, by version.
+    fleet::Join v5Join;
+    v5Join.wireVersion = 5;
+    wire::Encoder v5;
+    fleet::encodeJoin(v5, v5Join);
+    expectRefused(v5.buffer(), 5);
 }
 
 /**
