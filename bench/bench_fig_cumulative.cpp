@@ -107,10 +107,11 @@ main()
                 i + 1 == checkpoints[next]) {
                 double b = cumBase.takenFraction();
                 double p = cumPe.combinedFraction();
+                std::string gain = "+";
+                gain += fmtDouble((p - b) * 100, 1);
+                gain += "pp";
                 table.addRow({std::to_string(i + 1), fmtPercent(b),
-                              fmtPercent(p),
-                              "+" + fmtDouble((p - b) * 100, 1) +
-                                  "pp"});
+                              fmtPercent(p), gain});
                 ++next;
             }
         }

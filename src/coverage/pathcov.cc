@@ -51,15 +51,10 @@ PathCoverage::build(const analysis::Cfg &cfg,
         entryBlock = cfg.blockOf(program.entry);
     bits.assign((pathCount + 63) / 64, 0);
 
-    // Flatten the edge sequences and the per-path decision keys.
-    pathOffsets.assign(1, 0);
+    // Flatten the per-path decision keys.
     decisionOffsets.assign(1, 0);
-    startsAt.assign(blocks.size(), {});
-    for (uint32_t id = 0; id < pathCount; ++id) {
-        const analysis::PrimePath &p = set.paths[id];
-        startsAt[p.startBlock].push_back(id);
+    for (const analysis::PrimePath &p : set.paths) {
         for (uint32_t e : p.edges) {
-            pathEdges.push_back(e);
             const analysis::CfgEdge &edge = edges[e];
             if (edge.kind == analysis::EdgeKind::BranchTaken ||
                 edge.kind == analysis::EdgeKind::BranchNotTaken) {
@@ -69,8 +64,6 @@ PathCoverage::build(const analysis::Cfg &cfg,
                 pathDecisions.push_back((pc << 1) | (taken ? 1u : 0u));
             }
         }
-        pathOffsets.push_back(
-            static_cast<uint32_t>(pathEdges.size()));
         decisionOffsets.push_back(
             static_cast<uint32_t>(pathDecisions.size()));
     }
@@ -79,16 +72,15 @@ PathCoverage::build(const analysis::Cfg &cfg,
     // Walker tables: classify each block by its successor edge kinds
     // (the CFG already encodes the interpreter's control rules); only
     // the no-successor case needs the opcode, to tell a Jr return
-    // from a genuine exit.
+    // from a genuine exit.  slotEdge[2 * block + slot] is the edge
+    // the walker takes out of the block through each slot.
     const uint32_t nb = static_cast<uint32_t>(blocks.size());
     blockKind.assign(nb, BlockKind::Exit);
     branchPc.assign(nb, 0);
     succBlock.assign(nb, analysis::noBlock);
-    succEdge.assign(nb, 0);
     altBlock.assign(nb, analysis::noBlock);
-    altEdge.assign(nb, 0);
     retBlock.assign(nb, analysis::noBlock);
-    retEdge.assign(nb, 0);
+    std::vector<uint32_t> slotEdge(2 * static_cast<size_t>(nb), kNone);
     for (uint32_t id = 0; id < nb; ++id) {
         BlockKind kind = BlockKind::Exit;
         for (uint32_t e : blocks[id].succs) {
@@ -98,33 +90,32 @@ PathCoverage::build(const analysis::Cfg &cfg,
                 kind = BlockKind::Cond;
                 branchPc[id] = blocks[id].lastPc;
                 succBlock[id] = edge.to;
-                succEdge[id] = e;
+                slotEdge[2 * id] = e;
                 break;
               case analysis::EdgeKind::BranchNotTaken:
                 kind = BlockKind::Cond;
                 branchPc[id] = blocks[id].lastPc;
                 altBlock[id] = edge.to;
-                altEdge[id] = e;
+                slotEdge[2 * id + 1] = e;
                 break;
               case analysis::EdgeKind::Jump:
                 kind = BlockKind::Jump;
                 succBlock[id] = edge.to;
-                succEdge[id] = e;
+                slotEdge[2 * id] = e;
                 break;
               case analysis::EdgeKind::Call:
                 kind = BlockKind::Call;
                 succBlock[id] = edge.to;
-                succEdge[id] = e;
                 break;
               case analysis::EdgeKind::CallReturn:
                 kind = BlockKind::Call;
                 retBlock[id] = edge.to;
-                retEdge[id] = e;
+                slotEdge[2 * id] = e;
                 break;
               case analysis::EdgeKind::FallThrough:
                 kind = BlockKind::Fall;
                 succBlock[id] = edge.to;
-                succEdge[id] = e;
+                slotEdge[2 * id] = e;
                 break;
             }
         }
@@ -133,39 +124,98 @@ PathCoverage::build(const analysis::Cfg &cfg,
             kind = BlockKind::Ret;
         blockKind[id] = kind;
     }
+    buildAutomaton(cfg, set, slotEdge);
 }
 
 void
-PathCoverage::visitBlock(uint32_t block, std::vector<Match> &active)
+PathCoverage::buildAutomaton(const analysis::Cfg &cfg,
+                             const analysis::PrimePathSet &set,
+                             const std::vector<uint32_t> &slotEdge)
 {
-    for (uint32_t id : startsAt[block]) {
-        if (pathOffsets[id + 1] == pathOffsets[id]) {
-            completePath(id);   // one-block path completes on entry
+    const auto &edges = cfg.edges();
+    const uint32_t nb = static_cast<uint32_t>(cfg.blocks().size());
+
+    // The trie.  While it grows, next[] holds trie children and out
+    // the node's own terminal paths.  A path whose edges the walker
+    // cannot take, slot by slot from its start block, stays out.
+    nodes.assign(nb, Node{{kNone, kNone}, kNone});
+    outNext.assign(pathCount, kNone);
+    blockPaths.assign(nb, kNone);
+    std::vector<unsigned> slots;
+    for (uint32_t id = 0; id < pathCount; ++id) {
+        const analysis::PrimePath &p = set.paths[id];
+        if (p.edges.empty()) {
+            outNext[id] = blockPaths[p.startBlock];
+            blockPaths[p.startBlock] = id;
             continue;
         }
-        if (active.size() >= kMaxActiveMatches) {
-            statOverflow++;
-            continue;
+        slots.clear();
+        uint32_t block = p.startBlock;
+        for (uint32_t e : p.edges) {
+            const uint32_t *exits = &slotEdge[2 * size_t{block}];
+            if (e != exits[0] && e != exits[1])
+                break;
+            slots.push_back(e == exits[0] ? 0 : 1);
+            block = edges[e].to;
         }
-        active.push_back(Match{id, 0});
+        if (slots.size() != p.edges.size())
+            continue;
+        uint32_t node = p.startBlock;
+        for (unsigned slot : slots) {
+            if (nodes[node].next[slot] == kNone) {
+                nodes[node].next[slot] =
+                    static_cast<uint32_t>(nodes.size());
+                nodes.push_back(Node{{kNone, kNone}, kNone});
+            }
+            node = nodes[node].next[slot];
+        }
+        outNext[id] = nodes[node].out;
+        nodes[node].out = id;
+    }
+
+    // Failure links, breadth first, so a node's failure target (a
+    // shorter suffix, so a shallower node) is final before the node
+    // is reached.  A depth-0 node's mismatch lands on the depth-0
+    // node of the edge's target block; a deeper node's mismatch does
+    // what its failure target does.  A node's output chain is its own
+    // terminals followed by its failure target's chain; depth-0 nodes
+    // start none (one-block paths complete at the visit instead).
+    std::vector<uint32_t> fail(nodes.size(), kNone);
+    std::vector<uint32_t> order(nb);
+    for (uint32_t b = 0; b < nb; ++b)
+        order[b] = b;
+    for (size_t qi = 0; qi < order.size(); ++qi) {
+        const uint32_t u = order[qi];
+        if (u >= nb) {
+            uint32_t *tail = &nodes[u].out;
+            while (*tail != kNone)
+                tail = &outNext[*tail];
+            *tail = nodes[fail[u]].out;
+        }
+        for (unsigned slot = 0; slot < 2; ++slot) {
+            uint32_t miss = kNone;
+            if (u >= nb)
+                miss = nodes[fail[u]].next[slot];
+            else if (slotEdge[2 * size_t{u} + slot] != kNone)
+                miss = edges[slotEdge[2 * size_t{u} + slot]].to;
+            const uint32_t child = nodes[u].next[slot];
+            if (child == kNone) {
+                nodes[u].next[slot] = miss;
+            } else {
+                fail[child] = miss;
+                order.push_back(child);
+            }
+        }
     }
 }
 
-void
-PathCoverage::advance(std::vector<Match> &active, uint32_t edgeId)
+inline uint32_t
+PathCoverage::step(uint32_t state, unsigned slot)
 {
-    size_t out = 0;
-    for (const Match &m : active) {
-        const uint32_t off = pathOffsets[m.path];
-        if (pathEdges[off + m.pos] != edgeId)
-            continue;
-        if (off + m.pos + 1 == pathOffsets[m.path + 1]) {
-            completePath(m.path);
-            continue;
-        }
-        active[out++] = Match{m.path, m.pos + 1};
-    }
-    active.resize(out);
+    const uint32_t next = nodes[state].next[slot];
+    for (uint32_t id = nodes[next].out; id != kNone; id = outNext[id])
+        completePath(id);
+    return next;
 }
 
 void
@@ -180,13 +230,12 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
 
     struct Frame
     {
-        uint32_t retB;
-        uint32_t retE;
-        std::vector<Match> saved;
+        uint32_t retBlock;
+        uint32_t state;
     };
     std::vector<Frame> frames;
-    std::vector<Match> active;
     uint32_t cur = entryBlock;
+    uint32_t state = entryBlock;    // block b's depth-0 node is node b
     size_t ti = 0;
     bool desync = false;
     uint64_t steps = 0;
@@ -196,7 +245,8 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
             desync = true;
             break;
         }
-        visitBlock(cur, active);
+        for (uint32_t id = blockPaths[cur]; id != kNone; id = outNext[id])
+            completePath(id);   // one-block path completes on entry
 
         const BlockKind kind = blockKind[cur];
         if (kind == BlockKind::Exit)
@@ -213,7 +263,7 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
             const uint32_t nb = taken ? succBlock[cur] : altBlock[cur];
             if (nb == analysis::noBlock)
                 break;   // fell off the program end
-            advance(active, taken ? succEdge[cur] : altEdge[cur]);
+            state = step(state, taken ? 0 : 1);
             cur = nb;
             continue;
         }
@@ -227,7 +277,7 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
         if (kind == BlockKind::Jump || kind == BlockKind::Fall) {
             if (succBlock[cur] == analysis::noBlock)
                 break;
-            advance(active, succEdge[cur]);
+            state = step(state, 0);
             cur = succBlock[cur];
             continue;
         }
@@ -238,25 +288,23 @@ PathCoverage::fold(const std::vector<uint32_t> &trace,
                 desync = true;
                 break;
             }
-            frames.push_back(Frame{retBlock[cur], retEdge[cur],
-                                   std::move(active)});
-            active.clear();
+            frames.push_back(Frame{retBlock[cur], state});
             cur = succBlock[cur];
+            state = cur;
             continue;
         }
-        // Ret: resume the caller's suspended matches across the
+        // Ret: resume the caller's suspended state across the
         // CallReturn edge (intraprocedural path semantics).
         if (frames.empty()) {
             desync = true;
             break;
         }
-        Frame f = std::move(frames.back());
+        const Frame f = frames.back();
         frames.pop_back();
-        active = std::move(f.saved);
-        if (f.retB == analysis::noBlock)
+        if (f.retBlock == analysis::noBlock)
             break;
-        advance(active, f.retE);
-        cur = f.retB;
+        state = step(f.state, 0);
+        cur = f.retBlock;
     }
     if (desync)
         statDesync++;
@@ -272,7 +320,6 @@ PathCoverage::merge(const PathCoverage &other)
     statFolded += other.statFolded;
     statTruncated += other.statTruncated;
     statDesync += other.statDesync;
-    statOverflow += other.statOverflow;
 }
 
 void
@@ -345,7 +392,7 @@ PathCoverage::encodeState(wire::Encoder &enc) const
     enc.u64(statFolded);
     enc.u64(statTruncated);
     enc.u64(statDesync);
-    enc.u64(statOverflow);
+    enc.u64(0);     // retired match-overflow count
     enc.u64vec(bits);
 }
 
@@ -355,7 +402,7 @@ PathCoverage::decodeState(wire::Decoder &dec)
     const uint64_t folded = dec.u64("path folded runs");
     const uint64_t truncatedRuns = dec.u64("path truncated runs");
     const uint64_t desync = dec.u64("path desync runs");
-    const uint64_t overflow = dec.u64("path match overflows");
+    dec.u64("path match overflows");    // retired, always 0
     std::vector<uint64_t> saved = dec.u64vec("path words");
     if (saved.size() != bits.size()) {
         throw wire::WireError(
@@ -368,7 +415,6 @@ PathCoverage::decodeState(wire::Decoder &dec)
     statFolded = folded;
     statTruncated = truncatedRuns;
     statDesync = desync;
-    statOverflow = overflow;
     bits = std::move(saved);
 }
 

@@ -12,25 +12,50 @@
  * Calls use the MiniC convention the CFG already encodes: a Jal
  * pushes a frame and descends into the callee; the matching Jr pops
  * it and lands on the CallReturn edge's target.  Prime paths are
- * intraprocedural, so each frame carries its own set of in-flight
- * path matches — a caller's partial match is suspended across the
- * call and resumes, advanced by the CallReturn edge, when the callee
- * returns.
+ * intraprocedural, so each frame matches on its own — a caller's
+ * partial matches are suspended across the call and resume, advanced
+ * by the CallReturn edge, when the callee returns.
  *
- * Matching is a multi-pattern automaton over edge ids: a match
- * (path, pos) means the last pos edges walked equal the path's edge
- * prefix; entering a block starts a match for every path that begins
- * there (a one-block path completes on entry).  Memory is bounded
- * everywhere: completion state is one bit per path, the in-flight
- * match set and the call stack are capped (overflow is counted, the
- * fold degrades by dropping new matches, never by growing).
+ * Matching is an Aho–Corasick automaton the constructor builds once.
+ * Its trie holds every path as (start block, edge sequence), with a
+ * depth-0 node for every block, so a state always names the block the
+ * walk is in; a node at depth k stands for the last k edges walked in
+ * the current frame.  From a block the walker takes at most two edges
+ * (slot 0: the taken, jump, fall-through or CallReturn edge; slot 1:
+ * the not-taken edge), so failure links are resolved at build time
+ * into a dense next[2] per node, and the state after an edge is the
+ * longest trie node that is a suffix of the frame's walk.  Every
+ * shorter such node lies on its failure chain, down to the depth-0
+ * node of the current block, so the chain holds exactly the (path,
+ * pos) matches a per-frame match set would hold: a path completes
+ * when its terminal node is on the chain.  Output links chain those
+ * terminals (depth >= 1), so each edge visits only the paths it
+ * completes.  No enumerated prime path sits inside another, so there
+ * a chain is at most the node's own path; the links keep the fold
+ * exact for any path set the three-argument constructor is given.
+ *
+ * A frame is the return block plus the caller's state: a callee
+ * starts at its entry block's depth-0 node, and a return takes slot 0
+ * from the saved state.  One-block paths complete at the block visit,
+ * through a per-block table, so a walk cut off between an edge and
+ * the next visit completes nothing the visit would.  A path with an
+ * edge the walker never takes stays out of the trie; it could never
+ * complete anyway.  A prime path is simple, so its blocks up to the
+ * last are distinct and one frame can match it at only one position
+ * at a time: a match set would hold at most one match per path.  The
+ * automaton keeps no match set at all, so nothing can overflow; the
+ * only bounds are the call-stack depth and the walk's step count.
+ * Completion state is one bit per path.
  *
  * Desync policy: traces come from real executions, so the walk should
  * never disagree with the CFG — but crashed runs stop mid-path,
  * invalid jumps stop decoding, and the trace itself may be truncated
- * by the recording cap.  Any disagreement (unexpected branch pc,
- * missing static successor, stack underflow) stops the fold for that
- * run and bumps a counter; completion bits only ever under-approximate.
+ * by the recording cap.  A disagreement (a branch event whose pc is
+ * not the block's branch, a return with no open frame) or a walk past
+ * kMaxFoldDepth frames or the step bound stops the fold for that run
+ * and bumps the desync counter; running out of trace events or off the
+ * CFG's static successors stops it without one.  Either way completion
+ * bits only ever under-approximate.
  * For runs that did not exit cleanly the fold also refuses to walk
  * the straight-line tail past the final recorded branch, so a crash
  * cannot "complete" blocks it never reached.
@@ -58,9 +83,6 @@ namespace pe::coverage
 class PathCoverage
 {
   public:
-    /** In-flight (path, pos) matches per call frame, hard cap. */
-    static constexpr uint32_t kMaxActiveMatches = 4096;
-
     /** Call-stack depth cap for the fold walker. */
     static constexpr uint32_t kMaxFoldDepth = 1024;
 
@@ -135,29 +157,48 @@ class PathCoverage
     uint64_t foldedRuns() const { return statFolded; }
     uint64_t truncatedRuns() const { return statTruncated; }
     uint64_t desyncRuns() const { return statDesync; }
-    uint64_t overflowedMatches() const { return statOverflow; }
 
-    /** Serialize counters + completion words via pe_wire. */
+    /**
+     * Serialize counters + completion words via pe_wire.  The fourth
+     * u64 is always 0: it held the count of in-flight matches dropped
+     * at a per-frame cap that no enumerated path set could reach, and
+     * keeps its slot so the state format and every saved checkpoint
+     * stay valid.
+     */
     void encodeState(wire::Encoder &enc) const;
 
     /**
-     * Restore counters + words; throws WireError{Mismatch} when the
-     * word count disagrees with this program's path count.
+     * Restore counters + words (the retired fourth u64 is read and
+     * ignored); throws WireError{Mismatch} when the word count
+     * disagrees with this program's path count.
      */
     void decodeState(wire::Decoder &dec);
 
   private:
-    struct Match
+    /** No node, no edge, no path (it also ends an output chain). */
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    /**
+     * One automaton state.  Node b < numBlocks is block b's depth-0
+     * node; deeper nodes extend their parent by one edge slot.
+     */
+    struct Node
     {
-        uint32_t path;
-        uint32_t pos;
+        /** The state after each edge slot (kNone: no such edge). */
+        uint32_t next[2];
+        /** First path of this state's output chain (kNone: none). */
+        uint32_t out;
     };
 
     void build(const analysis::Cfg &cfg,
                const analysis::PrimePathSet &set,
                const std::vector<uint32_t> &cover);
-    void visitBlock(uint32_t block, std::vector<Match> &active);
-    void advance(std::vector<Match> &active, uint32_t edgeId);
+    void buildAutomaton(const analysis::Cfg &cfg,
+                        const analysis::PrimePathSet &set,
+                        const std::vector<uint32_t> &slotEdge);
+
+    /** Take edge @p slot from @p state, completing what it ends. */
+    uint32_t step(uint32_t state, unsigned slot);
     void completePath(uint32_t pathId)
     {
         bits[pathId >> 6] |= 1ull << (pathId & 63);
@@ -178,22 +219,21 @@ class PathCoverage
     bool setTruncated = false;
     uint32_t entryBlock = analysis::noBlock;
 
-    /** Flattened per-path edge sequences: [offsets[i], offsets[i+1]). */
-    std::vector<uint32_t> pathEdges;
-    std::vector<uint32_t> pathOffsets;
+    /** The automaton: trie nodes with failure links resolved. */
+    std::vector<Node> nodes;
 
-    /** Path ids starting at each block. */
-    std::vector<std::vector<uint32_t>> startsAt;
+    /** Next path on the same output chain, by path id (kNone ends). */
+    std::vector<uint32_t> outNext;
+
+    /** One-block paths of each block: head of an outNext chain. */
+    std::vector<uint32_t> blockPaths;
 
     /** Per-block walker tables (indexed by block id). */
     std::vector<BlockKind> blockKind;
     std::vector<uint32_t> branchPc;     //!< Cond: terminator pc
     std::vector<uint32_t> succBlock;    //!< primary successor block
-    std::vector<uint32_t> succEdge;     //!< primary successor edge id
     std::vector<uint32_t> altBlock;     //!< Cond: not-taken block
-    std::vector<uint32_t> altEdge;      //!< Cond: not-taken edge id
     std::vector<uint32_t> retBlock;     //!< Call: return-landing block
-    std::vector<uint32_t> retEdge;      //!< Call: CallReturn edge id
 
     /** Per-path decision keys ((pc << 1) | taken), flattened. */
     std::vector<uint32_t> pathDecisions;
@@ -205,7 +245,6 @@ class PathCoverage
     uint64_t statFolded = 0;
     uint64_t statTruncated = 0;
     uint64_t statDesync = 0;
-    uint64_t statOverflow = 0;
 };
 
 } // namespace pe::coverage

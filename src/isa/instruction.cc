@@ -48,7 +48,11 @@ disassemble(const Instruction &inst)
 {
     std::ostringstream oss;
     oss << opcodeName(inst.op);
-    auto r = [](uint8_t n) { return "r" + std::to_string(n); };
+    auto r = [](uint8_t n) {
+        std::string name = "r";
+        name += std::to_string(n);
+        return name;
+    };
     switch (inst.op) {
       case Opcode::Nop:
         break;

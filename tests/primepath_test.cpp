@@ -8,8 +8,11 @@
  * maximality, determinism, edge coverage) on compiled workloads,
  * every workload's pinned path-id space, truncation behavior, the
  * branch-trace fold, merge semantics (campaign accumulation ==
- * sharded merge, bit-identical), wire round-trips, and the explorer's
- * path-objective checkpoint/resume identity.
+ * sharded merge, bit-identical), wire round-trips, the explorer's
+ * path-objective checkpoint/resume identity, the original match-set
+ * fold as an after-every-fold oracle for the automaton
+ * (pathcov_reference.hh), and one hand-built program per fold stop
+ * rule.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@
 #include "src/support/fnv.hh"
 #include "src/support/status.hh"
 #include "src/workloads/workload.hh"
+#include "pathcov_reference.hh"
 #include "primepath_reference.hh"
 #include "tier_identity.hh"
 
@@ -555,9 +559,10 @@ TEST(PrimePathOracle, BudgetCutCandidateIsFilteredLikeAnyFinal)
 
 core::RunResult
 runTraced(const isa::Program &program, std::vector<int32_t> input,
-          uint32_t traceCap = 1u << 18)
+          uint32_t traceCap = 1u << 18,
+          core::PeMode mode = core::PeMode::Off)
 {
-    auto cfg = core::PeConfig::forMode(core::PeMode::Off);
+    auto cfg = core::PeConfig::forMode(mode);
     cfg.recordEdgeTrace = true;
     cfg.edgeTraceCap = traceCap;
     core::PathExpanderEngine engine(program, cfg, nullptr);
@@ -798,6 +803,314 @@ TEST(PathObjective, PolicyWordMismatchRefusesTheCheckpoint)
     opts.resumeFrom = ckpt.path;
     explore::Explorer e(program, scheduleSeeds(workload), opts);
     EXPECT_THROW(e.run(), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// The (path, pos) match-set fold as an oracle (pathcov_reference.hh):
+// the automaton must leave the same completion words, counters and
+// encoded state after every fold, and the reference's overflow
+// counter, whose slot the library fills with 0, must stay 0.
+
+/** One fold's input: a branch trace and its two flags. */
+struct FoldInput
+{
+    std::vector<uint32_t> trace;
+    bool truncated = false;
+    bool clean = true;
+};
+
+FoldInput
+foldInputOf(const core::RunResult &res)
+{
+    return {res.branchTrace, res.branchTraceTruncated,
+            res.stopCause == core::RunStopCause::Completed};
+}
+
+std::string
+stateBytes(const auto &tracker)
+{
+    wire::Encoder enc;
+    tracker.encodeState(enc);
+    return std::string(enc.buffer().data(), enc.size());
+}
+
+/** The library tracker and the reference fold, fed in lockstep. */
+struct FoldPair
+{
+    explicit FoldPair(const isa::Program &program)
+        : got(program), want(program)
+    {
+    }
+
+    FoldPair(const analysis::Cfg &cfg, const analysis::PrimePathSet &set)
+        : got(cfg, set, {}), want(cfg, set)
+    {
+    }
+
+    void fold(const FoldInput &in, const std::string &what)
+    {
+        got.fold(in.trace, in.truncated, in.clean);
+        want.fold(in.trace, in.truncated, in.clean);
+        EXPECT_EQ(got.words(), want.words()) << what;
+        EXPECT_EQ(got.foldedRuns(), want.foldedRuns()) << what;
+        EXPECT_EQ(got.truncatedRuns(), want.truncatedRuns()) << what;
+        EXPECT_EQ(got.desyncRuns(), want.desyncRuns()) << what;
+        EXPECT_EQ(want.overflowedMatches(), 0u) << what;
+        EXPECT_EQ(stateBytes(got), stateBytes(want)) << what;
+    }
+
+    coverage::PathCoverage got;
+    coverage::reference::PathCoverage want;
+};
+
+/**
+ * Fold @p inputs in order, then a half-length truncated copy and an
+ * unclean copy of every seventh one.
+ */
+void
+foldWithVariants(FoldPair &pair, const std::vector<FoldInput> &inputs,
+                 const std::string &what)
+{
+    for (size_t k = 0; k < inputs.size(); ++k)
+        pair.fold(inputs[k], what + " trace " + std::to_string(k));
+    for (size_t k = 0; k < inputs.size(); k += 7) {
+        FoldInput cut = inputs[k];
+        cut.trace.resize(cut.trace.size() / 2);
+        cut.truncated = true;
+        pair.fold(cut, what + " trace " + std::to_string(k) + " cut");
+        FoldInput unclean = inputs[k];
+        unclean.clean = false;
+        pair.fold(unclean,
+                  what + " trace " + std::to_string(k) + " unclean");
+    }
+}
+
+/** Parameterized by workload name, so ctest runs them in parallel. */
+class PathCoverageOracle : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PathCoverageOracle, WorkloadTracesMatchAfterEveryFold)
+{
+    // The workload's benign inputs in Off and Standard, then every run
+    // of a fixed-seed path-objective explorer session.
+    const QuietScope quietScope;
+    const std::string &name = GetParam();
+    const auto &w = workloads::getWorkload(name);
+    auto program = minic::compile(w.source, name);
+    std::vector<FoldInput> inputs;
+    for (core::PeMode mode : {core::PeMode::Off, core::PeMode::Standard}) {
+        for (const auto &input : w.benignInputs)
+            inputs.push_back(
+                foldInputOf(runTraced(program, input, 1u << 18, mode)));
+    }
+    auto opts = pathObjectiveOptions(40, 29);
+    opts.threads = 1;
+    opts.onRun = [&](const core::RunResult &r) {
+        inputs.push_back(foldInputOf(r));
+    };
+    const std::vector<std::vector<int32_t>> seeds(
+        w.benignInputs.begin(),
+        w.benignInputs.begin() +
+            std::min<size_t>(3, w.benignInputs.size()));
+    explore::Explorer(program, seeds, opts).run();
+
+    FoldPair pair(program);
+    foldWithVariants(pair, inputs, name);
+    EXPECT_GT(pair.got.completedCount(), 0u) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, PathCoverageOracle,
+    ::testing::ValuesIn(workloads::workloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST_F(PathCoverageOracle, GeneratedProgramsMatchAfterEveryFold)
+{
+    // Random programs whose divisions may fault: clean and crashed
+    // runs, in Off and Standard.
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        const std::string name = "pc_gen" + std::to_string(seed);
+        auto program =
+            isa::assemble(test::generateProgram(seed, 2, 5), name);
+        std::vector<FoldInput> inputs;
+        for (core::PeMode mode : {core::PeMode::Off, core::PeMode::Standard})
+            inputs.push_back(
+                foldInputOf(runTraced(program, {}, 1u << 18, mode)));
+        FoldPair pair(program);
+        foldWithVariants(pair, inputs, name);
+    }
+}
+
+TEST_F(PathCoverageOracle, NestedAndRepeatedPathsMatch)
+{
+    // No enumerated prime path sits inside another, so there every
+    // output chain is one path long.  A hand-built set whose paths nest
+    // and repeat takes the chains through failure links and shared
+    // terminals: each prime path, its prefix and its suffix one edge
+    // shorter, and every tenth path and its start block twice.
+    const auto &w = workloads::getWorkload("print_tokens");
+    auto program = minic::compile(w.source, "print_tokens");
+    analysis::Cfg cfg(program);
+    const auto prime = analysis::enumeratePrimePaths(cfg);
+    analysis::PrimePathSet set;
+    for (size_t i = 0; i < prime.paths.size(); ++i) {
+        const analysis::PrimePath &p = prime.paths[i];
+        set.paths.push_back(p);
+        if (!p.edges.empty()) {
+            set.paths.push_back(
+                {p.startBlock, {p.edges.begin(), p.edges.end() - 1}});
+            set.paths.push_back({cfg.edges()[p.edges[0]].to,
+                                 {p.edges.begin() + 1, p.edges.end()}});
+        }
+        if (i % 10 == 0) {
+            set.paths.push_back(p);
+            set.paths.push_back({p.startBlock, {}});
+        }
+    }
+    // Below the reference's match cap, which then cannot overflow.
+    ASSERT_LT(set.paths.size(),
+              coverage::reference::PathCoverage::kMaxActiveMatches);
+
+    FoldPair pair(cfg, set);
+    std::vector<FoldInput> inputs;
+    for (const auto &input : w.benignInputs)
+        inputs.push_back(foldInputOf(runTraced(program, input)));
+    foldWithVariants(pair, inputs, "nested print_tokens");
+    EXPECT_GT(pair.got.completedCount(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The fold's stop rules, one hand-built program each, checked against
+// the oracle and against the counters and completions they must leave.
+
+/** The id of @p program's prime path over exactly @p blockPcs. */
+uint32_t
+pathIdAt(const isa::Program &program, std::vector<uint32_t> blockPcs)
+{
+    analysis::Cfg cfg(program);
+    const auto set = analysis::enumeratePrimePaths(cfg);
+    std::vector<uint32_t> blocks;
+    for (uint32_t pc : blockPcs)
+        blocks.push_back(cfg.blockOf(pc));
+    for (uint32_t id = 0; id < set.paths.size(); ++id) {
+        if (blockSeq(cfg, set.paths[id]) == blocks)
+            return id;
+    }
+    ADD_FAILURE() << "no prime path over the given blocks";
+    return 0;
+}
+
+/** Branch event for the branch at @p pc. */
+uint32_t
+event(uint32_t pc, bool taken)
+{
+    return (pc << 1) | (taken ? 1u : 0u);
+}
+
+TEST(PathCoverageStop, EventForAnotherPcDesyncs)
+{
+    // The loop's bne sits at pc 1: one taken event closes the cycle,
+    // then an event naming pc 2 stops the fold there.
+    auto program = isa::assemble(loopSrc, "selfloop");
+    FoldPair pair(program);
+    pair.fold({{event(1, true), event(2, false)}, false, true},
+              "wrong pc");
+    EXPECT_EQ(pair.got.desyncRuns(), 1u);
+    EXPECT_TRUE(pair.got.completed(pathIdAt(program, {0, 0})));
+    EXPECT_EQ(pair.got.completedCount(), 1u);
+}
+
+TEST(PathCoverageStop, ReturnWithNoOpenFrameDesyncs)
+{
+    auto program = isa::assemble(R"(
+    sys read_int r8
+    jr ra
+)",
+                                 "toplevel_jr");
+    FoldPair pair(program);
+    pair.fold({{}, false, true}, "jr at top level");
+    EXPECT_EQ(pair.got.desyncRuns(), 1u);
+    // The block's one-block path completed on entry, before the jr.
+    EXPECT_TRUE(pair.got.completed(pathIdAt(program, {0})));
+}
+
+TEST(PathCoverageStop, RecursionPastTheDepthCapDesyncs)
+{
+    auto program = isa::assemble(R"(
+    jal ra, f
+    sys exit
+f:
+    jal ra, f
+    jr ra
+)",
+                                 "recurse");
+    program.funcs.push_back(isa::FuncInfo{"f", 2, 4});
+    FoldPair pair(program);
+    pair.fold({{}, false, true}, "unbounded recursion");
+    EXPECT_EQ(pair.got.desyncRuns(), 1u);
+    EXPECT_EQ(pair.got.completedCount(), 0u);
+}
+
+TEST(PathCoverageStop, BranchFreeLoopHitsTheStepBound)
+{
+    auto program = isa::assemble(R"(
+spin:
+    addi r8, r8, 1
+    jmp spin
+)",
+                                 "spin");
+    const uint32_t cycle = pathIdAt(program, {0, 0});
+    FoldPair unclean(program);
+    unclean.fold({{}, false, false}, "spin unclean");
+    EXPECT_EQ(unclean.got.desyncRuns(), 0u);
+    EXPECT_EQ(unclean.got.completedCount(), 0u);
+
+    // A clean exit walks the tail, which never ends: the step bound
+    // stops it, after the cycle completed.
+    FoldPair clean(program);
+    clean.fold({{}, false, true}, "spin clean");
+    EXPECT_EQ(clean.got.desyncRuns(), 1u);
+    EXPECT_TRUE(clean.got.completed(cycle));
+}
+
+TEST(PathCoverageStop, UncleanTailPastTheLastBranchCompletesNothing)
+{
+    // The beq at pc 1 falls through to the then-arm, whose jmp to the
+    // join is straight-line tail past the last recorded branch.
+    auto program = isa::assemble(diamondSrc, "diamond");
+    const uint32_t thenArm = pathIdAt(program, {0, 2, 5});
+    FoldPair pair(program);
+    pair.fold({{event(1, false)}, false, false}, "unclean tail");
+    EXPECT_EQ(pair.got.desyncRuns(), 0u);
+    EXPECT_EQ(pair.got.completedCount(), 0u);
+    pair.fold({{event(1, false)}, false, true}, "clean tail");
+    EXPECT_TRUE(pair.got.completed(thenArm));
+    EXPECT_EQ(pair.got.completedCount(), 1u);
+}
+
+TEST(PathCoverageStop, OneBlockLeafCompletesOnEntry)
+{
+    auto program = isa::assemble(R"(
+    jal ra, leaf
+    sys exit
+leaf:
+    jr ra
+)",
+                                 "leaf");
+    // The assembler declares one function over the whole image; the
+    // leaf's own declaration makes it an enumeration root.
+    program.funcs.push_back(isa::FuncInfo{"leaf", 2, 3});
+    const uint32_t leaf = pathIdAt(program, {2});
+    const uint32_t caller = pathIdAt(program, {0, 1});
+    FoldPair pair(program);
+    pair.fold({{}, false, true}, "leaf call");
+    EXPECT_EQ(pair.got.desyncRuns(), 0u);
+    EXPECT_TRUE(pair.got.completed(leaf));
+    EXPECT_TRUE(pair.got.completed(caller));
+    EXPECT_EQ(pair.got.completedCount(), 2u);
 }
 
 } // namespace
